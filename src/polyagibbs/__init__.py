@@ -3,7 +3,6 @@ for composite combinatorial structures counted up to symmetry."""
 
 from .errors import (
     EmptySize,
-    EnumerationGuard,
     IllFoundedRecursion,
     InnerHasConstantTerm,
     InnerNotSubexponential,
@@ -71,18 +70,18 @@ from .species import (
     unrank_by_weight,
 )
 from .engine import SeriesEngine, ogf
-from .sampler import ExactSampler
+from .sampler import DiscreteLaw, ExactSampler
 from .gibbs import (
     FragmentRecord,
     GibbsModel,
     LimitLaw,
     PLACEHOLDER,
     PgfReport,
-    SizeLaw,
     SymmetryDraw,
     boltzmann_size_distribution,
-    sample_general_symmetry,
+    general_symmetry_law,
     sample_set_symmetry,
+    set_symmetry_law,
 )
 from .asymptotics import (
     RadiusShiftProbe,

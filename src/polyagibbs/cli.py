@@ -15,12 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from typing import List
 
 from .asymptotics import diagnose_subexponential, coefficient_ratio_experiment
@@ -33,11 +29,18 @@ from .errors import (
 )
 from .gibbs import GibbsModel
 from .species import object_size, object_to_string, parse_spec
-from .stats import component_count_experiment, remainder_convergence_experiment
+from .stats import (
+    _run_chunks,
+    component_count_experiment,
+    remainder_convergence_experiment,
+)
 
 EXIT_SPEC = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
+
+# draws per seeded chunk of a sampling transcript
+SAMPLE_CHUNK = 1000
 
 
 def _read_spec(source: str) -> str:
@@ -118,7 +121,6 @@ def cmd_sample(args) -> int:
     spec_text = _read_spec(args.spec)
     model = GibbsModel.from_species(parse_spec(spec_text), truncation=args.trunc)
     sizes = args.sizes or [8]
-    chunk = 1000
     header = {
         "seed": args.seed,
         "config_digest": _config_digest(_semantic_config(args, spec_text)),
@@ -130,16 +132,8 @@ def cmd_sample(args) -> int:
     try:
         out.write(json.dumps(header, sort_keys=True) + "\n")
         for n in sizes:
-            plan = []
-            done = 0
-            while done < args.samples:
-                k = min(chunk, args.samples - done)
-                plan.append((len(plan), k))
-                done += k
 
-            def run(item, n=n):
-                i, k = item
-                rng = random.Random(f"{args.seed}:sample:{n}:{i}")
+            def run(rng, k, n=n):
                 lines = []
                 for _ in range(k):
                     s = model.sample_S_n(n, rng, method=args.method)
@@ -158,11 +152,9 @@ def cmd_sample(args) -> int:
                     )
                 return lines
 
-            if args.workers <= 1:
-                chunks = [run(item) for item in plan]
-            else:
-                with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                    chunks = list(pool.map(run, plan))
+            chunks = _run_chunks(
+                args.seed, f"sample:{n}", args.samples, SAMPLE_CHUNK, args.workers, run
+            )
             for lines in chunks:
                 for line in lines:
                     out.write(line + "\n")

@@ -62,7 +62,3 @@ class RejectionBudgetExceeded(PolyaGibbsError):
 
 class KeyMismatch(PreconditionError):
     """Empirical law contains keys outside the exact law's key space."""
-
-
-class EnumerationGuard(SizeGuardExceeded):
-    """Limit-law enumeration cap exceeds the enumeration guard."""

@@ -16,15 +16,19 @@ law on composite orbits is the Boltzmann law of the composite series at
 ``y``; conditioning on total size gives the weight-proportional law.
 
 Size distributions are truncated at the model truncation and renormalized;
-the neglected mass is recorded on the model (``size_mass_defect``).  All
-closed-form expectations computed here use the same truncated values, so
-sampler-vs-formula comparisons are exact identities up to Monte Carlo
-noise.
+``boltzmann_size_distribution`` records the neglected mass as the law's
+``mass_defect``.  All closed-form expectations computed here use the same
+truncated values, so sampler-vs-formula comparisons are exact identities up
+to Monte Carlo noise.
+
+Block sizes, the longer cycles of a SET symmetry, cycle-index symmetries
+and limit remainders are drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
+The model builds each law once per (stage, parameters) and caches it, so
+repeated draws at one parameter, as in the rejection sampler, only sample.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -40,7 +44,7 @@ from .errors import (
     TailNotControlled,
     ZeroMass,
 )
-from .sampler import ExactSampler
+from .sampler import DiscreteLaw, ExactSampler
 from .series import RadiusEstimate, TruncatedSeries, evaluate, radius_estimate
 from .species import (
     Compose,
@@ -57,6 +61,9 @@ from .species import (
 PLACEHOLDER = ("placeholder",)
 
 _LOG_EPS = 1e-18
+
+# neglected intensity sum of a SET symmetry draw
+_SET_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,28 +113,33 @@ class FragmentRecord:
     largest_size: int
 
 
-@dataclass
-class SizeLaw:
-    """Truncated Boltzmann size distribution P(n) ~ g_n y^n."""
-
-    sizes: List[int]
-    cumulative: List[float]
-    mass_defect: float
-
-    def sample(self, rng: random.Random) -> int:
-        return self.sizes[bisect.bisect_right(self.cumulative, rng.random())]
-
-    def prob(self, n: int) -> float:
-        try:
-            i = self.sizes.index(n)
-        except ValueError:
+def _term(c, x: float, n: int) -> float:
+    """c * x**n as a float, log-scaled when the count c overflows a float."""
+    try:
+        return float(c) * x**n
+    except OverflowError:
+        if x == 0:
             return 0.0
-        return self.cumulative[i] - (self.cumulative[i - 1] if i else 0.0)
+        c = Fraction(c)
+        return math.exp(
+            math.log(c.numerator) - math.log(c.denominator) + n * math.log(x)
+        )
+
+
+def _size_law(series: TruncatedSeries, y: float, mass_defect: float) -> DiscreteLaw:
+    """Law P(size = n) proportional to g_n y^n over the truncated series."""
+    sizes, weights = [], []
+    for n in series.nonzero_indices:
+        w = _term(series[n], y, n)
+        if w > 0:
+            sizes.append(n)
+            weights.append(w)
+    return DiscreteLaw(sizes, weights, mass_defect)
 
 
 def boltzmann_size_distribution(
     series: TruncatedSeries, y: float, window: int | None = None
-) -> SizeLaw:
+) -> DiscreteLaw:
     """Discrete law P(size = n) proportional to g_n y^n, over n up to the
     truncation, with the neglected tail mass reported (estimated via the
     fitted tail model when the series is not polynomial)."""
@@ -136,21 +148,7 @@ def boltzmann_size_distribution(
     ev = evaluate(series, y, window=window)
     if ev.value <= 0:
         raise ZeroMass("series evaluates to zero mass")
-    sizes, weights = [], []
-    for n in series.nonzero_indices:
-        w = float(series[n]) * y**n if n else float(series[n])
-        if w > 0:
-            sizes.append(n)
-            weights.append(w)
-    if not sizes:
-        raise ZeroMass("no positive-weight sizes at this parameter")
-    total = math.fsum(weights)
-    cum, acc = [], 0.0
-    for w in weights:
-        acc += w
-        cum.append(acc / total)
-    cum[-1] = 1.0
-    return SizeLaw(sizes, cum, ev.tail / ev.value)
+    return _size_law(series, y, ev.tail / ev.value)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -169,31 +167,38 @@ def _poisson(rng: random.Random, lam: float) -> int:
     return k
 
 
-def sample_set_symmetry(
-    inner_values: Callable[[int], float], rng: random.Random, tail: float = 1e-12
-) -> CycleType:
-    """Cycle type of a SET symmetry: the number of i-cycles is
-    Poisson(y_i / i), independent over i, with y_i = inner_values(i).
+SetSymmetryLaw = Tuple[float, DiscreteLaw | None]
 
-    The cut index I is chosen so the neglected intensity sum is below
-    ``tail``; the i >= 2 cycles are drawn from the aggregated Poisson and
-    then assigned lengths, which induces the same independent law.
+
+def set_symmetry_law(inner_values: Callable[[int], float]) -> SetSymmetryLaw:
+    """Law of a SET symmetry whose number of i-cycles is Poisson(y_i / i),
+    independent over i, with y_i = inner_values(i).
+
+    Returns the fixpoint intensity and a law of the lengths i >= 2 whose
+    ``total`` is their aggregated Poisson mean (None when no longer cycle
+    has mass).  The cut index is chosen so the neglected intensity sum is
+    below ``_SET_TAIL``.
     """
-    lams = _intensity_table(inner_values, tail)
+    lams = _intensity_table(inner_values, _SET_TAIL)
+    fixpoint = lams[0][1] if lams and lams[0][0] == 1 else 0.0
+    rest = [(i, lam) for i, lam in lams if i > 1]
+    if not rest:
+        return fixpoint, None
+    return fixpoint, DiscreteLaw([i for i, _ in rest], [lam for _, lam in rest])
+
+
+def sample_set_symmetry(law: SetSymmetryLaw, rng: random.Random) -> CycleType:
+    """Cycle type drawn from a :func:`set_symmetry_law`: the i >= 2 cycles
+    are drawn from the aggregated Poisson and then assigned lengths, which
+    induces the same independent law."""
+    fixpoint, longer = law
     counts: Dict[int, int] = {}
-    m1 = _poisson(rng, lams[0][1] if lams and lams[0][0] == 1 else 0.0)
+    m1 = _poisson(rng, fixpoint)
     if m1:
         counts[1] = m1
-    rest = [(i, lam) for i, lam in lams if i > 1]
-    total = math.fsum(lam for _, lam in rest)
-    k = _poisson(rng, total)
-    if k:
-        cum, acc = [], 0.0
-        for _, lam in rest:
-            acc += lam
-            cum.append(acc / total)
-        for _ in range(k):
-            i = rest[bisect.bisect_right(cum, rng.random())][0]
+    if longer is not None:
+        for _ in range(_poisson(rng, longer.total)):
+            i = longer.sample(rng)
             counts[i] = counts.get(i, 0) + 1
     return tuple(sorted(counts.items()))
 
@@ -220,18 +225,11 @@ def _intensity_table(
     return [(i, lam) for i, lam in lams if lam > 0]
 
 
-def sample_general_symmetry(
-    zf: CycleIndexPoly,
-    inner_values: Callable[[int], float],
-    rng: random.Random,
-) -> CycleType:
-    """Cycle type drawn with probability proportional to
-    coeff(lambda) * prod_i y_i^{m_i} over the stored cycle-index terms."""
-    entries, cum = _general_symmetry_table(zf, inner_values)
-    return entries[bisect.bisect_right(cum, rng.random())]
-
-
-def _general_symmetry_table(zf: CycleIndexPoly, inner_values):
+def general_symmetry_law(
+    zf: CycleIndexPoly, inner_values: Callable[[int], float]
+) -> DiscreteLaw:
+    """Law of the cycle type, proportional to coeff(lambda) *
+    prod_i y_i^{m_i} over the stored cycle-index terms."""
     entries, weights = [], []
     for ct, coeff in zf.terms.items():
         w = float(coeff)
@@ -240,15 +238,7 @@ def _general_symmetry_table(zf: CycleIndexPoly, inner_values):
         if w > 0:
             entries.append(ct)
             weights.append(w)
-    if not entries:
-        raise ZeroMass("cycle index has no positive-mass terms here")
-    total = math.fsum(weights)
-    cum, acc = [], 0.0
-    for w in weights:
-        acc += w
-        cum.append(acc / total)
-    cum[-1] = 1.0
-    return entries, cum
+    return DiscreteLaw(entries, weights)
 
 
 class GibbsModel:
@@ -281,7 +271,7 @@ class GibbsModel:
         self._rho: RadiusEstimate | None = None
         self._sampler: ExactSampler | None = None
         self._inner_sampler: ExactSampler | None = None
-        self._size_laws: Dict[tuple, SizeLaw] = {}
+        self._laws: Dict[tuple, object] = {}
         self._value_cache: Dict[tuple, float] = {}
         self._enum: Enumerator | None = None
 
@@ -357,7 +347,7 @@ class GibbsModel:
 
     def enumerator(self) -> Enumerator:
         if self._enum is None:
-            self._enum = Enumerator(self.spec, guard=max(14, 16))
+            self._enum = Enumerator(self.spec, guard=16)
         return self._enum
 
     # -- partial evaluations (consistent with the truncated samplers)
@@ -374,7 +364,7 @@ class GibbsModel:
             c = self.engine.coeff(self.inner_node, power, n)
             if not c:
                 continue
-            t = float(c) * x**n
+            t = _term(c, x, n)
             total += t
             if t < _LOG_EPS * (1.0 + total):
                 low += 1
@@ -385,40 +375,28 @@ class GibbsModel:
         self._value_cache[key] = total
         return total
 
-    def _size_law(self, power: int, y: float) -> SizeLaw:
-        key = (power, y)
-        law = self._size_laws.get(key)
+    def _law(self, key: tuple, build: Callable[[], object]):
+        """The law cached under (stage, parameters), built on first use and
+        published only once complete."""
+        law = self._laws.get(key)
         if law is None:
-            series = self.inner_ogf(power)
-            sizes, weights = [], []
-            for n in series.nonzero_indices:
-                if n == 0:
-                    continue
-                w = float(series[n]) * y**n
-                if w > 0:
-                    sizes.append(n)
-                    weights.append(w)
-            if not sizes:
-                raise ZeroMass("inner series has no mass at this parameter")
-            total = math.fsum(weights)
-            cum, acc = [], 0.0
-            for w in weights:
-                acc += w
-                cum.append(acc / total)
-            cum[-1] = 1.0
-            law = self._size_laws[key] = SizeLaw(sizes, cum, 0.0)
+            law = build()
+            self._laws[key] = law
         return law
 
     # -- samplers
 
     def sample_symmetry_sizes(self, y: float, rng: random.Random) -> List[Tuple[int, int]]:
         """(cycle_length, inner_size) per cycle, objects not materialized."""
+        values = lambda i: self.inner_value(i, y**i)
         if self.outer == "SET":
-            ct = sample_set_symmetry(lambda i: self.inner_value(i, y**i), rng)
+            law = self._law(("set", y), lambda: set_symmetry_law(values))
+            ct = sample_set_symmetry(law, rng)
         elif self.outer_cycle_index is not None:
-            ct = sample_general_symmetry(
-                self.outer_cycle_index, lambda i: self.inner_value(i, y**i), rng
-            )
+            ct = self._law(
+                ("cycle", y),
+                lambda: general_symmetry_law(self.outer_cycle_index, values),
+            ).sample(rng)
         else:
             g = self.inner_value(1, y)
             if g >= 1.0:
@@ -431,7 +409,10 @@ class GibbsModel:
             ct = ((1, k),) if k else ()
         out = []
         for l, m in ct:
-            law = self._size_law(l, y**l)
+            yl = y**l
+            law = self._law(
+                ("size", l, yl), lambda: _size_law(self.inner_ogf(l), yl, 0.0)
+            )
             for _ in range(m):
                 out.append((l, law.sample(rng)))
         return out
@@ -667,18 +648,13 @@ class LimitLaw:
         self.cap = cap
         self.sensitivity = sensitivity
         self.rho = rho
-        self._keys = list(probs)
-        cum, acc = [], 0.0
-        for k in self._keys:
-            acc += probs[k]
-            cum.append(acc)
-        self._cum = cum
-        self.total = acc + tail
+        self._law = DiscreteLaw(
+            list(probs) + [LimitLaw.TAIL], list(probs.values()) + [tail]
+        )
+        self.total = self._law.total
 
     def sample(self, rng: random.Random):
-        u = rng.random() * self.total
-        i = bisect.bisect_right(self._cum, u)
-        return self._keys[i] if i < len(self._keys) else LimitLaw.TAIL
+        return self._law.sample(rng)
 
     def pushforward(self, fn) -> Dict[object, float]:
         """Exact law of fn(R) on the enumerated part (tail stays a bucket)."""

@@ -12,16 +12,20 @@ counting-series coefficients into branching probabilities:
   distinct orbits of a multiset telescopes to weight / b_n, so the output
   law is exactly weight-proportional over orbits.
 
-Probability tables are cached as floats per (node, power, size); sampling
-after the first draw of a given size is table lookups plus bisection.
+Every cumulative table, here and in :mod:`polyagibbs.gibbs`, is a
+:class:`DiscreteLaw`: entries with normalised cumulative probabilities,
+sampled by one uniform and a bisection.  The sampler caches one law per
+(node, power, size); sampling after the first draw of a given size is
+table lookups plus bisection.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from itertools import accumulate
+from typing import Dict
 
 from .errors import EmptySize, SpecError, ZeroMass
 from .engine import SeriesEngine
@@ -48,6 +52,38 @@ from .species import (
 )
 
 
+class DiscreteLaw:
+    """Law on the sequence ``entries`` with probabilities proportional to
+    ``weights``.
+
+    ``cum`` holds the cumulative probabilities and ``total`` the sum of the
+    weights.  Fraction weights keep exact prefix sums, so each cumulative
+    probability is correctly rounded.  ``mass_defect`` records mass the
+    entries leave out, such as a truncated tail.
+    """
+
+    __slots__ = ("entries", "total", "cum", "mass_defect")
+
+    def __init__(self, entries, weights, mass_defect: float = 0.0):
+        prefix = list(accumulate(weights))
+        if not prefix or prefix[-1] <= 0:
+            raise ZeroMass("all weights of the law vanish")
+        self.entries = entries
+        self.total = prefix[-1]
+        self.cum = [float(a / self.total) for a in prefix]
+        self.mass_defect = mass_defect
+
+    def sample(self, rng: random.Random):
+        return self.entries[bisect_right(self.cum, rng.random())]
+
+    def prob(self, entry) -> float:
+        try:
+            i = self.entries.index(entry)
+        except ValueError:
+            return 0.0
+        return self.cum[i] - (self.cum[i - 1] if i else 0.0)
+
+
 class ExactSampler:
     """Draws size-n orbits of a species with probability proportional to
     their weight."""
@@ -55,7 +91,7 @@ class ExactSampler:
     def __init__(self, spec: SpeciesSpec, engine: SeriesEngine | None = None):
         self.spec = spec
         self.engine = engine or SeriesEngine(spec)
-        self._tables: Dict[tuple, tuple] = {}
+        self._tables: Dict[tuple, DiscreteLaw] = {}
         self._enum: Enumerator | None = None
 
     def sample(self, n: int, rng: random.Random, power: int = 1):
@@ -66,14 +102,11 @@ class ExactSampler:
     def _coeff(self, node: Node, power: int, n: int) -> Fraction:
         return self.engine.coeff(node, power, n)
 
-    def _table(self, key, build):
+    def _table(self, key, build) -> DiscreteLaw:
         tab = self._tables.get(key)
         if tab is None:
             tab = self._tables[key] = build()
         return tab
-
-    def _pick(self, entries: List, cum: List[float], rng: random.Random):
-        return entries[bisect.bisect_right(cum, rng.random() * cum[-1])]
 
     def _sample(self, node: Node, power: int, n: int, rng: random.Random):
         if isinstance(node, Atom):
@@ -105,10 +138,9 @@ class ExactSampler:
             branch = node.left if side == 0 else node.right
             return ("tag", side, self._sample(branch, power, n, rng))
         if isinstance(node, Product):
-            entries, cum = self._table(
+            k = self._table(
                 ("prod", node, power, n), lambda: self._product_table(node, power, n)
-            )
-            k = self._pick(entries, cum, rng)
+            ).sample(rng)
             return (
                 "prod",
                 self._sample(node.left, power, k, rng),
@@ -142,16 +174,15 @@ class ExactSampler:
                 weights.append(a * b)
         if not entries:
             raise EmptySize(f"no objects of size {n}")
-        return entries, _cumulative(weights)
+        return DiscreteLaw(entries, weights)
 
     def _sample_multiset(self, node: Node, power: int, n: int, rng) -> list:
         inner = node.inner
         parts = []
         while n > 0:
-            entries, cum = self._table(
+            d, j = self._table(
                 ("set", node, power, n), lambda: self._set_table(node, inner, power, n)
-            )
-            d, j = self._pick(entries, cum, rng)
+            ).sample(rng)
             orbit = self._sample(inner, power * j, d, rng)
             parts.extend([orbit] * j)
             n -= d * j
@@ -170,16 +201,15 @@ class ExactSampler:
                     weights.append(d * g * rest)
         if not entries:
             raise EmptySize(f"no objects of size {n}")
-        return entries, _cumulative(weights)
+        return DiscreteLaw(entries, weights)
 
     def _sample_sequence(self, node: Node, power: int, n: int, rng) -> list:
         inner = node.inner
         blocks = []
         while n > 0:
-            entries, cum = self._table(
+            s = self._table(
                 ("seq", node, power, n), lambda: self._seq_table(node, inner, power, n)
-            )
-            s = self._pick(entries, cum, rng)
+            ).sample(rng)
             blocks.append(self._sample(inner, power, s, rng))
             n -= s
         return blocks
@@ -196,7 +226,7 @@ class ExactSampler:
                 weights.append(g * rest)
         if not entries:
             raise EmptySize(f"no objects of size {n}")
-        return entries, _cumulative(weights)
+        return DiscreteLaw(entries, weights)
 
     def _sample_by_enumeration(self, node: Node, power: int, n: int, rng):
         if self._enum is None:
@@ -204,18 +234,4 @@ class ExactSampler:
         orbits = self._enum.enumerate(node, n, power)
         if not orbits:
             raise EmptySize(f"no objects of size {n}")
-        entries = [o for o, _ in orbits]
-        cum = _cumulative([w for _, w in orbits])
-        return self._pick(entries, cum, rng)
-
-
-def _cumulative(weights: List[Fraction]) -> List[float]:
-    total = sum(weights)
-    if not total:
-        raise ZeroMass("all branch weights vanish")
-    cum, acc = [], Fraction(0)
-    for w in weights:
-        acc += w
-        cum.append(float(acc / total))
-    cum[-1] = 1.0
-    return cum
+        return DiscreteLaw([o for o, _ in orbits], [w for _, w in orbits]).sample(rng)

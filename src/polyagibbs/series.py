@@ -21,10 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InsufficientData, PreconditionError, TailNotControlled
 
-
-def _exp2(x: float) -> float:
-    return 2.0**x
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -345,11 +341,11 @@ def evaluate(g: TruncatedSeries, x: float, window: int | None = None) -> Evaluat
     logs = {n: _term_log2(g[n], n, log2x) for n in nz}
     # Exponent-safe partial sum: rescale by the largest term.
     peak = max(logs.values())
-    scale = _exp2(peak) if -900 < peak < 900 else None
+    scale = 2.0**peak if -900 < peak < 900 else None
     if scale is None:
-        partial = math.fsum(_exp2(lv) for lv in logs.values())
+        partial = math.fsum(2.0**lv for lv in logs.values())
     else:
-        partial = scale * math.fsum(_exp2(lv - peak) for lv in logs.values())
+        partial = scale * math.fsum(2.0 ** (lv - peak) for lv in logs.values())
 
     if g.is_polynomial_within():
         return Evaluation(partial, 0.0, 0.0, 0.0, 0)
@@ -367,7 +363,7 @@ def evaluate(g: TruncatedSeries, x: float, window: int | None = None) -> Evaluat
     a, beta = _fit_line(xs, ys)
     r_inf = math.exp(a)
     last = pts[-1] + d
-    last_term = _exp2(logs[last])
+    last_term = 2.0 ** logs[last]
     # Fit noise at the boundary: a ratio marginally above 1 together with a
     # safely integrable algebraic correction is treated as ratio exactly 1.
     if 1.0 < r_inf <= 1.0 + 1e-3 and beta > 1.1:
@@ -410,7 +406,7 @@ def radius_estimate(g: TruncatedSeries, window: int | None = None) -> RadiusEsti
     ratios = []
     for n in pts:
         lr = (_log2_fraction(g[n]) - _log2_fraction(g[n + d])) / d
-        ratios.append(_exp2(lr))
+        ratios.append(2.0**lr)
     xs = [1.0 / n for n in pts]
     a, b = _fit_line(xs, ratios)
     resid = max(abs(r - (a + b * x)) for r, x in zip(ratios, xs))

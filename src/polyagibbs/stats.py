@@ -13,11 +13,10 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import KeyMismatch, PreconditionError
 from .gibbs import GibbsModel, LimitLaw
-from .species import object_size
 
 CHUNK = 2000
 
@@ -77,15 +76,17 @@ def tv_distance(p, q, delta: float = 0.01) -> Tuple[float, float]:
         if p.total == 0:
             raise PreconditionError("empty empirical law")
         keys = set(p.counts) | set(q_probs)
-        acc = sum(
-            abs(p.counts.get(k, 0) / p.total - q_probs.get(k, 0.0)) for k in keys
+        acc = math.fsum(
+            [abs(p.counts.get(k, 0) / p.total - q_probs.get(k, 0.0)) for k in keys]
+            + [abs(p.tail_bucket / p.total - q_tail)]
         )
-        acc += abs(p.tail_bucket / p.total - q_tail)
         return 0.5 * acc, deviation_radius(p.total, delta)
     p_probs, p_tail = _exact_parts(p)
     keys = set(p_probs) | set(q_probs)
-    acc = sum(abs(p_probs.get(k, 0.0) - q_probs.get(k, 0.0)) for k in keys)
-    acc += abs(p_tail - q_tail)
+    acc = math.fsum(
+        [abs(p_probs.get(k, 0.0) - q_probs.get(k, 0.0)) for k in keys]
+        + [abs(p_tail - q_tail)]
+    )
     return 0.5 * acc, 0.0
 
 
@@ -112,34 +113,30 @@ def _run_chunks(
     seed: int,
     label,
     samples: int,
+    chunk: int,
     workers: int,
-    worker_fn: Callable[[random.Random, int], EmpiricalLaw],
-) -> EmpiricalLaw:
-    """Deterministic chunked sampling: chunk i uses its own seeded RNG and
-    results merge in index order regardless of the worker count."""
-    plan = []
-    done = 0
-    i = 0
-    while done < samples:
-        k = min(CHUNK, samples - done)
-        plan.append((i, k))
-        done += k
-        i += 1
-    results: List[Optional[EmpiricalLaw]] = [None] * len(plan)
+    worker_fn: Callable[[random.Random, int], object],
+) -> list:
+    """Deterministic chunked sampling: chunk i draws up to ``chunk`` of the
+    ``samples`` with its own RNG seeded from (seed, label, i), and the
+    per-chunk results come back in index order regardless of the worker
+    count."""
+    plan = list(
+        enumerate(min(chunk, samples - done) for done in range(0, samples, chunk))
+    )
     if workers <= 1:
-        for i, k in plan:
-            results[i] = worker_fn(_chunk_rng(seed, label, i), k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(worker_fn, _chunk_rng(seed, label, i), k): i
-                for i, k in plan
-            }
-            for fut, i in futures.items():
-                results[i] = fut.result()
+        return [worker_fn(_chunk_rng(seed, label, i), k) for i, k in plan]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(worker_fn, _chunk_rng(seed, label, i), k) for i, k in plan
+        ]
+        return [fut.result() for fut in futures]
+
+
+def _merged(parts: List[EmpiricalLaw]) -> EmpiricalLaw:
     law = EmpiricalLaw()
-    for r in results:
-        law.merge(r)
+    for part in parts:
+        law.merge(part)
     return law
 
 
@@ -211,7 +208,9 @@ def remainder_convergence_experiment(
                 law.add(frag.remainder, in_tail=frag.remainder_size > cap)
             return law
 
-        emp = _run_chunks(seed, ("remainder", n), samples, workers, worker)
+        emp = _merged(
+            _run_chunks(seed, ("remainder", n), samples, CHUNK, workers, worker)
+        )
         tv, radius = tv_distance(emp, limit)
         rows.append(
             TvRow(
@@ -265,7 +264,9 @@ def component_count_experiment(
             law.add(c, in_tail=c > cap + 1)
         return law
 
-    emp = _run_chunks(seed, ("components", n), samples, workers, worker)
+    emp = _merged(
+        _run_chunks(seed, ("components", n), samples, CHUNK, workers, worker)
+    )
     tv, radius = tv_distance(emp, (exact, exact_tail))
     return ComponentCountReport(
         n=n,
@@ -278,10 +279,3 @@ def component_count_experiment(
         exact_tail=exact_tail,
         seed=seed,
     )
-
-
-def _component_count(remainder_key) -> int:
-    kind, children = remainder_key[0], remainder_key[1]
-    if kind == "set":
-        return len(children)
-    return sum(1 for c in children if c != ("star",))

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyagibbs
 from polyagibbs.cli import main
 
 FOREST_DSL = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
@@ -129,6 +134,23 @@ class TestTv:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"]
+
+    def test_bytes_ignore_hash_seed(self):
+        # the TV sums run over sets of keys, whose order follows the
+        # process's string hash seed
+        argv = [
+            sys.executable, "-m", "polyagibbs.cli",
+            "tv", "--spec", FOREST_DSL, "--sizes", "10", "--samples", "300",
+            "--cap", "8", "--seed", "3", "--trunc", "60",
+        ]
+        src = str(Path(polyagibbs.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestDiagnose:

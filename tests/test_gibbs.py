@@ -18,8 +18,9 @@ from polyagibbs import (
     ogf,
     parse_dsl,
     polya_trees,
-    sample_general_symmetry,
+    general_symmetry_law,
     sample_set_symmetry,
+    set_symmetry_law,
     z_set,
 )
 from polyagibbs.gibbs import PLACEHOLDER
@@ -31,6 +32,12 @@ F = Fraction
 @pytest.fixture(scope="module")
 def forest_model():
     return GibbsModel.from_species(forests(), truncation=200)
+
+
+@pytest.fixture(scope="module")
+def deep_forest_model():
+    # tree counts pass the largest float near size 650
+    return GibbsModel.from_species(forests(), truncation=1000)
 
 
 class TestSizeLaw:
@@ -73,8 +80,9 @@ class TestSymmetryDraws:
     def test_set_fixpoint_count_is_poisson(self):
         rng = random.Random(5)
         n = 20000
+        law = set_symmetry_law(lambda i: 0.3**i)
         mean = sum(
-            dict(sample_set_symmetry(lambda i: 0.3**i, rng)).get(1, 0)
+            dict(sample_set_symmetry(law, rng)).get(1, 0)
             for _ in range(n)
         ) / n
         assert abs(mean - 0.3) < 4 * math.sqrt(0.3 / n)
@@ -87,9 +95,11 @@ class TestSymmetryDraws:
         rng = random.Random(9)
         n = 8000
         zf = z_set(24)
+        set_law = set_symmetry_law(vals)
+        general_law = general_symmetry_law(zf, vals)
         for _ in range(n):
-            ct1 = sample_set_symmetry(vals, rng)
-            ct2 = sample_general_symmetry(zf, vals, rng)
+            ct1 = sample_set_symmetry(set_law, rng)
+            ct2 = general_law.sample(rng)
             a[ct1] = a.get(ct1, 0) + 1
             b[ct2] = b.get(ct2, 0) + 1
         tv = 0.5 * sum(
@@ -209,6 +219,7 @@ class TestRemainders:
             total = sum(w for _, w in table)
             law = forest_model.limit_remainder_distribution(n - 1)
             hat = {}
+            exact = dict(table)
             for key, p in law.probs.items():
                 rest = key[1]
                 size = object_size(key)
@@ -224,7 +235,7 @@ class TestRemainders:
                 abs(float(w / total) - hat.get(o, 0.0)) for o, w in table
             )
             tv += 0.5 * sum(
-                p for o, p in hat.items() if o not in dict(table)
+                p for o, p in hat.items() if o not in exact
             )
             tv += 0.5 * law.tail
             return tv
@@ -247,3 +258,21 @@ class TestCycleStatistics:
         )
         assert rep.sigmas < 4.0
         assert rep.truncation_residual < 1e-6
+
+
+class TestLargeTruncation:
+    def test_count_law_matches_shallow_truncation(
+        self, deep_forest_model, forest_model
+    ):
+        probs, tail = deep_forest_model.limit_component_count_law(12)
+        assert math.fsum(probs.values()) + tail == pytest.approx(1.0, abs=1e-9)
+        shallow, _ = forest_model.limit_component_count_law(12)
+        assert max(abs(probs[k] - shallow[k]) for k in probs) < 5e-3
+
+    def test_rejection_draw(self, deep_forest_model):
+        s = deep_forest_model.sample_S_n(8, random.Random(1), method="rejection")
+        assert object_size(s) == 8
+
+    def test_composite_draw_at_radius(self, deep_forest_model):
+        rho = deep_forest_model.rho.rho
+        deep_forest_model.sample_composite(rho, random.Random(2))

@@ -7,13 +7,14 @@ import pytest
 
 from polyagibbs import (
     ATOM,
+    DiscreteLaw,
     Enumerator,
     ExactSampler,
     forests,
     parse_dsl,
     polya_trees,
 )
-from polyagibbs.errors import EmptySize
+from polyagibbs.errors import EmptySize, ZeroMass
 
 F = Fraction
 
@@ -78,3 +79,23 @@ class TestBehaviour:
         s = parse_dsl("E := ATOM * ATOM;")
         with pytest.raises(EmptySize):
             ExactSampler(s).sample(3, random.Random(1))
+
+
+class TestDiscreteLaw:
+    def test_fraction_weights_give_correctly_rounded_cumulatives(self):
+        law = DiscreteLaw("abc", [F(1, 3), F(1, 3), F(1, 3)])
+        assert law.total == 1
+        assert law.cum == [float(F(1, 3)), float(F(2, 3)), 1.0]
+        assert law.prob("b") == pytest.approx(1 / 3, abs=1e-15)
+        assert law.prob("z") == 0.0
+
+    def test_zero_weight_entry_is_never_drawn(self):
+        law = DiscreteLaw([1, 2, 3], [0.5, 0.0, 0.5])
+        rng = random.Random(2)
+        assert {law.sample(rng) for _ in range(2000)} == {1, 3}
+
+    def test_no_mass_raises(self):
+        with pytest.raises(ZeroMass):
+            DiscreteLaw([], [])
+        with pytest.raises(ZeroMass):
+            DiscreteLaw([1], [F(0)])
