@@ -25,6 +25,9 @@ Block sizes, the longer cycles of a SET symmetry, cycle-index symmetries
 and limit remainders are drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
 The model builds each law once per (stage, parameters) and caches it, so
 repeated draws at one parameter, as in the rejection sampler, only sample.
+A block-size law reads the powered inner coefficients only until its float
+sum stops changing, so a new cycle length costs a few dozen coefficients,
+not the whole powered series up to the truncation.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .cycleindex import CycleIndexPoly, CycleType, z_seq, z_set
 from .engine import SeriesEngine
@@ -126,11 +129,27 @@ def _term(c, x: float, n: int) -> float:
         )
 
 
-def _size_law(series: TruncatedSeries, y: float, mass_defect: float) -> DiscreteLaw:
-    """Law P(size = n) proportional to g_n y^n over the truncated series."""
+def _size_law(
+    terms: Iterable[Tuple[int, object]], y: float, mass_defect: float
+) -> DiscreteLaw:
+    """Law P(size = n) proportional to g_n y^n over the (n, g_n) pairs of
+    ``terms``.  Reading stops once three successive terms leave the float
+    sum of the weights unchanged, the same three-term rule as
+    ``GibbsModel.inner_value``.  Inside the disc of convergence the terms
+    decay geometrically, so every later size would get a cumulative
+    probability of exactly 1.0 and could never be drawn: the law is
+    bit-identical to the one over all terms."""
     sizes, weights = [], []
-    for n in series.nonzero_indices:
-        w = _term(series[n], y, n)
+    total, flat = 0.0, 0
+    for n, c in terms:
+        w = _term(c, y, n)
+        if total + w == total:
+            flat += 1
+            if flat >= 3:
+                break
+        else:
+            flat = 0
+        total += w
         if w > 0:
             sizes.append(n)
             weights.append(w)
@@ -148,7 +167,8 @@ def boltzmann_size_distribution(
     ev = evaluate(series, y, window=window)
     if ev.value <= 0:
         raise ZeroMass("series evaluates to zero mass")
-    return _size_law(series, y, ev.tail / ev.value)
+    terms = ((n, series[n]) for n in series.nonzero_indices)
+    return _size_law(terms, y, ev.tail / ev.value)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -360,10 +380,7 @@ class GibbsModel:
         if v is not None:
             return v
         total, low = 0.0, 0
-        for n in range(1, self.truncation + 1):
-            c = self.engine.coeff(self.inner_node, power, n)
-            if not c:
-                continue
+        for n, c in self._inner_terms(power):
             t = _term(c, x, n)
             total += t
             if t < _LOG_EPS * (1.0 + total):
@@ -374,6 +391,15 @@ class GibbsModel:
                 low = 0
         self._value_cache[key] = total
         return total
+
+    def _inner_terms(self, power: int) -> Iterator[Tuple[int, object]]:
+        """(n, coefficient) of the powered inner series for n up to the
+        truncation, skipping zeros; coefficients are computed only as far
+        as they are read."""
+        for n in range(1, self.truncation + 1):
+            c = self.engine.coeff(self.inner_node, power, n)
+            if c:
+                yield n, c
 
     def _law(self, key: tuple, build: Callable[[], object]):
         """The law cached under (stage, parameters), built on first use and
@@ -411,7 +437,7 @@ class GibbsModel:
         for l, m in ct:
             yl = y**l
             law = self._law(
-                ("size", l, yl), lambda: _size_law(self.inner_ogf(l), yl, 0.0)
+                ("size", l, yl), lambda: _size_law(self._inner_terms(l), yl, 0.0)
             )
             for _ in range(m):
                 out.append((l, law.sample(rng)))

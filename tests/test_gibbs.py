@@ -23,7 +23,8 @@ from polyagibbs import (
     set_symmetry_law,
     z_set,
 )
-from polyagibbs.gibbs import PLACEHOLDER
+from polyagibbs.gibbs import PLACEHOLDER, _size_law
+from polyagibbs.sampler import DiscreteLaw
 from polyagibbs.series import TruncatedSeries
 
 F = Fraction
@@ -64,6 +65,25 @@ class TestSizeLaw:
         for n in (1, 2, 5, 9):
             assert law.prob(n) == pytest.approx(direct[n] / z, rel=1e-9)
         assert law.mass_defect < 1e-4
+
+    def test_early_exit_keeps_every_drawable_size(self, forest_model):
+        # the block-size law stops reading coefficients once the float sum
+        # stops changing; on the sizes it can draw it must be bit-identical
+        # to the law over the whole powered series
+        for l in (1, 2, 5):
+            for y in (0.2, forest_model.rho.rho):
+                yl = y**l
+                short = _size_law(forest_model._inner_terms(l), yl, 0.0)
+                series = forest_model.inner_ogf(l)
+                sizes = list(series.nonzero_indices)
+                full = DiscreteLaw(sizes, [float(series[n]) * yl**n for n in sizes])
+                k = len(short.entries)
+                assert short.total == full.total
+                assert short.entries == full.entries[:k]
+                assert short.cum == full.cum[:k]
+                assert all(c == 1.0 for c in full.cum[k:])
+                if l > 1:
+                    assert k < len(sizes) // 2
 
     def test_samples_follow_law(self):
         t = ogf(polya_trees(), 60)
