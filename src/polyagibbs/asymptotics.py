@@ -205,8 +205,16 @@ def coefficient_ratio_experiment(model) -> RatioLimitReport:
     into a one-variable series (cycle-index calculus), and via the
     engine-built composite series (species recurrences); both are then
     evaluated at rho with the same tail model and must agree closely.
+
+    Path 1 reads the powered inner series G_i (the inner class under the
+    nu^i weighting) to degree N // i.  For SET it forms
+    exp(sum_i G_i(z^i)/i) with :func:`~polyagibbs.cycleindex.multiset_ogf`,
+    one Euler transform of the summed weighted argument (in `int` when the
+    weights are integral); for SEQ it squares the quasi-inverse of G_1.
+    Path 2 reads the engine's stream of the composite node, filled by the
+    engine's own per-degree SET/SEQ recurrence.
     """
-    from .cycleindex import multiset_ogf_product, seq_ogf
+    from .cycleindex import multiset_ogf, seq_ogf
 
     inner = model.inner_ogf(1)
     if inner.is_polynomial_within():
@@ -226,7 +234,7 @@ def coefficient_ratio_experiment(model) -> RatioLimitReport:
         return model.engine.ogf(max(N // i, 1), node=model.inner_node, power=i)
 
     if model.outer == "SET":
-        derived = multiset_ogf_product(fam, N)
+        derived = multiset_ogf(fam, N)
     else:
         q = seq_ogf(fam(1).truncate(N), N)
         derived = q * q

@@ -10,11 +10,12 @@ rational coefficients and keeps only types of weighted degree <= N.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Tuple
 
-from .errors import InnerHasConstantTerm
-from .series import ONE, ZERO, TruncatedSeries
+from .errors import InnerHasConstantTerm, PreconditionError
+from .series import TruncatedSeries, exp_weighted
 
 CycleType = Tuple[Tuple[int, int], ...]
 
@@ -69,7 +70,7 @@ class CycleIndexPoly:
                 raise ValueError("cycle index coefficients must be >= 0")
 
     def coefficient(self, ct: CycleType) -> Fraction:
-        return self.terms.get(ct, ZERO)
+        return self.terms.get(ct, 0)
 
     def degree_slice(self, k: int) -> Dict[CycleType, Fraction]:
         return {
@@ -98,7 +99,7 @@ class CycleIndexPoly:
             if not m1:
                 continue
             mult[1] = m1 - 1
-            out[cycle_type(mult)] = out.get(cycle_type(mult), ZERO) + c * m1
+            out[cycle_type(mult)] = out.get(cycle_type(mult), 0) + c * m1
         return CycleIndexPoly(out, max(self.truncation - 1, 0))
 
     def plethysm_ogf(
@@ -124,8 +125,8 @@ class CycleIndexPoly:
                 cache[i] = g.substitute_power(i, n) if i > 1 else g.truncate(n)
             return cache[i]
 
-        out = [ZERO] * (n + 1)
-        one = TruncatedSeries([ONE], truncation=n)
+        out = [0] * (n + 1)
+        one = TruncatedSeries([1], truncation=n)
         for ct, c in self.terms.items():
             prod = one
             for i, m in ct:
@@ -138,7 +139,7 @@ class CycleIndexPoly:
         """z_i <- z^i, i.e. the OGF of the species (one orbit per
         |U|! symmetries)."""
         n = self.truncation if truncation is None else truncation
-        out = [ZERO] * (n + 1)
+        out = [0] * (n + 1)
         for ct, c in self.terms.items():
             deg = cycle_type_degree(ct)
             if deg <= n:
@@ -209,13 +210,10 @@ def z_set(truncation: int) -> CycleIndexPoly:
     for n in range(truncation + 1):
         for parts in partitions(n):
             ct = _partition_to_type(parts)
-            c = ONE
+            denom = 1
             for i, m in ct:
-                denom = i**m
-                for j in range(2, m + 1):
-                    denom *= j
-                c /= denom
-            terms[ct] = c
+                denom *= i**m * math.factorial(m)
+            terms[ct] = Fraction(1, denom)
     return CycleIndexPoly(terms, truncation)
 
 
@@ -225,7 +223,7 @@ def z_seq(truncation: int) -> CycleIndexPoly:
     terms: Dict[CycleType, Fraction] = {}
     for k in range(truncation + 1):
         ct = cycle_type({1: k}) if k else ()
-        terms[ct] = ONE
+        terms[ct] = 1
     return CycleIndexPoly(terms, truncation)
 
 
@@ -233,20 +231,31 @@ def multiset_ogf(
     inner: Callable[[int], TruncatedSeries], truncation: int
 ) -> TruncatedSeries:
     """OGF of multisets of a weighted class, exp(sum_i G_i(z^i)/i), computed
-    as a single formal exponential of the summed argument."""
-    acc = TruncatedSeries([ZERO], truncation=truncation)
+    as a single formal exponential of the summed argument.
+
+    The argument enters through its weighted coefficients
+    k*a_k = sum_{i*j=k} j * g^{(i)}_j, which are integers when the family
+    is integral, so the Euler transform runs in `int` then; the family
+    G_i = inner(i) must cover degree truncation // i.
+    """
+    weighted = [0] * (truncation + 1)
     for i in range(1, truncation + 1):
         g = inner(i)
         if g[0] != 0:
             raise InnerHasConstantTerm("multiset inner class must have no size-0 objects")
-        sub = g.substitute_power(i, truncation)
-        if not sub.nonzero_indices and i > 1:
-            # inner min size i exceeds truncation; later i only shrink
-            if g.nonzero_indices and g.nonzero_indices[0] * i > truncation:
+        if g.truncation < truncation // i:
+            raise PreconditionError(
+                f"need source coefficients up to degree {truncation // i} for z^{i}"
+            )
+        nz = g.nonzero_indices
+        if nz and nz[0] * i > truncation:
+            # inner min size i-fold exceeds truncation; later i only grow it
+            break
+        for j in nz:
+            if i * j > truncation:
                 break
-            continue
-        acc = acc + Fraction(1, i) * sub
-    return acc.exp()
+            weighted[i * j] += j * g[j]
+    return exp_weighted(weighted)
 
 
 def multiset_ogf_product(
@@ -254,13 +263,17 @@ def multiset_ogf_product(
 ) -> TruncatedSeries:
     """Same OGF as :func:`multiset_ogf`, but evaluated through the
     multivariate exp structure of Z_SET one variable at a time:
-    prod_i exp(G_i(z^i)/i).
+    prod_i exp(G_i(z^i)/i), one rational exponential and one dense product
+    per cycle length.
 
     This is the per-variable factorization of the plethysm
     Z_SET(G(z), G_2(z^2), ...); explicit per-term plethysm over cycle
-    types is equivalent but only feasible at small truncation.
+    types is equivalent but only feasible at small truncation.  Tests use
+    it as the oracle of :func:`multiset_ogf`, which sums the argument
+    first and runs one exponential: the factorised route costs O(N^3)
+    rational operations against O(N^2) integer ones there.
     """
-    result = TruncatedSeries([ONE], truncation=truncation)
+    result = TruncatedSeries([1], truncation=truncation)
     for i in range(1, truncation + 1):
         g = inner(i)
         if g[0] != 0:
@@ -279,10 +292,10 @@ def seq_ogf(inner: TruncatedSeries, truncation: int) -> TruncatedSeries:
     g = inner.truncate(truncation)
     if g[0] != 0:
         raise InnerHasConstantTerm("sequence inner class must have no size-0 objects")
-    out = [ZERO] * (truncation + 1)
-    out[0] = ONE
+    out = [0] * (truncation + 1)
+    out[0] = 1
     for n in range(1, truncation + 1):
-        acc = ZERO
+        acc = 0
         for k in g.nonzero_indices:
             if k > n:
                 break

@@ -10,18 +10,22 @@ weighting nu^p, degree by degree:
 * PRODUCT is a Cauchy convolution, UNION a sum, DERIVE a structural
   rewrite (product rule; SET' = SET * inner', SEQ' = SEQ * inner' * SEQ).
 
-Everything is exact Fraction arithmetic; cost is O(N^2) per stream, with
+Everything is exact.  Values read from SIZED coefficients, TABLE weights
+and WEIGHT constants are normalised with :func:`~polyagibbs.series.as_exact`,
+so a spec whose weights are all integral yields streams of Python `int`;
+a rational weight p/q makes the same code produce `Fraction` values.  The
+one division, in the SET recurrence, goes through
+:func:`~polyagibbs.series.exact_div`.  Cost is O(N^2) per stream, with
 streams shared across all powers that a composite pulls in.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .errors import IllFoundedRecursion, SpecError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, as_exact, exact_div
 from .species import (
     Atom,
     Compose,
@@ -44,9 +48,6 @@ from .species import (
     derive_node,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class SeriesEngine:
     """Lazy per-(node, power) coefficient streams for one species spec."""
@@ -54,8 +55,8 @@ class SeriesEngine:
     def __init__(self, spec: SpeciesSpec):
         self.spec = spec
         self._defs: Dict[str, Node] = dict(spec.defs)
-        self._arr: Dict[Tuple[Node, int], List[Fraction]] = {}
-        self._q: Dict[Tuple[Node, int], List[Fraction]] = {}
+        self._arr: Dict[Tuple[Node, int], list] = {}
+        self._q: Dict[Tuple[Node, int], list] = {}
         self._derived: Dict[Node, Node] = {}
         self._busy: set = set()
         self._enum: Enumerator | None = None
@@ -65,14 +66,16 @@ class SeriesEngine:
 
     # public API
 
-    def coeff(self, node: Node, power: int, n: int) -> Fraction:
+    def coeff(self, node: Node, power: int, n: int):
+        """[z^n] of the node's series under nu^power: an `int` when
+        integral, else a `Fraction`."""
         arr = self._arr.get((node, power))
         if arr is not None and len(arr) > n:
             return arr[n]
         with self._lock:
             return self._coeff_locked(node, power, n)
 
-    def _coeff_locked(self, node: Node, power: int, n: int) -> Fraction:
+    def _coeff_locked(self, node: Node, power: int, n: int):
         arr = self._arr.setdefault((node, power), [])
         while len(arr) <= n:
             m = len(arr)
@@ -98,17 +101,17 @@ class SeriesEngine:
 
     # node dispatch
 
-    def _compute(self, node: Node, power: int, n: int) -> Fraction:
+    def _compute(self, node: Node, power: int, n: int):
         if isinstance(node, Atom):
-            return _ONE if n == 1 else _ZERO
+            return 1 if n == 1 else 0
         if isinstance(node, Epsilon):
-            return _ONE if n == 0 else _ZERO
+            return 1 if n == 0 else 0
         if isinstance(node, Zero):
-            return _ZERO
+            return 0
         if isinstance(node, Sized):
             if 1 <= n < len(node.coeffs):
-                return node.coeffs[n] ** power
-            return _ZERO
+                return as_exact(node.coeffs[n]) ** power
+            return 0
         if isinstance(node, Ref):
             return self.coeff(self._resolve(node.name), power, n)
         if isinstance(node, Union):
@@ -116,7 +119,7 @@ class SeriesEngine:
                 node.right, power, n
             )
         if isinstance(node, Product):
-            total = _ZERO
+            total = 0
             for k in range(n + 1):
                 a = self.coeff(node.left, power, k)
                 if a:
@@ -149,54 +152,51 @@ class SeriesEngine:
                 "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
             )
 
-    def _set_coeff(self, node: Node, inner: Node, power: int, n: int) -> Fraction:
+    def _set_coeff(self, node: Node, inner: Node, power: int, n: int):
         if n == 0:
             self._check_positive_min_size(node, inner, power)
-            return _ONE
+            return 1
         arr = self._arr[(node, power)]
-        q = self._q.setdefault((node, power), [_ZERO])
+        q = self._q.setdefault((node, power), [0])
         while len(q) <= n:
             k = len(q)
-            qk = _ZERO
+            qk = 0
             for d in range(1, k + 1):
                 if k % d == 0:
                     sd = self.coeff(inner, power * (k // d), d)
                     if sd:
                         qk += d * sd
             q.append(qk)
-        total = _ZERO
+        total = 0
         for k in range(1, n + 1):
             if q[k]:
                 total += q[k] * arr[n - k]
-        return total / n
+        return exact_div(total, n)
 
-    def _seq_coeff(self, node: Node, inner: Node, power: int, n: int) -> Fraction:
+    def _seq_coeff(self, node: Node, inner: Node, power: int, n: int):
         if n == 0:
             self._check_positive_min_size(node, inner, power)
-            return _ONE
+            return 1
         arr = self._arr[(node, power)]
-        total = _ZERO
+        total = 0
         for k in range(1, n + 1):
             sk = self.coeff(inner, power, k)
             if sk:
                 total += sk * arr[n - k]
         return total
 
-    def _weighted_coeff(self, node: Weighted, power: int, n: int) -> Fraction:
+    def _weighted_coeff(self, node: Weighted, power: int, n: int):
         model = node.model
         if isinstance(model, UnitWeight):
             return self.coeff(node.inner, power, n)
         if isinstance(model, AtomMultiplicative):
-            return self.coeff(node.inner, power, n) * model.c ** (power * n)
+            return self.coeff(node.inner, power, n) * as_exact(model.c) ** (power * n)
         if isinstance(model, TableWeight):
             # no closed recurrence through an arbitrary table: fall back to
             # exhaustive enumeration (guarded to small sizes)
             if self._enum is None:
                 self._enum = Enumerator(self.spec)
-            return sum(
-                (w for _, w in self._enum.enumerate(node, n, power)),
-                _ZERO,
-            )
+            return as_exact(sum(w for _, w in self._enum.enumerate(node, n, power)))
         raise SpecError(f"unknown weight model {type(model).__name__}")
 
 

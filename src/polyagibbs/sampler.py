@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict
 
@@ -57,8 +56,9 @@ class DiscreteLaw:
     ``weights``.
 
     ``cum`` holds the cumulative probabilities and ``total`` the sum of the
-    weights.  Fraction weights keep exact prefix sums, so each cumulative
-    probability is correctly rounded.  ``mass_defect`` records mass the
+    weights.  Exact weights (`int` or `Fraction`) keep exact prefix sums,
+    and ``int / int`` is correctly rounded like ``float(Fraction)``, so
+    each cumulative probability is correctly rounded.  ``mass_defect`` records mass the
     entries leave out, such as a truncated tail.
     """
 
@@ -99,7 +99,7 @@ class ExactSampler:
 
     # internal
 
-    def _coeff(self, node: Node, power: int, n: int) -> Fraction:
+    def _coeff(self, node: Node, power: int, n: int):
         return self.engine.coeff(node, power, n)
 
     def _table(self, key, build) -> DiscreteLaw:

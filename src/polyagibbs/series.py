@@ -1,7 +1,11 @@
 """Truncated univariate power series with exact non-negative rational
 coefficients.
 
-Coefficients are `fractions.Fraction` values; all arithmetic is exact.
+A coefficient is a Python `int` when it is integral and a
+`fractions.Fraction` otherwise; the two are equal and hash-equal, so the
+choice never shows in comparisons, cache keys or printed output.  All
+arithmetic is exact: every exact division goes through :func:`exact_div`,
+which stays in `int` when the divisor divides and falls back to `Fraction`.
 Floating point enters only through :func:`evaluate` and
 :func:`radius_estimate`, which report their own error estimates.  The tail
 estimate of :func:`evaluate` models the last-window term ratios as
@@ -21,21 +25,38 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InsufficientData, PreconditionError, TailNotControlled
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 DEFAULT_TRUNCATION = 256
 
 
-def _as_fraction(x) -> Fraction:
-    f = Fraction(x)
-    if f < 0:
+def as_exact(x):
+    """x as an `int` when it is integral, else as a `Fraction`."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, m: int):
+    """a / m exactly: ``a // m`` when m divides the `int` a, else a
+    `Fraction`.  (``int / int`` is a float, so no exact path divides with
+    a bare ``/``.)"""
+    if type(a) is int:
+        q, r = divmod(a, m)
+        if not r:
+            return q
+    return Fraction(a, m)
+
+
+def _coefficient(x):
+    x = as_exact(x)
+    if x < 0:
         raise ValueError("coefficients must be non-negative")
-    return f
+    return x
 
 
-def _log2_fraction(f: Fraction) -> float:
-    """log2 of a positive Fraction, safe for huge numerators/denominators."""
+def _log2_fraction(f) -> float:
+    """log2 of a positive int or Fraction, safe for huge numerators and
+    denominators."""
     return math.log2(f.numerator) - math.log2(f.denominator)
 
 
@@ -45,16 +66,16 @@ class TruncatedSeries:
     __slots__ = ("_coeffs", "_nonzero")
 
     def __init__(self, coeffs: Sequence, truncation: int | None = None):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         if truncation is not None:
             if truncation < 0:
                 raise ValueError("truncation must be >= 0")
             if len(cs) > truncation + 1:
                 cs = cs[: truncation + 1]
             else:
-                cs.extend([ZERO] * (truncation + 1 - len(cs)))
+                cs.extend([0] * (truncation + 1 - len(cs)))
         elif not cs:
-            cs = [ZERO]
+            cs = [0]
         self._coeffs = tuple(cs)
         self._nonzero = tuple(i for i, c in enumerate(self._coeffs) if c)
 
@@ -72,7 +93,7 @@ class TruncatedSeries:
     def nonzero_indices(self) -> tuple:
         return self._nonzero
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int):
         if 0 <= n < len(self._coeffs):
             return self._coeffs[n]
         raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
@@ -139,7 +160,7 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             n = min(self.truncation, other.truncation)
-            out = [ZERO] * (n + 1)
+            out = [0] * (n + 1)
             for i in self._nonzero:
                 if i > n:
                     break
@@ -150,7 +171,7 @@ class TruncatedSeries:
                         break
                     out[k] += ci * other._coeffs[j]
             return TruncatedSeries(out)
-        c = _as_fraction(other)
+        c = _coefficient(other)
         return TruncatedSeries([c * x for x in self._coeffs])
 
     __rmul__ = __mul__
@@ -168,7 +189,7 @@ class TruncatedSeries:
             raise PreconditionError(
                 f"need source coefficients up to degree {n // k} for z^{k}"
             )
-        out = [ZERO] * (n + 1)
+        out = [0] * (n + 1)
         for i in self._nonzero:
             if i * k > n:
                 break
@@ -185,32 +206,12 @@ class TruncatedSeries:
             raise PreconditionError(
                 "exp requires a zero constant term (exact arithmetic)"
             )
-        n = self.truncation
-        weighted = {k: k * self._coeffs[k] for k in self._nonzero}
-        out = [ZERO] * (n + 1)
-        out[0] = ONE
-        # Skip indices off the argument's semigroup: e_m can only be nonzero
-        # when m is a sum of nonzero argument indices.
-        reachable = [False] * (n + 1)
-        reachable[0] = True
-        for m in range(1, n + 1):
-            acc = ZERO
-            hit = False
-            for k in self._nonzero:
-                if k > m:
-                    break
-                if reachable[m - k]:
-                    hit = True
-                    acc += weighted[k] * out[m - k]
-            if hit:
-                reachable[m] = True
-                out[m] = acc / m
-        return TruncatedSeries(out)
+        return exp_weighted([k * c for k, c in enumerate(self._coeffs)])
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
             raise ValueError("negative powers not supported")
-        result = TruncatedSeries([ONE], truncation=self.truncation)
+        result = TruncatedSeries([1], truncation=self.truncation)
         base = self
         while k:
             if k & 1:
@@ -239,17 +240,48 @@ class TruncatedSeries:
         return cls(coeffs, truncation=data["truncation"])
 
 
+def exp_weighted(weighted: Sequence) -> TruncatedSeries:
+    """exp(A) to degree len(weighted) - 1, given the weighted coefficients
+    ``weighted[k] = k * a_k`` of A (``weighted[0]`` is ignored), via
+    n*e_n = sum_k k*a_k*e_{n-k}.
+
+    Taking k*a_k rather than a_k lets a caller whose a_k are not integral
+    but whose k*a_k are (the Euler transform) stay in `int`.
+    """
+    n = len(weighted) - 1
+    nonzero = [k for k in range(1, n + 1) if weighted[k]]
+    out = [0] * (n + 1)
+    out[0] = 1
+    # Skip indices off the argument's semigroup: e_m can only be nonzero
+    # when m is a sum of nonzero argument indices.
+    reachable = [False] * (n + 1)
+    reachable[0] = True
+    for m in range(1, n + 1):
+        acc = 0
+        hit = False
+        for k in nonzero:
+            if k > m:
+                break
+            if reachable[m - k]:
+                hit = True
+                acc += weighted[k] * out[m - k]
+        if hit:
+            reachable[m] = True
+            out[m] = exact_div(acc, m)
+    return TruncatedSeries(out)
+
+
 def series_from_terms(terms: Iterable, truncation: int) -> TruncatedSeries:
     """Build a series from (index, coefficient) pairs."""
-    out = [ZERO] * (truncation + 1)
+    out = [0] * (truncation + 1)
     for n, c in terms:
         if 0 <= n <= truncation:
-            out[n] += Fraction(c)
+            out[n] += as_exact(c)
     return TruncatedSeries(out)
 
 
 def geometric(truncation: int, ratio=1) -> TruncatedSeries:
-    r = Fraction(ratio)
+    r = as_exact(ratio)
     return TruncatedSeries([r**n for n in range(truncation + 1)])
 
 
@@ -277,7 +309,7 @@ class Evaluation:
         return self.partial + self.tail
 
 
-def _term_log2(c: Fraction, n: int, log2x: float) -> float:
+def _term_log2(c, n: int, log2x: float) -> float:
     return _log2_fraction(c) + n * log2x
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyagibbs import (
     CycleIndexPoly,
@@ -23,6 +24,12 @@ from polyagibbs.cycleindex import cycle_type_degree, partitions
 F = Fraction
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+
+def powered_family(coeffs, n):
+    """Family i -> sum_j c_j^i z^j: one orbit per size j of weight c_j,
+    under the nu^i weighting."""
+    return lambda i: TruncatedSeries([0] + [c**i for c in coeffs], n)
 
 
 def trees_family(n):
@@ -137,3 +144,36 @@ class TestOgfPaths:
         runs = TruncatedSeries([F(0)] + [F(1)] * n, n)
         got = multiset_ogf(lambda i: runs, n)
         assert list(got.coeffs) == PARTITION_NUMBERS
+
+    def test_rational_family_three_routes(self):
+        n = 10
+        fam = powered_family([F(1, 2)] * n, n)
+        got = multiset_ogf(fam, n)
+        assert got == multiset_ogf_product(fam, n)
+        assert got == z_set(n).plethysm_ogf(fam, n)
+        assert any(type(c) is F for c in got.coeffs)
+
+    def test_integral_family_gives_int(self):
+        n = 60
+        got = multiset_ogf(trees_family(n), n)
+        assert all(type(c) is int for c in got.coeffs)
+
+
+coefficient = st.one_of(
+    st.integers(min_value=0, max_value=5),
+    st.fractions(min_value=0, max_value=4, max_denominator=6),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.lists(coefficient, min_size=1, max_size=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_multiset_routes_agree(n, coeffs):
+    fam = powered_family(coeffs, n)
+    got = multiset_ogf(fam, n)
+    assert got == multiset_ogf_product(fam, n)
+    assert got == z_set(n).plethysm_ogf(fam, n)
+    if all(F(c).denominator == 1 for c in coeffs):
+        assert all(type(c) is int for c in got.coeffs)

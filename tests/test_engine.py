@@ -83,6 +83,37 @@ class TestAgainstEnumeration:
             0,
         ]
 
+    def test_rational_weight_in_set(self):
+        # a rational WEIGHT constant runs through the SET recurrence's
+        # exact division on the Fraction path
+        s = parse_dsl("T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);")
+        got = ogf(s, 8)
+        assert list(got.coeffs) == enum_totals(s, 8)
+        assert any(type(c) is F for c in got.coeffs)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T := ATOM * SET(T); F := COMPOSE(SET, T);",
+            "T := WEIGHT(ATOM, 2) * SET(T); F := COMPOSE(SET, T);",
+            "W := WEIGHT(ATOM, 4/2) * SEQ(ATOM);",
+        ],
+    )
+    def test_integral_specs_give_int_streams(self, text):
+        s = parse_dsl(text)
+        eng = SeriesEngine(s)
+        for p in (1, 2):
+            got = eng.ogf(8, power=p)
+            assert list(got.coeffs) == enum_totals(s, 8, power=p)
+            assert all(type(eng.coeff(s.root, p, n)) is int for n in range(9))
+
+    def test_integral_sized_and_table_give_int(self):
+        key = canonicalize(("seq", (("atom",), ("atom",))))
+        table = spec(Weighted(SeqOf(ATOM), TableWeight.from_dict({key: F(6, 2)})))
+        for s in (sized_species([F(0), F(2), F(3)]), table):
+            eng = SeriesEngine(s)
+            assert all(type(eng.coeff(s.root, 2, n)) is int for n in range(4))
+
     def test_sized_species_powers(self):
         s = sized_species([F(0), F(2), F(3)])
         eng = SeriesEngine(s)

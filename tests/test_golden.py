@@ -2,6 +2,8 @@
 
 A digest pins the whole RNG stream of a command and every digit it prints,
 so any change to a draw, a table or a summation order shows up here.  The
+``coeffs``, ``asymptotics`` and ``diagnose`` digests pin the exact series
+job: every printed coefficient, the radius fit and both ratio constants.  The
 ``tv`` digests assume TV sums taken with ``math.fsum``, which makes them
 independent of the order of the keys.
 """
@@ -16,6 +18,18 @@ FOREST = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
 SEQ_FOREST = "T := ATOM * SET(T); F := COMPOSE(SEQ, T);"
 
 GOLDEN = {
+    "coeffs": (
+        ["coeffs", "--spec", FOREST, "--trunc", "120"],
+        "6d78779662d3d736ac77775703947245233552bf432e59894023caf485398760",
+    ),
+    "asymptotics": (
+        ["asymptotics", "--spec", FOREST, "--trunc", "150"],
+        "265c79013bab193f861a9a4d159929e6a82d9ba476c55afc6fdebf866d5a59de",
+    ),
+    "diagnose": (
+        ["diagnose", "--spec", FOREST, "--trunc", "150"],
+        "6b2f790c978a0ab906076a1111572cb632578993fba1eea60f30270e95fae0d7",
+    ),
     "sample-exact": (
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "15",
          "--samples", "1200", "--seed", "11", "--workers", "2"],

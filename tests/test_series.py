@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from polyagibbs import (
     radius_estimate,
     series_from_terms,
 )
+from polyagibbs.series import exact_div
 
 F = Fraction
 
@@ -65,6 +67,62 @@ class TestArithmetic:
     def test_getitem_beyond_truncation_raises(self):
         with pytest.raises(IndexError):
             poly(1, 2)[5]
+
+
+class TestExactTypes:
+    def test_int_and_fraction_coefficients_are_one_series(self):
+        a, b = TruncatedSeries([1, 2]), TruncatedSeries([F(1), F(2)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) and a.to_json() == b.to_json()
+
+    def test_integral_coefficients_are_stored_as_int(self):
+        g = TruncatedSeries([F(4, 2), F(1, 3), 0.5], 3)
+        assert [type(c) for c in g.coeffs] == [int, Fraction, Fraction, int]
+
+    def test_exact_div(self):
+        assert type(exact_div(12, 4)) is int and exact_div(12, 4) == 3
+        assert exact_div(7, 2) == F(7, 2)
+        assert exact_div(F(1, 2), 3) == F(1, 6)
+
+    def test_exp_falls_back_to_fractions(self):
+        n = 12
+        got = TruncatedSeries([0, 1], n).exp()
+        assert list(got.coeffs) == [F(1, factorial(m)) for m in range(n + 1)]
+        assert all(type(got[m]) is Fraction for m in range(2, n + 1))
+
+    def test_exp_of_integral_euler_argument_stays_int(self):
+        # exp(sum_i z^i / i) has weighted argument k * a_k = 1 for all k
+        n = 20
+        got = TruncatedSeries([0] + [F(1, k) for k in range(1, n + 1)], n).exp()
+        assert all(type(c) is int for c in got.coeffs)
+
+    def test_no_float_coefficients(self):
+        from polyagibbs import (
+            forests,
+            multiset_ogf,
+            multiset_ogf_product,
+            ogf,
+            parse_dsl,
+            seq_ogf,
+            z_set,
+        )
+
+        rational = parse_dsl("T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);")
+        half = TruncatedSeries([0, F(1, 2), 1], 8)
+        made = [
+            half.exp(),
+            half * half,
+            F(1, 3) * half,
+            seq_ogf(half, 8),
+            ogf(forests(), 30),
+            ogf(rational, 30),
+            multiset_ogf(lambda i: half, 8),
+            multiset_ogf_product(lambda i: half, 8),
+            z_set(8).plethysm_ogf(lambda i: half),
+        ]
+        for g in made:
+            assert all(type(c) in (int, Fraction) for c in g.coeffs)
 
 
 class TestExp:
