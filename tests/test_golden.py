@@ -3,7 +3,9 @@
 A digest pins the whole RNG stream of a command and every digit it prints,
 so any change to a draw, a table or a summation order shows up here.  The
 ``coeffs``, ``asymptotics`` and ``diagnose`` digests pin the exact series
-job: every printed coefficient, the radius fit and both ratio constants.  The
+job: every printed coefficient, the radius fit and both ratio constants.
+The ``mixed`` digests pin the node kinds the forest spec does not use:
+DERIVE, UNION, SEQ and integral and rational WEIGHT.  The
 ``tv`` digests assume TV sums taken with ``math.fsum``, which makes them
 independent of the order of the keys.
 """
@@ -16,11 +18,23 @@ from polyagibbs.cli import main
 
 FOREST = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
 SEQ_FOREST = "T := ATOM * SET(T); F := COMPOSE(SEQ, T);"
+# DERIVE, a rational WEIGHT, SEQ and UNION inside a SET composite
+MIXED = (
+    "T := ATOM * SET(T); "
+    "D := ATOM * DERIVE(T) + WEIGHT(ATOM, 1/3) * SEQ(ATOM + ATOM * ATOM); "
+    "F := COMPOSE(SET, D);"
+)
+# an integral WEIGHT over a UNION of an atom and a SEQ, under SET and SEQ
+MIXED_INNER = "B := ATOM + WEIGHT(ATOM, 2) * SEQ(ATOM + ATOM * ATOM);"
 
 GOLDEN = {
     "coeffs": (
         ["coeffs", "--spec", FOREST, "--trunc", "120"],
         "6d78779662d3d736ac77775703947245233552bf432e59894023caf485398760",
+    ),
+    "coeffs-mixed": (
+        ["coeffs", "--spec", MIXED, "--trunc", "40"],
+        "69553ceba38b187085981ca3f9ef3866fcea0df7a4376ae416b9d388d5f94285",
     ),
     "asymptotics": (
         ["asymptotics", "--spec", FOREST, "--trunc", "150"],
@@ -34,6 +48,16 @@ GOLDEN = {
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "15",
          "--samples", "1200", "--seed", "11", "--workers", "2"],
         "9cd1aa0206579b912ace7325b73894839666d3a0cedb3db07ec1bf5f1292092c",
+    ),
+    "sample-exact-mixed": (
+        ["sample", "--spec", MIXED_INNER + " F := COMPOSE(SET, B);", "--trunc", "60",
+         "--sizes", "7", "13", "--samples", "600", "--seed", "17"],
+        "1f67bc7d4bd434422dd4d6fa2fa6df5fef634244e10942a121e3f7938cdf8b3a",
+    ),
+    "sample-exact-mixed-seq": (
+        ["sample", "--spec", MIXED_INNER + " F := COMPOSE(SEQ, B);", "--trunc", "60",
+         "--sizes", "7", "13", "--samples", "600", "--seed", "18"],
+        "b69bd09525de0377b14ea34f98b3dbed42f76dc7a25b8485e7486a4aad1e8e52",
     ),
     "sample-rejection-set": (
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "6", "10",
