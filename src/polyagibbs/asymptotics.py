@@ -231,7 +231,7 @@ def coefficient_ratio_experiment(model) -> RatioLimitReport:
     # (1/(1-z_1))^2, the square of the quasi-inverse.
     # powered inner streams are only needed up to degree N // i
     def fam(i: int):
-        return model.engine.ogf(max(N // i, 1), node=model.inner_node, power=i)
+        return model.engine.ogf(max(N // i, 1), node=model.inner_id, power=i)
 
     if model.outer == "SET":
         derived = multiset_ogf(fam, N)

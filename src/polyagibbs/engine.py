@@ -10,10 +10,12 @@ weighting nu^p, degree by degree:
 * PRODUCT is a Cauchy convolution, UNION a sum, DERIVE a structural
   rewrite (product rule; SET' = SET * inner', SEQ' = SEQ * inner' * SEQ).
 
-Everything is exact.  Values read from SIZED coefficients, TABLE weights
-and WEIGHT constants are normalised with :func:`~polyagibbs.series.as_exact`,
-so a spec whose weights are all integral yields streams of Python `int`;
-a rational weight p/q makes the same code produce `Fraction` values.  The
+The engine counts the spec's compiled :class:`~polyagibbs.species.Program`,
+with one handler per kind tag and one stream per (node id, power).
+Everything is exact.  SIZED coefficients, TABLE weights and WEIGHT
+constants are normalised with :func:`~polyagibbs.series.as_exact`, so a
+spec whose weights are all integral yields streams of Python `int`; a
+rational weight p/q makes the same code produce `Fraction` values.  The
 one division, in the SET recurrence, goes through
 :func:`~polyagibbs.series.exact_div`.  Cost is O(N^2) per stream, with
 streams shared across all powers that a composite pulls in.
@@ -26,38 +28,17 @@ from typing import Dict, Tuple
 
 from .errors import IllFoundedRecursion, SpecError
 from .series import TruncatedSeries, as_exact, exact_div
-from .species import (
-    Atom,
-    Compose,
-    Derive,
-    Enumerator,
-    Epsilon,
-    Node,
-    Product,
-    Ref,
-    SetOf,
-    SeqOf,
-    Sized,
-    SpeciesSpec,
-    Union,
-    UnitWeight,
-    AtomMultiplicative,
-    TableWeight,
-    Weighted,
-    Zero,
-    derive_node,
-)
+from .species import Enumerator, Node, Program, SpeciesSpec, by_kind, fail
 
 
 class SeriesEngine:
-    """Lazy per-(node, power) coefficient streams for one species spec."""
+    """Lazy per-(node id, power) coefficient streams for one species spec."""
 
     def __init__(self, spec: SpeciesSpec):
         self.spec = spec
-        self._defs: Dict[str, Node] = dict(spec.defs)
-        self._arr: Dict[Tuple[Node, int], list] = {}
-        self._q: Dict[Tuple[Node, int], list] = {}
-        self._derived: Dict[Node, Node] = {}
+        self.program = Program(spec)
+        self._arr: Dict[Tuple[int, int], list] = {}
+        self._q: Dict[Tuple[int, int], list] = {}
         self._busy: set = set()
         self._enum: Enumerator | None = None
         # arrays grow by appends; a reentrant lock keeps concurrent
@@ -66,138 +47,106 @@ class SeriesEngine:
 
     # public API
 
-    def coeff(self, node: Node, power: int, n: int):
+    def coeff(self, node: Node | int, power: int, n: int):
         """[z^n] of the node's series under nu^power: an `int` when
         integral, else a `Fraction`."""
-        arr = self._arr.get((node, power))
+        return self.at(self.program.id_of(node), power, n)
+
+    def at(self, i: int, power: int, n: int):
+        """:meth:`coeff` of the node with id i."""
+        arr = self._arr.get((i, power))
         if arr is not None and len(arr) > n:
             return arr[n]
         with self._lock:
-            return self._coeff_locked(node, power, n)
+            arr = self._arr.setdefault((i, power), [])
+            compute = self._count[self.program.kind[i]]
+            while len(arr) <= n:
+                key = (i, power, len(arr))
+                if key in self._busy:
+                    raise IllFoundedRecursion()
+                self._busy.add(key)
+                try:
+                    value = compute(self, i, power, key[2])
+                finally:
+                    self._busy.discard(key)
+                arr.append(value)
+            return arr[n]
 
-    def _coeff_locked(self, node: Node, power: int, n: int):
-        arr = self._arr.setdefault((node, power), [])
-        while len(arr) <= n:
-            m = len(arr)
-            key = (node, power, m)
-            if key in self._busy:
-                raise IllFoundedRecursion(
-                    "recursive definition does not increase size"
-                )
-            self._busy.add(key)
-            try:
-                value = self._compute(node, power, m)
-            finally:
-                self._busy.discard(key)
-            arr.append(value)
-        return arr[n]
-
-    def ogf(self, truncation: int, node: Node | None = None, power: int = 1) -> TruncatedSeries:
-        node = self.spec.root if node is None else node
+    def ogf(self, truncation: int, node: Node | int | None = None, power: int = 1) -> TruncatedSeries:
+        i = self.program.root if node is None else self.program.id_of(node)
         return TruncatedSeries(
-            [self.coeff(node, power, n) for n in range(truncation + 1)],
+            [self.at(i, power, n) for n in range(truncation + 1)],
             truncation,
         )
 
-    # node dispatch
+    # node handlers: (engine, id, power, degree) -> coefficient
 
-    def _compute(self, node: Node, power: int, n: int):
-        if isinstance(node, Atom):
-            return 1 if n == 1 else 0
-        if isinstance(node, Epsilon):
-            return 1 if n == 0 else 0
-        if isinstance(node, Zero):
-            return 0
-        if isinstance(node, Sized):
-            if 1 <= n < len(node.coeffs):
-                return as_exact(node.coeffs[n]) ** power
-            return 0
-        if isinstance(node, Ref):
-            return self.coeff(self._resolve(node.name), power, n)
-        if isinstance(node, Union):
-            return self.coeff(node.left, power, n) + self.coeff(
-                node.right, power, n
-            )
-        if isinstance(node, Product):
-            total = 0
-            for k in range(n + 1):
-                a = self.coeff(node.left, power, k)
-                if a:
-                    total += a * self.coeff(node.right, power, n - k)
-            return total
-        if isinstance(node, (SetOf, Compose)) and (
-            isinstance(node, SetOf) or node.outer == "SET"
-        ):
-            return self._set_coeff(node, node.inner, power, n)
-        if isinstance(node, (SeqOf, Compose)):
-            return self._seq_coeff(node, node.inner, power, n)
-        if isinstance(node, Weighted):
-            return self._weighted_coeff(node, power, n)
-        if isinstance(node, Derive):
-            if node not in self._derived:
-                self._derived[node] = derive_node(node.inner, self._defs)
-            return self.coeff(self._derived[node], power, n)
-        raise SpecError(f"cannot count node {type(node).__name__}")
-
-    # helpers
-
-    def _resolve(self, name: str) -> Node:
-        if name not in self._defs:
-            raise SpecError(f"undefined species name {name!r}")
-        return self._defs[name]
-
-    def _check_positive_min_size(self, node: Node, inner: Node, power: int):
-        if self.coeff(inner, power, 0) != 0:
-            raise SpecError(
-                "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
-            )
-
-    def _set_coeff(self, node: Node, inner: Node, power: int, n: int):
+    def _recurrence(self, i: int, power: int, n: int, term, divisor: int):
+        """c_n = (sum_k q_k c_{n-k}) / divisor with q_k = term(inner, power, k):
+        the Euler transform for SET (divisor n), the quasi-inverse for SEQ."""
+        inner = self.program.args[i][0]
         if n == 0:
-            self._check_positive_min_size(node, inner, power)
+            if self.at(inner, power, 0) != 0:
+                raise SpecError(
+                    "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
+                )
             return 1
-        arr = self._arr[(node, power)]
-        q = self._q.setdefault((node, power), [0])
+        arr = self._arr[(i, power)]
+        q = self._q.setdefault((i, power), [0])
         while len(q) <= n:
-            k = len(q)
-            qk = 0
-            for d in range(1, k + 1):
-                if k % d == 0:
-                    sd = self.coeff(inner, power * (k // d), d)
-                    if sd:
-                        qk += d * sd
-            q.append(qk)
+            q.append(term(inner, power, len(q)))
         total = 0
         for k in range(1, n + 1):
             if q[k]:
                 total += q[k] * arr[n - k]
-        return exact_div(total, n)
+        return total if divisor == 1 else exact_div(total, divisor)
 
-    def _seq_coeff(self, node: Node, inner: Node, power: int, n: int):
-        if n == 0:
-            self._check_positive_min_size(node, inner, power)
-            return 1
-        arr = self._arr[(node, power)]
-        total = 0
-        for k in range(1, n + 1):
-            sk = self.coeff(inner, power, k)
-            if sk:
-                total += sk * arr[n - k]
-        return total
+    def _euler_term(self, inner: int, power: int, k: int):
+        """q_k = sum_{d | k} d * s_d^{(power * k / d)}."""
+        qk = 0
+        for d in range(1, k + 1):
+            if k % d == 0:
+                sd = self.at(inner, power * (k // d), d)
+                if sd:
+                    qk += d * sd
+        return qk
 
-    def _weighted_coeff(self, node: Weighted, power: int, n: int):
-        model = node.model
-        if isinstance(model, UnitWeight):
-            return self.coeff(node.inner, power, n)
-        if isinstance(model, AtomMultiplicative):
-            return self.coeff(node.inner, power, n) * as_exact(model.c) ** (power * n)
-        if isinstance(model, TableWeight):
-            # no closed recurrence through an arbitrary table: fall back to
-            # exhaustive enumeration (guarded to small sizes)
+    def orbits(self, i: int, n: int, power: int) -> list:
+        """The enumerated orbits of node i: TABLE weights have no closed
+        recurrence, so they are counted and drawn by exhaustive enumeration
+        (guarded to small sizes)."""
+        with self._lock:
             if self._enum is None:
                 self._enum = Enumerator(self.spec)
-            return as_exact(sum(w for _, w in self._enum.enumerate(node, n, power)))
-        raise SpecError(f"unknown weight model {type(model).__name__}")
+            return self._enum.enumerate(self.program.nodes[i], n, power)
+
+    # plain functions, not bound methods: an engine holds no reference
+    # cycle, so it is freed as soon as its last user drops it
+    _count = by_kind(
+        ATOM=lambda e, i, p, n: 1 if n == 1 else 0,
+        EPSILON=lambda e, i, p, n: 1 if n == 0 else 0,
+        ZERO=lambda e, i, p, n: 0,
+        SIZED=lambda e, i, p, n: e.program.sized(i, n) ** p,
+        UNION=lambda e, i, p, n: sum(e.at(c, p, n) for c in e.program.args[i]),
+        PRODUCT=lambda e, i, p, n: sum(
+            w for _, w in product_terms(e, i, *e.program.args[i], p, n)
+        ),
+        SET=lambda e, i, p, n: e._recurrence(i, p, n, e._euler_term, n),
+        SEQ=lambda e, i, p, n: e._recurrence(i, p, n, e.at, 1),
+        WEIGHT=lambda e, i, p, n: e.at(e.program.args[i][0], p, n) * e.program.data[i] ** (p * n),
+        TABLE=lambda e, i, p, n: as_exact(sum(w for _, w in e.orbits(i, n, p))),
+        DERIVE=lambda e, i, p, n: e.at(e.program.args[i][1], p, n),
+        FAIL=fail,
+    )
+
+
+def product_terms(eng: SeriesEngine, i: int, left: int, right: int, power: int, n: int):
+    """(k, a_k * b_{n-k}) for the splits k of a PRODUCT with a_k != 0: the
+    terms of its coefficient, and the law of its split in the sampler."""
+    for k in range(n + 1):
+        a = eng.at(left, power, k)
+        if a:
+            yield k, a * eng.at(right, power, n - k)
 
 
 _ENGINES: Dict[SpeciesSpec, SeriesEngine] = {}

@@ -43,6 +43,9 @@ class InnerNotSubexponential(PreconditionError):
 class IllFoundedRecursion(SpecError):
     """Recursive species definition does not increase size."""
 
+    def __init__(self, message="recursive definition does not increase size"):
+        super().__init__(message)
+
 
 class SizeGuardExceeded(PreconditionError):
     """Exhaustive enumeration requested beyond the configured size guard."""

@@ -53,7 +53,6 @@ from .species import (
     Compose,
     Enumerator,
     Node,
-    Ref,
     STAR_OBJ,
     SpeciesSpec,
     object_size,
@@ -270,11 +269,10 @@ class GibbsModel:
         truncation: int = 200,
         outer_cycle_index: CycleIndexPoly | None = None,
     ):
-        root = composite.root
-        seen = set()
-        while isinstance(root, Ref) and root.name not in seen:
-            seen.add(root.name)
-            root = composite.resolve(root.name)
+        # one compiled program, shared by the engine and both samplers
+        self.engine = SeriesEngine(composite)
+        program = self.engine.program
+        root = program.nodes[program.root]
         if not isinstance(root, Compose):
             raise PreconditionError(
                 "model root must be a COMPOSE(SET|SEQ, inner) species"
@@ -282,9 +280,9 @@ class GibbsModel:
         self.spec = composite
         self.outer = root.outer
         self.inner_node: Node = root.inner
+        self.inner_id: int = program.args[program.root][0]
         self.inner_spec = composite.with_root(root.inner)
         self.truncation = truncation
-        self.engine = SeriesEngine(composite)
         self.outer_cycle_index = outer_cycle_index
         self._inner_ogf: Dict[int, TruncatedSeries] = {}
         self._composite_ogf: TruncatedSeries | None = None
@@ -318,7 +316,7 @@ class GibbsModel:
         s = self._inner_ogf.get(power)
         if s is None:
             s = self._inner_ogf[power] = self.engine.ogf(
-                self.truncation, node=self.inner_node, power=power
+                self.truncation, node=self.inner_id, power=power
             )
         return s
 
@@ -396,8 +394,9 @@ class GibbsModel:
         """(n, coefficient) of the powered inner series for n up to the
         truncation, skipping zeros; coefficients are computed only as far
         as they are read."""
+        at, i = self.engine.at, self.inner_id
         for n in range(1, self.truncation + 1):
-            c = self.engine.coeff(self.inner_node, power, n)
+            c = at(i, power, n)
             if c:
                 yield n, c
 
@@ -473,7 +472,7 @@ class GibbsModel:
         y: float | None = None,
     ):
         """Size-n composite orbit, weight-proportional."""
-        if self.engine.coeff(self.spec.root, 1, n) == 0:
+        if self.engine.at(self.engine.program.root, 1, n) == 0:
             raise EmptySize(f"no composite objects of size {n}")
         if method == "exact_recursive":
             return self.exact_sampler().sample(n, rng)
@@ -557,13 +556,13 @@ class GibbsModel:
         enum = self.enumerator()
         if self.outer == "SET":
             for n in range(cap + 1):
-                for o, w in enum.enumerate(self.spec.root, n):
+                for o, w in enum.enumerate_root(n):
                     yield o, w, n
         else:
             # a derived sequence is a pair of sequences; encode as one
             # sequence with a * at the junction
             for n in range(cap + 1):
-                for o, w in enum.enumerate(self.spec.root, n):
+                for o, w in enum.enumerate_root(n):
                     left = o[1]
                     for cut in range(len(left) + 1):
                         yield ("seq", left[:cut] + (STAR_OBJ,) + left[cut:]), w, n

@@ -1,7 +1,7 @@
 """Exact-size random generation of unlabelled objects, weight-proportional.
 
-The recursive method walks the species expression and at each node converts
-counting-series coefficients into branching probabilities:
+The recursive method walks the compiled species program and at each node
+converts counting-series coefficients into branching probabilities:
 
 * UNION picks a side proportionally to the two size-n weights,
 * PRODUCT picks the split k proportionally to a_k * b_{n-k},
@@ -14,40 +14,29 @@ counting-series coefficients into branching probabilities:
 
 Every cumulative table, here and in :mod:`polyagibbs.gibbs`, is a
 :class:`DiscreteLaw`: entries with normalised cumulative probabilities,
-sampled by one uniform and a bisection.  The sampler caches one law per
-(node, power, size); sampling after the first draw of a given size is
-table lookups plus bisection.
+sampled by one uniform and a bisection.  The sampler dispatches on the
+kind tag of a node id and caches one law per (node id, power, size), keyed
+by plain ints; sampling after the first draw of a given size is table
+lookups plus bisection.  A law is published to the cache only once it is
+built, so threads may share a sampler.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 from typing import Dict
 
 from .errors import EmptySize, SpecError, ZeroMass
-from .engine import SeriesEngine
+from .engine import SeriesEngine, product_terms
 from .species import (
-    Atom,
-    AtomMultiplicative,
-    Compose,
-    EPS_OBJ,
     ATOM_OBJ,
-    Enumerator,
-    Epsilon,
-    Node,
-    Product,
-    Ref,
-    SetOf,
-    SeqOf,
-    Sized,
+    EPS_OBJ,
     SpeciesSpec,
-    TableWeight,
-    Union,
-    UnitWeight,
-    Weighted,
-    Zero,
+    by_kind,
+    fail,
 )
 
 
@@ -84,154 +73,123 @@ class DiscreteLaw:
         return self.cum[i] - (self.cum[i - 1] if i else 0.0)
 
 
+# law terms: (engine, id, children, power, size) -> (entry, weight) pairs
+
+
+def _set_terms(eng, i, inner, power, n):
+    for j in range(1, n + 1):
+        for d in range(1, n // j + 1):
+            g = eng.at(inner, power * j, d)
+            if g:
+                yield (d, j), d * g * eng.at(i, power, n - d * j)
+
+
+def _seq_terms(eng, i, inner, power, n):
+    for s in range(1, n + 1):
+        g = eng.at(inner, power, s)
+        if g:
+            yield (s, 1), g * eng.at(i, power, n - s)
+
+
+def _table_terms(eng, i, inner, power, n):
+    return eng.orbits(i, n, power)
+
+
+def _blocks(terms, head: str, s, i: int, power: int, n: int, rng):
+    """A SET or SEQ object of node i: each step draws (size d, copies j) and
+    one orbit of size d under nu^(power * j); SEQ blocks have j = 1."""
+    inner = s.program.args[i][0]
+    draw, tables = s._draw[inner], s._tables
+    parts = []
+    while n > 0:
+        law = tables.get((i, power, n)) or s._law(terms, i, power, n)
+        d, j = law.sample(rng)
+        orbit = draw(s, inner, power * j, d, rng)
+        parts.extend([orbit] * j)
+        n -= d * j
+    return (head, tuple(sorted(parts) if head == "set" else parts))
+
+
+def _empty(n: int):
+    raise EmptySize(f"no objects of size {n}")
+
+
+def _cannot_sample(*_):
+    raise SpecError("cannot sample node Derive")
+
+
 class ExactSampler:
     """Draws size-n orbits of a species with probability proportional to
-    their weight."""
+    their weight.  The sampler reads the program and the streams of its
+    engine, so samplers sharing an engine share one program."""
 
     def __init__(self, spec: SpeciesSpec, engine: SeriesEngine | None = None):
-        self.spec = spec
         self.engine = engine or SeriesEngine(spec)
+        self.program = self.engine.program
+        self.root = self.program.id_of(spec.root)
         self._tables: Dict[tuple, DiscreteLaw] = {}
-        self._enum: Enumerator | None = None
+        # the program never changes, so each id's handler is looked up once
+        self._draw = [self._kinds[k] for k in self.program.kind]
 
     def sample(self, n: int, rng: random.Random, power: int = 1):
-        return self._sample(self.spec.root, power, n, rng)
+        return self._draw[self.root](self, self.root, power, n, rng)
 
-    # internal
-
-    def _coeff(self, node: Node, power: int, n: int):
-        return self.engine.coeff(node, power, n)
-
-    def _table(self, key, build) -> DiscreteLaw:
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = self._tables[key] = build()
-        return tab
-
-    def _sample(self, node: Node, power: int, n: int, rng: random.Random):
-        if isinstance(node, Atom):
-            if n != 1:
-                raise EmptySize(f"no atom of size {n}")
-            return ATOM_OBJ
-        if isinstance(node, Epsilon):
-            if n != 0:
-                raise EmptySize(f"no empty object of size {n}")
-            return EPS_OBJ
-        if isinstance(node, Zero):
-            raise EmptySize("the empty species has no objects")
-        if isinstance(node, Sized):
-            if not (1 <= n < len(node.coeffs)) or not node.coeffs[n]:
-                raise EmptySize(f"no sized orbit at size {n}")
-            return ("blob", n)
-        if isinstance(node, Ref):
-            return self._sample(self.spec.resolve(node.name), power, n, rng)
-        if isinstance(node, Union):
-            a = self._coeff(node.left, power, n)
-            b = self._coeff(node.right, power, n)
-            if not a and not b:
-                raise EmptySize(f"no objects of size {n}")
-            side = 1 if rng.random() * float(a + b) >= float(a) else 0
-            if a and not b:
-                side = 0
-            if b and not a:
-                side = 1
-            branch = node.left if side == 0 else node.right
-            return ("tag", side, self._sample(branch, power, n, rng))
-        if isinstance(node, Product):
-            k = self._table(
-                ("prod", node, power, n), lambda: self._product_table(node, power, n)
-            ).sample(rng)
-            return (
-                "prod",
-                self._sample(node.left, power, k, rng),
-                self._sample(node.right, power, n - k, rng),
-            )
-        if isinstance(node, (SetOf, Compose)) and (
-            isinstance(node, SetOf) or node.outer == "SET"
-        ):
-            return ("set", tuple(sorted(self._sample_multiset(node, power, n, rng))))
-        if isinstance(node, (SeqOf, Compose)):
-            return ("seq", tuple(self._sample_sequence(node, power, n, rng)))
-        if isinstance(node, Weighted):
-            if isinstance(node.model, (UnitWeight, AtomMultiplicative)):
-                # a factor c^{p n} is constant on the size-n slice, so the
-                # conditional law equals the inner one
-                return self._sample(node.inner, power, n, rng)
-            if isinstance(node.model, TableWeight):
-                return self._sample_by_enumeration(node, power, n, rng)
-            raise SpecError(f"unknown weight model {type(node.model).__name__}")
-        raise SpecError(f"cannot sample node {type(node).__name__}")
-
-    def _product_table(self, node: Product, power: int, n: int):
-        entries, weights = [], []
-        for k in range(n + 1):
-            a = self._coeff(node.left, power, k)
-            if not a:
-                continue
-            b = self._coeff(node.right, power, n - k)
-            if b:
-                entries.append(k)
-                weights.append(a * b)
-        if not entries:
+    def _law(self, terms, i: int, power: int, n: int) -> DiscreteLaw:
+        """Builds the law of node i at (power, n) from the nonzero (entry,
+        weight) pairs of ``terms``; callers read the cache first."""
+        args = self.program.args[i]
+        pairs = [(e, w) for e, w in terms(self.engine, i, *args, power, n) if w]
+        if not pairs:
             raise EmptySize(f"no objects of size {n}")
-        return DiscreteLaw(entries, weights)
+        entries, weights = zip(*pairs)
+        return self._tables.setdefault((i, power, n), DiscreteLaw(entries, weights))
 
-    def _sample_multiset(self, node: Node, power: int, n: int, rng) -> list:
-        inner = node.inner
-        parts = []
-        while n > 0:
-            d, j = self._table(
-                ("set", node, power, n), lambda: self._set_table(node, inner, power, n)
-            ).sample(rng)
-            orbit = self._sample(inner, power * j, d, rng)
-            parts.extend([orbit] * j)
-            n -= d * j
-        return parts
+    # node handlers: (sampler, id, power, size, rng) -> object
 
-    def _set_table(self, node: Node, inner: Node, power: int, n: int):
-        entries, weights = [], []
-        for j in range(1, n + 1):
-            for d in range(1, n // j + 1):
-                g = self._coeff(inner, power * j, d)
-                if not g:
-                    continue
-                rest = self._coeff(node, power, n - d * j)
-                if rest:
-                    entries.append((d, j))
-                    weights.append(d * g * rest)
-        if not entries:
+    def _union(self, i: int, power: int, n: int, rng):
+        left, right = self.program.args[i]
+        a = self.engine.at(left, power, n)
+        b = self.engine.at(right, power, n)
+        if not a and not b:
             raise EmptySize(f"no objects of size {n}")
-        return DiscreteLaw(entries, weights)
+        # one uniform per visit, also when a side is empty
+        u = rng.random()
+        side = int(u * float(a + b) >= float(a)) if a and b else int(not a)
+        branch = right if side else left
+        return ("tag", side, self._draw[branch](self, branch, power, n, rng))
 
-    def _sample_sequence(self, node: Node, power: int, n: int, rng) -> list:
-        inner = node.inner
-        blocks = []
-        while n > 0:
-            s = self._table(
-                ("seq", node, power, n), lambda: self._seq_table(node, inner, power, n)
-            ).sample(rng)
-            blocks.append(self._sample(inner, power, s, rng))
-            n -= s
-        return blocks
+    def _product(self, i: int, power: int, n: int, rng):
+        left, right = self.program.args[i]
+        law = self._tables.get((i, power, n)) or self._law(product_terms, i, power, n)
+        k = law.sample(rng)
+        draw = self._draw
+        return (
+            "prod",
+            draw[left](self, left, power, k, rng),
+            draw[right](self, right, power, n - k, rng),
+        )
 
-    def _seq_table(self, node: Node, inner: Node, power: int, n: int):
-        entries, weights = [], []
-        for s in range(1, n + 1):
-            g = self._coeff(inner, power, s)
-            if not g:
-                continue
-            rest = self._coeff(node, power, n - s)
-            if rest:
-                entries.append(s)
-                weights.append(g * rest)
-        if not entries:
-            raise EmptySize(f"no objects of size {n}")
-        return DiscreteLaw(entries, weights)
+    def _weighted(self, i: int, power: int, n: int, rng):
+        # a factor c^{p n} is constant on the size-n slice, so the
+        # conditional law equals the inner one
+        inner = self.program.args[i][0]
+        return self._draw[inner](self, inner, power, n, rng)
 
-    def _sample_by_enumeration(self, node: Node, power: int, n: int, rng):
-        if self._enum is None:
-            self._enum = Enumerator(self.spec)
-        orbits = self._enum.enumerate(node, n, power)
-        if not orbits:
-            raise EmptySize(f"no objects of size {n}")
-        return DiscreteLaw([o for o, _ in orbits], [w for _, w in orbits]).sample(rng)
+    # plain functions, not bound methods, so a sampler holds no reference
+    # cycle and is freed as soon as its last user drops it
+    _kinds = by_kind(
+        ATOM=lambda s, i, p, n, rng: ATOM_OBJ if n == 1 else _empty(n),
+        EPSILON=lambda s, i, p, n, rng: EPS_OBJ if n == 0 else _empty(n),
+        ZERO=lambda s, i, p, n, rng: _empty(n),
+        SIZED=lambda s, i, p, n, rng: ("blob", n) if s.program.sized(i, n) else _empty(n),
+        UNION=_union,
+        PRODUCT=_product,
+        SET=partial(_blocks, _set_terms, "set"),
+        SEQ=partial(_blocks, _seq_terms, "seq"),
+        WEIGHT=_weighted,
+        TABLE=lambda s, i, p, n, rng: (
+            s._tables.get((i, p, n)) or s._law(_table_terms, i, p, n)
+        ).sample(rng),
+        DERIVE=_cannot_sample,
+        FAIL=fail,
+    )

@@ -5,6 +5,13 @@ SEQ, COMPOSE, DERIVE, UNION, PRODUCT, WEIGHTED and named recursion, plus
 SIZED (one orbit per size with a prescribed rational weight — the escape
 hatch for classes given only by their counting series).
 
+A spec is compiled once into a :class:`Program`: every node gets an
+integer id, one kind tag and the ids of its children, names are resolved at
+compile time, and equal subtrees share one id.  The engine, the exact
+sampler and the enumerator dispatch on the kind tag and key their streams,
+laws and memos by plain ints; the Node trees stay the form that the DSL,
+the JSON codec and the derivative rewrite work on.
+
 Unlabelled objects are canonical nested tuples; two objects are isomorphic
 iff their encodings are equal.  Enumeration is the test oracle of the whole
 package: it is exhaustive, duplicate-free and weight-exact, but guarded to
@@ -13,10 +20,9 @@ small sizes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -25,6 +31,7 @@ from .errors import (
     SizeGuardExceeded,
     SpecError,
 )
+from .series import as_exact
 
 DEFAULT_SIZE_GUARD = 14
 
@@ -163,12 +170,6 @@ class SpeciesSpec:
     root: Node
     defs: Tuple[Tuple[str, Node], ...] = ()
 
-    def resolve(self, name: str) -> Node:
-        for n, node in self.defs:
-            if n == name:
-                return node
-        raise SpecError(f"undefined species name {name!r}")
-
     def with_root(self, root: Node) -> "SpeciesSpec":
         return SpeciesSpec(root, self.defs)
 
@@ -194,6 +195,129 @@ def forests() -> SpeciesSpec:
 
 def sized_species(coeffs) -> SpeciesSpec:
     return spec(Sized(tuple(Fraction(c) for c in coeffs)))
+
+
+# -- compiled form -------------------------------------------------------
+
+KINDS = ("ATOM", "EPSILON", "ZERO", "SIZED", "UNION", "PRODUCT", "SET", "SEQ",
+         "WEIGHT", "TABLE", "DERIVE", "FAIL")
+(K_ATOM, K_EPSILON, K_ZERO, K_SIZED, K_UNION, K_PRODUCT, K_SET, K_SEQ,
+ K_WEIGHT, K_TABLE, K_DERIVE, K_FAIL) = range(len(KINDS))
+
+
+def by_kind(**handlers) -> list:
+    """Handlers indexed by kind tag, from keywords named after ``KINDS``."""
+    return [handlers[k] for k in KINDS]
+
+
+def fail(consumer, i: int, *_):
+    """The handler of FAIL nodes in every consumer of a program."""
+    error = consumer.program.data[i]
+    raise type(error)(*error.args)
+
+
+@dataclass(frozen=True)
+class _Fail(Node):
+    """Raises a copy of ``error`` when used: an alias cycle, or a DERIVE
+    that has no rewrite."""
+
+    error: Exception
+
+
+_KIND_OF = {Atom: K_ATOM, Epsilon: K_EPSILON, Zero: K_ZERO, Union: K_UNION,
+            Product: K_PRODUCT, SetOf: K_SET, SeqOf: K_SEQ}
+
+
+class Program:
+    """A species spec compiled to integer node ids.
+
+    Node i has a kind tag ``kind[i]`` (an index into ``KINDS``), child ids
+    ``args[i]``, a payload ``data[i]`` (SIZED coefficients, WEIGHT constant,
+    TABLE model, FAIL error) and its source node ``nodes[i]``; COMPOSE
+    compiles to SET or SEQ.  A name gets the id of the first non-name node
+    of its chain, and a pure alias cycle such as ``X := X;`` is a FAIL node
+    raising :class:`IllFoundedRecursion`.  Equal subtrees share one id.
+    DERIVE has the children (inner, rewrite): the enumerator marks atoms of
+    inner objects, the engine counts the :func:`derive_node` rewrite.  The
+    nodes reachable from the root are compiled on construction, and the
+    program never changes after it, so threads may share it.
+    """
+
+    def __init__(self, spec: SpeciesSpec):
+        self.kind: List[int] = []
+        self.args: List[tuple] = []
+        self.data: list = []
+        self.nodes: List[Node] = []
+        self._defs = dict(spec.defs)
+        self._ids: Dict[Node, int] = {}
+        self.root = self._compile(spec.root)
+
+    def id_of(self, node) -> int:
+        """The id of a node of the spec; an `int` is taken to be an id."""
+        if type(node) is int:
+            return node
+        if node not in self._ids:
+            raise SpecError(f"{node!r} is not a node of the spec")
+        return self._ids[node]
+
+    def sized(self, i: int, n: int):
+        """The coefficient of the SIZED node i at size n (0 outside)."""
+        coeffs = self.data[i]
+        return coeffs[n] if 1 <= n < len(coeffs) else 0
+
+    def _compile(self, node: Node) -> int:
+        i = self._ids.get(node)
+        if i is None and isinstance(node, Ref):
+            i = self._ids[node] = self._resolve(node)
+        elif i is None:
+            # the id exists before the children, so recursion finds it
+            i = self._ids[node] = len(self.nodes)
+            for column, value in ((self.nodes, node), (self.kind, None),
+                                  (self.args, ()), (self.data, None)):
+                column.append(value)
+            self.kind[i], children, self.data[i] = self._parts(node)
+            self.args[i] = tuple(self._compile(c) for c in children)
+        return i
+
+    def _resolve(self, node: Ref) -> int:
+        seen = set()
+        while isinstance(node, Ref):
+            if node.name in seen:
+                return self._compile(_Fail(IllFoundedRecursion()))
+            if node.name not in self._defs:
+                raise SpecError(f"undefined species name {node.name!r}")
+            seen.add(node.name)
+            node = self._defs[node.name]
+        return self._compile(node)
+
+    def _parts(self, node: Node):
+        """(kind, child nodes, payload) of a node that is not a name."""
+        if type(node) in _KIND_OF:
+            return _KIND_OF[type(node)], [getattr(node, f.name) for f in fields(node)], None
+        if isinstance(node, Compose):
+            return (K_SET if node.outer == "SET" else K_SEQ), (node.inner,), None
+        if isinstance(node, Sized):
+            return K_SIZED, (), tuple(as_exact(c) for c in node.coeffs)
+        if isinstance(node, Weighted):
+            model = node.model
+            if isinstance(model, TableWeight):
+                return K_TABLE, (node.inner,), model
+            if not isinstance(model, (UnitWeight, AtomMultiplicative)):
+                raise SpecError(f"unknown weight model {type(model).__name__}")
+            return K_WEIGHT, (node.inner,), as_exact(getattr(model, "c", 1))
+        if isinstance(node, Derive):
+            self._compile(node.inner)  # an undefined name raises first
+            defs = dict(self._defs)
+            try:
+                rewrite = derive_node(node.inner, defs)
+            except SpecError as e:
+                rewrite = _Fail(e)
+            else:
+                self._defs = defs
+            return K_DERIVE, (node.inner, rewrite), None
+        if isinstance(node, _Fail):
+            return K_FAIL, (), node.error
+        raise SpecError(f"cannot compile node {type(node).__name__}")
 
 
 # -- canonical objects ---------------------------------------------------
@@ -296,155 +420,100 @@ class Enumerator:
 
     ``enumerate(node, n, power)`` returns the duplicate-free list of
     (canonical object, nu^power weight) pairs of size n, sorted by
-    encoding.
+    encoding, memoised per (node id, size, power).
     """
 
     def __init__(self, spec: SpeciesSpec, guard: int = DEFAULT_SIZE_GUARD):
-        self.spec = spec
         self.guard = guard
+        self.program = Program(spec)
         self._memo: Dict[tuple, list] = {}
         self._busy: set = set()
 
-    def enumerate(self, node: Node, n: int, power: int = 1) -> list:
+    def enumerate(self, node: Node | int, n: int, power: int = 1) -> list:
+        return self._enumerate(self.program.id_of(node), n, power)
+
+    def enumerate_root(self, n: int, power: int = 1) -> list:
+        return self.enumerate(self.program.root, n, power)
+
+    # internal
+
+    def _enumerate(self, i: int, n: int, power: int) -> list:
         if n > self.guard:
-            raise SizeGuardExceeded(
-                f"size {n} exceeds enumeration guard {self.guard}"
-            )
-        key = (node, n, power)
-        if key in self._memo:
-            return self._memo[key]
+            raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {self.guard}")
+        key = (i, n, power)
+        result = self._memo.get(key)
+        if result is not None:
+            return result
         if key in self._busy:
-            raise IllFoundedRecursion(
-                "recursive definition does not increase size"
-            )
+            raise IllFoundedRecursion()
         self._busy.add(key)
         try:
-            result = self._compute(node, n, power)
+            result = self._list[self.program.kind[i]](self, i, n, power)
         finally:
             self._busy.discard(key)
         result.sort(key=lambda p: p[0])
         self._memo[key] = result
         return result
 
-    def enumerate_root(self, n: int, power: int = 1) -> list:
-        return self.enumerate(self.spec.root, n, power)
+    def _product(self, i: int, n: int, power: int) -> list:
+        left, right = self.program.args[i]
+        out = []
+        for k in range(n + 1):
+            lo = self._enumerate(left, k, power)
+            if lo:
+                ro = self._enumerate(right, n - k, power)
+                out += [(("prod", a, b), wa * wb) for a, wa in lo for b, wb in ro]
+        return out
 
-    # internal
-
-    def _compute(self, node: Node, n: int, power: int) -> list:
-        if isinstance(node, Atom):
-            return [(ATOM_OBJ, Fraction(1))] if n == 1 else []
-        if isinstance(node, Epsilon):
-            return [(EPS_OBJ, Fraction(1))] if n == 0 else []
-        if isinstance(node, Zero):
-            return []
-        if isinstance(node, Sized):
-            if 1 <= n < len(node.coeffs) and node.coeffs[n]:
-                return [(("blob", n), node.coeffs[n] ** power)]
-            return []
-        if isinstance(node, Ref):
-            return list(self.enumerate(self.spec.resolve(node.name), n, power))
-        if isinstance(node, Union):
-            out = [
-                (("tag", 0, o), w) for o, w in self.enumerate(node.left, n, power)
-            ]
-            out += [
-                (("tag", 1, o), w) for o, w in self.enumerate(node.right, n, power)
-            ]
-            return out
-        if isinstance(node, Product):
-            out = []
-            for k in range(n + 1):
-                left = self.enumerate(node.left, k, power)
-                if not left:
-                    continue
-                right = self.enumerate(node.right, n - k, power)
-                for a, wa in left:
-                    for b, wb in right:
-                        out.append((("prod", a, b), wa * wb))
-            return out
-        if isinstance(node, (SetOf, Compose)) and (
-            isinstance(node, SetOf) or node.outer == "SET"
-        ):
-            inner = node.inner
-            self._check_no_empty(inner, power)
-            return [
-                (("set", ms), w) for ms, w in self._multisets(inner, n, power)
-            ]
-        if isinstance(node, (SeqOf, Compose)):
-            inner = node.inner
-            self._check_no_empty(inner, power)
-            return [
-                (("seq", sq), w) for sq, w in self._sequences(inner, n, power)
-            ]
-        if isinstance(node, Weighted):
-            out = []
-            for o, w in self.enumerate(node.inner, n, power):
-                f = node.model.factor(o, n)
-                if f:
-                    out.append((o, w * f**power))
-            return out
-        if isinstance(node, Derive):
-            seen = {}
-            for o, w in self.enumerate(node.inner, n + 1, power):
-                for marked in mark_one_atom(o):
-                    c = canonicalize(marked)
-                    seen[c] = w
-            return list(seen.items())
-        raise SpecError(f"cannot enumerate node {type(node).__name__}")
-
-    def _check_no_empty(self, inner: Node, power: int):
-        if self.enumerate(inner, 0, power):
+    def _collection(self, head: str, parts, i: int, n: int, power: int) -> list:
+        inner = self.program.args[i][0]
+        if self._enumerate(inner, 0, power):
             raise SpecError(
                 "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
             )
+        return [((head, c), w) for c, w in parts(inner, n, power)]
 
-    def _multisets(self, inner: Node, n: int, power: int):
-        """(sorted tuple of children, weight) for all multisets of total
-        size n, grouped by the size profile."""
-        by_size = {
-            s: self.enumerate(inner, s, power) for s in range(1, n + 1)
-        }
-        sizes = [s for s in range(1, n + 1) if by_size[s]]
+    def _weighted(self, i: int, n: int, power: int) -> list:
+        model = self.program.nodes[i].model
         out = []
-
-        def rec(remaining: int, size_idx: int, chosen: tuple, weight: Fraction):
-            if remaining == 0:
-                out.append((tuple(sorted(chosen)), weight))
-                return
-            if size_idx >= len(sizes):
-                return
-            s = sizes[size_idx]
-            max_k = remaining // s
-            orbits = by_size[s]
-            for k in range(max_k + 1):
-                if k == 0:
-                    rec(remaining, size_idx + 1, chosen, weight)
-                else:
-                    for combo in itertools.combinations_with_replacement(
-                        orbits, k
-                    ):
-                        w = weight
-                        objs = []
-                        for o, ow in combo:
-                            w *= ow
-                            objs.append(o)
-                        rec(
-                            remaining - k * s,
-                            size_idx + 1,
-                            chosen + tuple(objs),
-                            w,
-                        )
-
-        rec(n, 0, (), Fraction(1))
+        for o, w in self._enumerate(self.program.args[i][0], n, power):
+            f = model.factor(o, n)
+            if f:
+                out.append((o, w * f**power))
         return out
 
-    def _sequences(self, inner: Node, n: int, power: int):
+    def _derive(self, i: int, n: int, power: int) -> list:
+        seen = {}
+        for o, w in self._enumerate(self.program.args[i][0], n + 1, power):
+            for marked in mark_one_atom(o):
+                seen[canonicalize(marked)] = w
+        return list(seen.items())
+
+    def _multisets(self, inner: int, n: int, power: int):
+        """(sorted tuple of children, weight) for all multisets of total
+        size n: each is drawn once, as a non-decreasing sequence of
+        positions in the list of inner orbits ordered by size."""
+        orbits = [(o, w, s) for s in range(1, n + 1) for o, w in self._enumerate(inner, s, power)]
+        out = []
+
+        def rec(start: int, remaining: int, chosen: tuple, weight):
+            if remaining == 0:
+                out.append((tuple(sorted(chosen)), weight))
+            for k in range(start, len(orbits)):
+                o, w, s = orbits[k]
+                if s > remaining:
+                    break
+                rec(k, remaining - s, chosen + (o,), weight * w)
+
+        rec(0, n, (), Fraction(1))
+        return out
+
+    def _sequences(self, inner: int, n: int, power: int):
         if n == 0:
             return [((), Fraction(1))]
         out = []
         for s in range(1, n + 1):
-            heads = self.enumerate(inner, s, power)
+            heads = self._enumerate(inner, s, power)
             if not heads:
                 continue
             tails = self._sequences(inner, n - s, power)
@@ -452,6 +521,28 @@ class Enumerator:
                 for t, tw in tails:
                     out.append(((o,) + t, ow * tw))
         return out
+
+    # plain functions, not bound methods, so an enumerator holds no
+    # reference cycle: (enumerator, id, size, power) -> orbits
+    _list = by_kind(
+        ATOM=lambda e, i, n, p: [(ATOM_OBJ, Fraction(1))] if n == 1 else [],
+        EPSILON=lambda e, i, n, p: [(EPS_OBJ, Fraction(1))] if n == 0 else [],
+        ZERO=lambda e, i, n, p: [],
+        SIZED=lambda e, i, n, p: [(("blob", n), e.program.sized(i, n) ** p)]
+        if e.program.sized(i, n) else [],
+        UNION=lambda e, i, n, p: [
+            (("tag", side, o), w)
+            for side, c in enumerate(e.program.args[i])
+            for o, w in e._enumerate(c, n, p)
+        ],
+        PRODUCT=_product,
+        SET=lambda e, i, n, p: e._collection("set", e._multisets, i, n, p),
+        SEQ=lambda e, i, n, p: e._collection("seq", e._sequences, i, n, p),
+        WEIGHT=_weighted,
+        TABLE=_weighted,
+        DERIVE=_derive,
+        FAIL=fail,
+    )
 
 
 def unrank_by_weight(

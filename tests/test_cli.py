@@ -171,3 +171,17 @@ class TestErrors:
     def test_non_composite_root_exits_3(self, capsys):
         code, _ = run(capsys, "coeffs", "--spec", "T := ATOM * SET(T);", "--trunc", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["coeffs", "sample"])
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("A := B; B := A; F := COMPOSE(SET, A);", 2,
+             "recursive definition does not increase size"),
+            ("F := COMPOSE(SET, Q);", 2, "undefined species name 'Q'"),
+            ("A := B; B := A;", 3, "model root must be a COMPOSE(SET|SEQ, inner) species"),
+        ],
+    )
+    def test_name_errors_keep_type_and_exit_code(self, capsys, command, text, code, message):
+        assert main([command, "--spec", text, "--trunc", "10"]) == code
+        assert message in capsys.readouterr().err

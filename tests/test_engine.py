@@ -134,6 +134,14 @@ class TestGuards:
         with pytest.raises(IllFoundedRecursion):
             ogf(s, 3)
 
+    def test_underivable_derive_fails_only_when_counted(self):
+        # the enumerator marks atoms and needs no rewrite; counting needs
+        # derive_node's rewrite, which refuses non-unit weights
+        s = parse_dsl("D := DERIVE(WEIGHT(ATOM, 2));")
+        assert Enumerator(s).enumerate_root(0) == [(("star",), 2)]
+        with pytest.raises(SpecError, match="non-unit weights"):
+            SeriesEngine(s).coeff(s.root, 1, 0)
+
     def test_set_of_possibly_empty_rejected(self):
         from polyagibbs.species import Epsilon, Union
 

@@ -296,3 +296,61 @@ class TestLargeTruncation:
     def test_composite_draw_at_radius(self, deep_forest_model):
         rho = deep_forest_model.rho.rho
         deep_forest_model.sample_composite(rho, random.Random(2))
+
+
+class TestThreadSafety:
+    def test_shared_cold_model_draws_match_sequential_runs(self):
+        # one model, cold caches, four threads: engine fills, the compiled
+        # program and the sampler tables are shared, and each thread's
+        # draws must equal a sequential run of the same seed
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        text = "B := ATOM + ATOM * SEQ(B); T := ATOM * SET(T) + B; F := COMPOSE(SET, T);"
+        sizes = (8, 16, 32, 48)
+        start = threading.Barrier(4, timeout=60)
+
+        def draws(model, seed, wait=False):
+            if wait:
+                start.wait()
+            rng = random.Random(seed)
+            return [model.sample_S_n(n, rng) for n in sizes for _ in range(20)]
+
+        shared = GibbsModel.from_species(parse_dsl(text), truncation=40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda s: draws(shared, s, wait=True), range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(4):
+            fresh = GibbsModel.from_species(parse_dsl(text), truncation=40)
+            assert got[seed] == draws(fresh, seed)
+
+
+class TestLifetime:
+    def test_model_is_freed_without_the_cycle_collector(self):
+        # no reference cycle through the engine, the samplers or the
+        # enumerator: a model a caller drops frees its streams and tables
+        # at once, which keeps peak memory flat over many models
+        import gc
+        import weakref
+
+        text = "B := ATOM + ATOM * SEQ(B); T := ATOM * SET(T) + B; F := COMPOSE(SET, T);"
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = GibbsModel.from_species(parse_dsl(text), truncation=30)
+            model.sample_S_n(10, random.Random(1))
+            model.sample_S_n(6, random.Random(1), method="rejection")
+            model.limit_remainder_distribution(5)
+            parts = (model, model.engine, model.exact_sampler(),
+                     model.inner_sampler(), model.enumerator())
+            refs = [weakref.ref(p) for p in parts]
+            del model, parts
+            assert all(r() is None for r in refs)
+        finally:
+            if enabled:
+                gc.enable()
