@@ -8,7 +8,8 @@ weighting nu^p, degree by degree:
   n * b_n = sum_k q_k b_{n-k} with q_k = sum_{d|k} d * s_d^{(p*k/d)},
 * SEQ uses the quasi-inverse recurrence c_n = sum_k s_k^{(p)} c_{n-k},
 * PRODUCT is a Cauchy convolution, UNION a sum, DERIVE a structural
-  rewrite (product rule; SET' = SET * inner', SEQ' = SEQ * inner' * SEQ).
+  rewrite (product rule; SET' = SET * inner', SEQ' = SEQ * inner' * SEQ),
+  compiled into the program the first time the DERIVE is counted.
 
 The engine counts the spec's compiled :class:`~polyagibbs.species.Program`,
 with one handler per kind tag and one stream per (node id, power).
@@ -72,7 +73,9 @@ class SeriesEngine:
                 arr.append(value)
             return arr[n]
 
-    def ogf(self, truncation: int, node: Node | int | None = None, power: int = 1) -> TruncatedSeries:
+    def ogf(
+        self, truncation: int, node: Node | int | None = None, power: int = 1
+    ) -> TruncatedSeries:
         i = self.program.root if node is None else self.program.id_of(node)
         return TruncatedSeries(
             [self.at(i, power, n) for n in range(truncation + 1)],
@@ -117,8 +120,8 @@ class SeriesEngine:
         (guarded to small sizes)."""
         with self._lock:
             if self._enum is None:
-                self._enum = Enumerator(self.spec)
-            return self._enum.enumerate(self.program.nodes[i], n, power)
+                self._enum = Enumerator(self.program)
+            return self._enum.enumerate(i, n, power)
 
     # plain functions, not bound methods: an engine holds no reference
     # cycle, so it is freed as soon as its last user drops it
@@ -133,9 +136,11 @@ class SeriesEngine:
         ),
         SET=lambda e, i, p, n: e._recurrence(i, p, n, e._euler_term, n),
         SEQ=lambda e, i, p, n: e._recurrence(i, p, n, e.at, 1),
-        WEIGHT=lambda e, i, p, n: e.at(e.program.args[i][0], p, n) * e.program.data[i] ** (p * n),
+        WEIGHT=lambda e, i, p, n: (
+            e.at(e.program.args[i][0], p, n) * e.program.data[i] ** (p * n)
+        ),
         TABLE=lambda e, i, p, n: as_exact(sum(w for _, w in e.orbits(i, n, p))),
-        DERIVE=lambda e, i, p, n: e.at(e.program.args[i][1], p, n),
+        DERIVE=lambda e, i, p, n: e.at(e.program.derivative(i), p, n),
         FAIL=fail,
     )
 

@@ -365,7 +365,7 @@ class GibbsModel:
 
     def enumerator(self) -> Enumerator:
         if self._enum is None:
-            self._enum = Enumerator(self.spec, guard=16)
+            self._enum = Enumerator(self.engine.program, guard=16)
         return self._enum
 
     # -- partial evaluations (consistent with the truncated samplers)
@@ -525,7 +525,7 @@ class GibbsModel:
         series at rho; exact orbit probabilities up to size ``cap`` plus
         the residual tail mass, with a sensitivity from the rho spread."""
         if cap > self.enumerator().guard:
-            self._enum = Enumerator(self.spec, guard=cap)
+            self._enum = Enumerator(self.engine.program, guard=cap)
         rho = self.rho.rho
         probs, lo, hi = self._limit_probs(cap, rho)
         spread = self.rho.spread

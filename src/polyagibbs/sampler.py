@@ -110,8 +110,8 @@ def _blocks(terms, head: str, s, i: int, power: int, n: int, rng):
     return (head, tuple(sorted(parts) if head == "set" else parts))
 
 
-def _empty(n: int):
-    raise EmptySize(f"no objects of size {n}")
+def _empty(message: str):
+    raise EmptySize(message)
 
 
 def _cannot_sample(*_):
@@ -128,7 +128,9 @@ class ExactSampler:
         self.program = self.engine.program
         self.root = self.program.id_of(spec.root)
         self._tables: Dict[tuple, DiscreteLaw] = {}
-        # the program never changes, so each id's handler is looked up once
+        # each id's handler is looked up once: a draw follows child ids
+        # only, and the program compiles nothing later but DERIVE
+        # rewrites, which are counted and never drawn
         self._draw = [self._kinds[k] for k in self.program.kind]
 
     def sample(self, n: int, rng: random.Random, power: int = 1):
@@ -178,10 +180,14 @@ class ExactSampler:
     # plain functions, not bound methods, so a sampler holds no reference
     # cycle and is freed as soon as its last user drops it
     _kinds = by_kind(
-        ATOM=lambda s, i, p, n, rng: ATOM_OBJ if n == 1 else _empty(n),
-        EPSILON=lambda s, i, p, n, rng: EPS_OBJ if n == 0 else _empty(n),
-        ZERO=lambda s, i, p, n, rng: _empty(n),
-        SIZED=lambda s, i, p, n, rng: ("blob", n) if s.program.sized(i, n) else _empty(n),
+        ATOM=lambda s, i, p, n, rng: ATOM_OBJ if n == 1 else _empty(f"no atom of size {n}"),
+        EPSILON=lambda s, i, p, n, rng: (
+            EPS_OBJ if n == 0 else _empty(f"no empty object of size {n}")
+        ),
+        ZERO=lambda s, i, p, n, rng: _empty("the empty species has no objects"),
+        SIZED=lambda s, i, p, n, rng: (
+            ("blob", n) if s.program.sized(i, n) else _empty(f"no sized orbit at size {n}")
+        ),
         UNION=_union,
         PRODUCT=_product,
         SET=partial(_blocks, _set_terms, "set"),

@@ -10,7 +10,8 @@ integer id, one kind tag and the ids of its children, names are resolved at
 compile time, and equal subtrees share one id.  The engine, the exact
 sampler and the enumerator dispatch on the kind tag and key their streams,
 laws and memos by plain ints; the Node trees stay the form that the DSL,
-the JSON codec and the derivative rewrite work on.
+the JSON codec and the derivative rewrite work on.  The rewrite of a
+DERIVE is compiled into the program the first time it is counted.
 
 Unlabelled objects are canonical nested tuples; two objects are isomorphic
 iff their encodings are equal.  Enumeration is the test oracle of the whole
@@ -20,6 +21,7 @@ small sizes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, fields
@@ -218,14 +220,13 @@ def fail(consumer, i: int, *_):
 
 @dataclass(frozen=True)
 class _Fail(Node):
-    """Raises a copy of ``error`` when used: an alias cycle, or a DERIVE
-    that has no rewrite."""
+    """Raises a copy of ``error`` when used: a pure alias cycle."""
 
     error: Exception
 
 
 _KIND_OF = {Atom: K_ATOM, Epsilon: K_EPSILON, Zero: K_ZERO, Union: K_UNION,
-            Product: K_PRODUCT, SetOf: K_SET, SeqOf: K_SEQ}
+            Product: K_PRODUCT, SetOf: K_SET, SeqOf: K_SEQ, Derive: K_DERIVE}
 
 
 class Program:
@@ -233,14 +234,16 @@ class Program:
 
     Node i has a kind tag ``kind[i]`` (an index into ``KINDS``), child ids
     ``args[i]``, a payload ``data[i]`` (SIZED coefficients, WEIGHT constant,
-    TABLE model, FAIL error) and its source node ``nodes[i]``; COMPOSE
-    compiles to SET or SEQ.  A name gets the id of the first non-name node
-    of its chain, and a pure alias cycle such as ``X := X;`` is a FAIL node
-    raising :class:`IllFoundedRecursion`.  Equal subtrees share one id.
-    DERIVE has the children (inner, rewrite): the enumerator marks atoms of
-    inner objects, the engine counts the :func:`derive_node` rewrite.  The
-    nodes reachable from the root are compiled on construction, and the
-    program never changes after it, so threads may share it.
+    TABLE model, FAIL error, DERIVE rewrite id) and its source node
+    ``nodes[i]``; COMPOSE compiles to SET or SEQ.  A name gets the id of the
+    first non-name node of its chain, and a pure alias cycle such as
+    ``X := X;`` is a FAIL node raising :class:`IllFoundedRecursion`.  Equal
+    subtrees share one id.  The nodes reachable from the root are compiled
+    on construction.  DERIVE has its inner node as only child, whose atoms
+    the enumerator marks; the :func:`derive_node` rewrite that the engine
+    counts is compiled by :meth:`derivative` on first use, because a name
+    whose body derives itself has derivatives of every order.  So the
+    program only grows: existing ids never change.
     """
 
     def __init__(self, spec: SpeciesSpec):
@@ -265,18 +268,33 @@ class Program:
         coeffs = self.data[i]
         return coeffs[n] if 1 <= n < len(coeffs) else 0
 
+    def derivative(self, i: int) -> int:
+        """The id of the rewrite of DERIVE node i, compiled on first use.
+        A rewrite that :func:`derive_node` refuses raises its `SpecError`
+        on every call and leaves the program as it was.  The caller
+        serialises calls (the engine holds its lock)."""
+        if self.data[i] is None:
+            defs = dict(self._defs)
+            rewrite = derive_node(self.nodes[i].inner, defs)
+            self._defs = defs
+            self.data[i] = self._compile(rewrite)
+        return self.data[i]
+
     def _compile(self, node: Node) -> int:
         i = self._ids.get(node)
-        if i is None and isinstance(node, Ref):
+        if i is not None:
+            return i
+        if isinstance(node, Ref):
             i = self._ids[node] = self._resolve(node)
-        elif i is None:
-            # the id exists before the children, so recursion finds it
-            i = self._ids[node] = len(self.nodes)
-            for column, value in ((self.nodes, node), (self.kind, None),
-                                  (self.args, ()), (self.data, None)):
-                column.append(value)
-            self.kind[i], children, self.data[i] = self._parts(node)
-            self.args[i] = tuple(self._compile(c) for c in children)
+            return i
+        kind, children, payload = self._parts(node)
+        # the id exists before the children, so recursion finds it
+        i = self._ids[node] = len(self.nodes)
+        self.nodes.append(node)
+        self.kind.append(kind)
+        self.args.append(())
+        self.data.append(payload)
+        self.args[i] = tuple(self._compile(c) for c in children)
         return i
 
     def _resolve(self, node: Ref) -> int:
@@ -293,7 +311,8 @@ class Program:
     def _parts(self, node: Node):
         """(kind, child nodes, payload) of a node that is not a name."""
         if type(node) in _KIND_OF:
-            return _KIND_OF[type(node)], [getattr(node, f.name) for f in fields(node)], None
+            children = [getattr(node, f.name) for f in fields(node)]
+            return _KIND_OF[type(node)], children, None
         if isinstance(node, Compose):
             return (K_SET if node.outer == "SET" else K_SEQ), (node.inner,), None
         if isinstance(node, Sized):
@@ -305,16 +324,6 @@ class Program:
             if not isinstance(model, (UnitWeight, AtomMultiplicative)):
                 raise SpecError(f"unknown weight model {type(model).__name__}")
             return K_WEIGHT, (node.inner,), as_exact(getattr(model, "c", 1))
-        if isinstance(node, Derive):
-            self._compile(node.inner)  # an undefined name raises first
-            defs = dict(self._defs)
-            try:
-                rewrite = derive_node(node.inner, defs)
-            except SpecError as e:
-                rewrite = _Fail(e)
-            else:
-                self._defs = defs
-            return K_DERIVE, (node.inner, rewrite), None
         if isinstance(node, _Fail):
             return K_FAIL, (), node.error
         raise SpecError(f"cannot compile node {type(node).__name__}")
@@ -420,12 +429,14 @@ class Enumerator:
 
     ``enumerate(node, n, power)`` returns the duplicate-free list of
     (canonical object, nu^power weight) pairs of size n, sorted by
-    encoding, memoised per (node id, size, power).
+    encoding, memoised per (node id, size, power).  ``spec`` may be an
+    already compiled :class:`Program`, whose ids the enumerator then
+    shares.
     """
 
-    def __init__(self, spec: SpeciesSpec, guard: int = DEFAULT_SIZE_GUARD):
+    def __init__(self, spec: SpeciesSpec | Program, guard: int = DEFAULT_SIZE_GUARD):
         self.guard = guard
-        self.program = Program(spec)
+        self.program = spec if isinstance(spec, Program) else Program(spec)
         self._memo: Dict[tuple, list] = {}
         self._busy: set = set()
 
@@ -491,21 +502,42 @@ class Enumerator:
 
     def _multisets(self, inner: int, n: int, power: int):
         """(sorted tuple of children, weight) for all multisets of total
-        size n: each is drawn once, as a non-decreasing sequence of
-        positions in the list of inner orbits ordered by size."""
-        orbits = [(o, w, s) for s in range(1, n + 1) for o, w in self._enumerate(inner, s, power)]
+        size n, grouped by the size profile."""
+        by_size = {
+            s: self._enumerate(inner, s, power) for s in range(1, n + 1)
+        }
+        sizes = [s for s in range(1, n + 1) if by_size[s]]
         out = []
 
-        def rec(start: int, remaining: int, chosen: tuple, weight):
+        def rec(remaining: int, size_idx: int, chosen: tuple, weight: Fraction):
             if remaining == 0:
                 out.append((tuple(sorted(chosen)), weight))
-            for k in range(start, len(orbits)):
-                o, w, s = orbits[k]
-                if s > remaining:
-                    break
-                rec(k, remaining - s, chosen + (o,), weight * w)
+                return
+            if size_idx >= len(sizes):
+                return
+            s = sizes[size_idx]
+            max_k = remaining // s
+            orbits = by_size[s]
+            for k in range(max_k + 1):
+                if k == 0:
+                    rec(remaining, size_idx + 1, chosen, weight)
+                else:
+                    for combo in itertools.combinations_with_replacement(
+                        orbits, k
+                    ):
+                        w = weight
+                        objs = []
+                        for o, ow in combo:
+                            w *= ow
+                            objs.append(o)
+                        rec(
+                            remaining - k * s,
+                            size_idx + 1,
+                            chosen + tuple(objs),
+                            w,
+                        )
 
-        rec(0, n, (), Fraction(1))
+        rec(n, 0, (), Fraction(1))
         return out
 
     def _sequences(self, inner: int, n: int, power: int):

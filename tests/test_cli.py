@@ -50,6 +50,21 @@ class TestCoeffs:
         assert data[0].split(",")[0] == "n"
         assert data[1 + 5].split(",")[1] == "9"
 
+    def test_name_whose_body_derives_itself(self, capsys):
+        # T_n = (n - 1)!; each size counts one more derivative of T
+        text = "T := ATOM + ATOM * ATOM * DERIVE(T); F := COMPOSE(SET, T);"
+        code, out = run(capsys, "coeffs", "--spec", text, "--trunc", "10")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        inner = [0] + [math.factorial(n - 1) for n in range(1, 11)]
+        assert [r[1] for r in rows] == [str(a) for a in inner]
+        # multisets of T: n b_n = sum_k c_k b_{n-k}, c_k = sum_{d | k} d a_d
+        b = [1]
+        for n in range(1, 11):
+            c = [sum(d * inner[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+            b.append(sum(c[k] * b[n - k] for k in range(1, n + 1)) // n)
+        assert [r[2] for r in rows] == [str(x) for x in b]
+
 
 class TestSample:
     def test_transcript_shape(self, capsys):

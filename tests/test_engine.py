@@ -1,5 +1,6 @@
 """Coefficient engine: recurrences cross-checked against brute enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,23 @@ class TestAgainstEnumeration:
     def test_composite_with_seq_outer(self):
         s = spec(Compose("SEQ", Ref("T")), dict(polya_trees().defs))
         assert list(ogf(s, 8).coeffs) == enum_totals(s, 8)
+
+    def test_name_whose_body_derives_itself(self):
+        # T_n = [n = 1] + (n - 1) T_{n-1} = (n - 1)!: counting T at size n
+        # takes derivatives of T of every order up to n, so they are
+        # compiled as they are counted, and the enumerator needs none
+        s = parse_dsl("T := ATOM + ATOM * ATOM * DERIVE(T);")
+        counts = list(SeriesEngine(s).ogf(7).coeffs)
+        assert counts == [0] + [math.factorial(n - 1) for n in range(1, 8)]
+        assert enum_totals(s, 3) == counts[:4]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the enumerator marks every DERIVE with the same star, so marking "
+        "an atom of an object that already holds a star can merge two "
+        "objects of the second derivative"))
+    def test_enumerator_keeps_nested_derive_markings_apart(self):
+        s = parse_dsl("T := ATOM + ATOM * ATOM * DERIVE(T);")
+        assert enum_totals(s, 4)[4] == 6
 
 
 class TestGuards:

@@ -11,6 +11,8 @@ from polyagibbs import (
     GibbsModel,
     LimitLaw,
     PreconditionError,
+    SeriesEngine,
+    SpecError,
     boltzmann_size_distribution,
     forests,
     geometric,
@@ -350,6 +352,34 @@ class TestLifetime:
                      model.inner_sampler(), model.enumerator())
             refs = [weakref.ref(p) for p in parts]
             del model, parts
+            assert all(r() is None for r in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_derive_leaves_no_cycle(self):
+        # a DERIVE compiles its rewrite into the program when first
+        # counted; a rewrite that derive_node refuses leaves nothing behind
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            text = "T := ATOM * SET(T); D := ATOM * DERIVE(T); F := COMPOSE(SET, D);"
+            model = GibbsModel.from_species(parse_dsl(text), truncation=30)
+            model.inner_ogf(2)
+            model.composite_ogf
+            bad = SeriesEngine(parse_dsl("D := ATOM * DERIVE(WEIGHT(ATOM, 2));"))
+            for _ in range(2):
+                try:
+                    bad.coeff(bad.program.root, 1, 1)
+                except SpecError:
+                    pass
+                else:
+                    raise AssertionError("an underivable DERIVE was counted")
+            refs = [weakref.ref(p) for p in (model, model.engine, bad, bad.program)]
+            del model, bad
             assert all(r() is None for r in refs)
         finally:
             if enabled:
