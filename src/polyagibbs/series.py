@@ -11,7 +11,15 @@ Floating point enters only through :func:`evaluate` and
 estimate of :func:`evaluate` models the last-window term ratios as
 ``r(n) = r_inf * (n/(n+d))**beta``, i.e. geometric decay with an algebraic
 correction; a plain geometric majorant systematically underestimates the
-tail of algebraically-decaying series at their radius.
+tail of algebraically-decaying series at their radius.  The modelled tail
+beyond the last term is that term times
+
+    sum_{m>=1} r^m (1 + m*s)^(-beta) = s^(-beta) r Phi(r, beta, 1 + 1/s),
+
+s = d/N, where Phi is the Lerch transcendent (a Hurwitz zeta at r = 1).
+:func:`_tail_sum` computes it as one Gamma-weighted integral of negative-
+order polylogarithms, with `scipy.integrate.quad` to a relative 1e-13, and
+raises :class:`TailNotControlled` when the quadrature does not converge.
 """
 
 from __future__ import annotations
@@ -329,28 +337,86 @@ def _window_size(npoints: int) -> int:
     return max(10, npoints // 10)
 
 
-def _tail_sum(r: float, beta: float, step_over_n: float) -> float:
-    """sum_{m>=1} r^m (1 + m*s)^(-beta) with s = d/N, by direct summation
-    plus an integral bound for the slowly-convergent part."""
-    total = 0.0
-    term_cap = 200_000
-    m = 1
-    while m <= term_cap:
-        t = (r**m) * (1.0 + m * step_over_n) ** (-beta)
-        total += t
-        if t < 1e-17 * (1.0 + total):
-            return total
-        m += 1
-    # Remaining mass: integral of r^m (1+m s)^(-beta) dm over [m, inf).
+_TAIL_EPSREL = 1e-13
+
+
+def _eulerian(j: int) -> list[int]:
+    """Coefficients of the Eulerian polynomial A_j, lowest degree first."""
+    row = [1]
+    for n in range(2, j + 1):
+        # A(n, i) = (i + 1) A(n-1, i) + (n - i) A(n-1, i-1)
+        row = [(i + 1) * a + (n - i) * b for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
+
+
+def _tail_sum(r: float, beta: float, s: float) -> float:
+    """sum_{m>=1} r^m (1 + m*s)^(-beta) = s^(-beta) r Phi(r, beta, 1 + 1/s),
+    with Phi the Lerch transcendent, from its integral representation.
+
+    Write r = e^(-eps) and shift beta to b = beta + k > 1/2 with
+    k = max(0, ceil(1/2 - beta)).  Then
+    (1 + m*s)^(-beta) = (1 + m*s)^k (1 + m*s)^(-b),
+    (1 + m*s)^(-b) = Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t(1 + m*s)) dt;
+    expanding (1 + m*s)^k and summing over m under the integral gives
+
+        Gamma(b)^(-1) int_0^inf t^(b-1) e^(-t)
+            sum_{j<=k} C(k, j) s^j Li_{-j}(e^(-(eps + t*s))) dt,
+
+    where Li_{-j}(q) = sum_m m^j q^m = q A_j(q) / (1 - q)^(j+1) with A_j the
+    Eulerian polynomial.  The t^(b-1) singularity at 0 (t^(b-2) when
+    eps = 0, where beta > 1 and k = 0) is integrated with an algebraic
+    weight over [0, c]; [c, 1] and [1, inf) are integrated plainly.  Raises
+    :class:`TailNotControlled` when a piece's error estimate exceeds its
+    relative tolerance.
+    """
+    if r == 0.0:
+        return 0.0
     from scipy.integrate import quad
 
-    rest, _ = quad(
-        lambda u: math.exp(u * math.log(r)) * (1.0 + u * step_over_n) ** (-beta),
-        m,
-        math.inf,
-        limit=200,
+    eps = -math.log(r)
+    k = max(0, math.ceil(0.5 - beta))
+    b = beta + k
+    terms = [(math.comb(k, j) * s**j, _eulerian(j)) for j in range(k + 1)]
+
+    def kernel(x: float) -> float:
+        # sum_j C(k, j) s^j Li_{-j}(e^(-x)); 1 - q computed as -expm1(-x)
+        q, p = math.exp(-x), -math.expm1(-x)
+        total = 0.0
+        for j, (scale, poly) in enumerate(terms):
+            a = 0.0
+            for coeff in reversed(poly):
+                a = a * q + coeff
+            total += scale * a / p ** (j + 1)
+        return q * total
+
+    def body(t: float) -> float:
+        return t ** (b - 1.0) * math.exp(-t) * kernel(eps + t * s)
+
+    if eps == 0.0:
+        # t * Li_0(e^(-t*s)) = t / expm1(t*s) -> 1/s as t -> 0
+        head = lambda t: math.exp(-t) * (t / math.expm1(t * s) if t else 1.0 / s)
+        wvar = (b - 2.0, 0.0)
+    else:
+        head = lambda t: math.exp(-t) * kernel(eps + t * s)
+        wvar = (b - 1.0, 0.0)
+    c = min(max(eps / s, 1e-3), 1.0)
+    pieces = (
+        (head, 0.0, c, {"weight": "alg", "wvar": wvar}),
+        (body, c, 1.0, {}),
+        (body, 1.0, math.inf, {}),
     )
-    return total + rest
+    total = 0.0
+    for f, lo, hi, weight in pieces:
+        value, err, *_ = quad(
+            f, lo, hi, epsabs=0.0, epsrel=_TAIL_EPSREL, full_output=1, **weight
+        )
+        if err > _TAIL_EPSREL * abs(value):
+            raise TailNotControlled(
+                f"tail integral over [{lo:g}, {hi:g}] not converged "
+                f"(value {value:.6g}, error estimate {err:.3g})"
+            )
+        total += value
+    return total / math.gamma(b)
 
 
 def evaluate(g: TruncatedSeries, x: float, window: int | None = None) -> Evaluation:
@@ -359,7 +425,7 @@ def evaluate(g: TruncatedSeries, x: float, window: int | None = None) -> Evaluat
     The tail is inferred from the ratios of the last-window terms, fitted as
     ``ratio(n) = r_inf * (n/(n+d))**beta``.  Raises :class:`TailNotControlled`
     when the fitted limit ratio is >= 1 without an integrable algebraic
-    correction (beta <= 1).
+    correction (beta <= 1), or when the tail integral does not converge.
     """
     if x < 0:
         raise PreconditionError("evaluation point must be >= 0")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -431,7 +432,9 @@ class Enumerator:
     (canonical object, nu^power weight) pairs of size n, sorted by
     encoding, memoised per (node id, size, power).  ``spec`` may be an
     already compiled :class:`Program`, whose ids the enumerator then
-    shares.
+    shares.  Calls hold a per-instance reentrant lock, so threads sharing
+    an enumerator never see a half-built memo entry or mistake a key that
+    another thread is enumerating for a cycle.
     """
 
     def __init__(self, spec: SpeciesSpec | Program, guard: int = DEFAULT_SIZE_GUARD):
@@ -439,9 +442,11 @@ class Enumerator:
         self.program = spec if isinstance(spec, Program) else Program(spec)
         self._memo: Dict[tuple, list] = {}
         self._busy: set = set()
+        self._lock = threading.RLock()
 
     def enumerate(self, node: Node | int, n: int, power: int = 1) -> list:
-        return self._enumerate(self.program.id_of(node), n, power)
+        with self._lock:
+            return self._enumerate(self.program.id_of(node), n, power)
 
     def enumerate_root(self, n: int, power: int = 1) -> list:
         return self.enumerate(self.program.root, n, power)

@@ -187,6 +187,13 @@ class TestErrors:
         code, _ = run(capsys, "coeffs", "--spec", "T := ATOM * SET(T);", "--trunc", "5")
         assert code == 3
 
+    def test_unconverged_tail_sum_exits_3(self, capsys, monkeypatch):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, 1e-6, {}))
+        code, _ = run(capsys, "limit", "--spec", FOREST_DSL, "--trunc", "60", "--cap", "5")
+        assert code == 3
+
     @pytest.mark.parametrize("command", ["coeffs", "sample"])
     @pytest.mark.parametrize(
         "text, code, message",

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,16 @@ class TestLargeTruncation:
         assert math.fsum(probs.values()) + tail == pytest.approx(1.0, abs=1e-9)
         shallow, _ = forest_model.limit_component_count_law(12)
         assert max(abs(probs[k] - shallow[k]) for k in probs) < 5e-3
+
+    def test_count_law_tail_sums_converge(self, deep_forest_model):
+        # the tail sum's quadrature once warned "probably divergent" at
+        # truncation 80 and "roundoff error" at truncation 1000
+        shallow = GibbsModel.from_species(forests(), truncation=80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in (shallow, deep_forest_model):
+                probs, tail = model.limit_component_count_law(12)
+                assert math.fsum(probs.values()) + tail == pytest.approx(1.0, abs=1e-9)
 
     def test_rejection_draw(self, deep_forest_model):
         s = deep_forest_model.sample_S_n(8, random.Random(1), method="rejection")

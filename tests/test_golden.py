@@ -38,11 +38,11 @@ GOLDEN = {
     ),
     "asymptotics": (
         ["asymptotics", "--spec", FOREST, "--trunc", "150"],
-        "265c79013bab193f861a9a4d159929e6a82d9ba476c55afc6fdebf866d5a59de",
+        "d6c86c5a59e7414f879912215b06131adead51723d0022c52559de1bc06d83fe",
     ),
     "diagnose": (
         ["diagnose", "--spec", FOREST, "--trunc", "150"],
-        "6b2f790c978a0ab906076a1111572cb632578993fba1eea60f30270e95fae0d7",
+        "b79a3a2ea553b77fccdbf7148c5f3ef2920c84137844e15e53b965412a4cfab9",
     ),
     "sample-exact": (
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "15",
@@ -71,19 +71,19 @@ GOLDEN = {
     ),
     "limit": (
         ["limit", "--spec", FOREST, "--trunc", "60", "--cap", "7", "--seed", "14"],
-        "056f7d3e663e0265d0f74893ec3a23abed576a4882a3dddfb015226dea301f32",
+        "c4a5f2eebf5547a179c157df8380f6beff8916c14462de15ab298d94728b41e2",
     ),
     "tv-remainder": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
          "--samples", "2100", "--cap", "7", "--seed", "15", "--workers", "2",
          "--method", "rejection"],
-        "395b7a31d685549ab9d03646691d0e90493702f259b83c22ecc816eca2374e2b",
+        "ea978b7434172ead523a222dbe4e2e515ef1bcfc8de13510b2936e49e3476c4e",
     ),
     "tv-components": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8",
          "--samples", "2500", "--cap", "7", "--seed", "16", "--workers", "2",
          "--experiment", "components"],
-        "3acc561fd4ae7c2625587430045e3313cc9b52cec56fa8d1df93a05793e8b95b",
+        "99a4f737d239b84a4a85a74b9c45910c16f5b9005830659bcdadd0d7aba8aca5",
     ),
 }
 

@@ -17,7 +17,7 @@ from polyagibbs import (
     radius_estimate,
     series_from_terms,
 )
-from polyagibbs.series import exact_div
+from polyagibbs.series import _tail_sum, exact_div
 
 F = Fraction
 
@@ -219,6 +219,56 @@ class TestEvaluate:
     def test_monotone_in_x(self, x):
         g = geometric(80)
         assert evaluate(g, x).value <= evaluate(g, x + 0.05).value + 1e-12
+
+
+TAIL_BETAS = (-1.5, -0.3, 0.0, 1e-12, 0.3, 1.0, 1.5, 3.0)
+TAIL_STEPS = (1 / 50, 1 / 400)
+
+
+class TestTailSum:
+    """sum_{m>=1} r^m (1 + m*s)^(-beta) against oracles that share no code
+    with the quadrature."""
+
+    @pytest.mark.parametrize("s", TAIL_STEPS)
+    @pytest.mark.parametrize("beta", [b for b in TAIL_BETAS if b > 1])
+    def test_unit_ratio_is_hurwitz_zeta(self, beta, s):
+        from scipy.special import zeta
+
+        exact = s ** (-beta) * zeta(beta, 1.0 + 1.0 / s)
+        assert _tail_sum(1.0, beta, s) == pytest.approx(exact, rel=1e-12)
+
+    def test_unit_ratio_at_the_fitted_window(self):
+        # the r = 1 branch of evaluate once summed 763.76 here
+        assert _tail_sum(1.0, 1.5, 1 / 400) == pytest.approx(799.5003124997, rel=1e-12)
+
+    @pytest.mark.parametrize("s", TAIL_STEPS)
+    @pytest.mark.parametrize("beta", TAIL_BETAS)
+    @pytest.mark.parametrize("r", [0.3, 0.9])
+    def test_small_ratio_is_direct_sum(self, r, beta, s):
+        exact = math.fsum(r**m * (1.0 + m * s) ** (-beta) for m in range(1, 2000))
+        assert _tail_sum(r, beta, s) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("s", TAIL_STEPS)
+    @pytest.mark.parametrize("beta", TAIL_BETAS)
+    @pytest.mark.parametrize("r", [0.9999, 1 - 1e-9])
+    def test_ratio_near_one_is_lerch_transcendent(self, r, beta, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            rr, b, ss = mpmath.mpf(r), mpmath.mpf(beta), mpmath.mpf(s)
+            exact = float(ss ** (-b) * rr * mpmath.lerchphi(rr, b, 1 + 1 / ss))
+        assert _tail_sum(r, beta, s) == pytest.approx(exact, rel=1e-12)
+
+    def test_underflowing_ratio_has_no_tail(self):
+        # lattice step 4 at x = 1e-100: the fitted ratio underflows to 0
+        ev = evaluate(geometric(60).substitute_power(4, truncation=240), 1e-100)
+        assert ev.ratio == 0.0 and ev.tail == 0.0 and ev.value == 1.0
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, 1e-6, {}))
+        with pytest.raises(TailNotControlled):
+            _tail_sum(0.99, 1.5, 1 / 400)
 
 
 class TestRadius:

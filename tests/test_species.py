@@ -100,6 +100,32 @@ class TestEnumeration:
         with pytest.raises(IllFoundedRecursion):
             Enumerator(bad).enumerate_root(1)
 
+    def test_shared_cold_enumerator_matches_sequential_run(self):
+        # four threads on one cold enumerator: a key another thread is still
+        # enumerating must not look like a cycle, and no thread may read a
+        # half-built memo entry
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        expected = Enumerator(forests()).enumerate_root(9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                shared = Enumerator(forests())
+                start = threading.Barrier(4, timeout=60)
+
+                def run(_):
+                    start.wait()
+                    return shared.enumerate_root(9)
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(run, range(4), timeout=120))
+                assert got == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_unrank_covers_all_objects(self):
         en = Enumerator(forests())
         tab = en.enumerate_root(3)
