@@ -77,7 +77,6 @@ from .gibbs import (
     LimitLaw,
     PLACEHOLDER,
     PgfReport,
-    SymmetryDraw,
     boltzmann_size_distribution,
     general_symmetry_law,
     sample_set_symmetry,

@@ -10,7 +10,7 @@ every report here states last-window deviations, never verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -176,7 +176,8 @@ def _substitute(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     n = g.truncation
     acc = TruncatedSeries([f[0]], n)
     power = TruncatedSeries([1], n)
-    for k in range(1, f.truncation + 1):
+    # powers of g above f's top degree would be multiplied by zero
+    for k in range(1, max(f.nonzero_indices, default=0) + 1):
         power = power * g
         if f[k]:
             acc = acc + power * f[k]
@@ -192,9 +193,6 @@ class RatioLimitReport:
     track: List[Tuple[int, float]]
     deviation: Dict[int, float]
     rho: float
-
-    def to_rows(self):
-        return [(n, r) for n, r in self.track]
 
 
 def coefficient_ratio_experiment(model) -> RatioLimitReport:
@@ -271,11 +269,12 @@ class RadiusShiftProbe:
 
 
 def radius_shift_probe(model, epsilons) -> List[RadiusShiftProbe]:
-    """Evaluates the truncated outer cycle index at radius-shifted argument
-    values; a large value or residual is evidence (not proof) against the
-    finiteness assumption behind the limit theorem."""
+    """Evaluates the truncated outer cycle index
+    (:meth:`~polyagibbs.gibbs.GibbsModel.outer_index_value`) at
+    radius-shifted argument values; a large value or residual is evidence
+    (not proof) against the finiteness assumption behind the limit
+    theorem."""
     rho = model.rho.rho
-    zf = model.cycle_index()
     out = []
     for eps in epsilons:
         def args(i: int, eps=eps) -> float:
@@ -284,7 +283,7 @@ def radius_shift_probe(model, epsilons) -> List[RadiusShiftProbe]:
             return model.inner_value(i, (rho + eps) ** i)
 
         try:
-            value, residual = zf.evaluate_at(args)
+            value, residual = model.outer_index_value(args)
             diverged = not math.isfinite(value) or residual > 1e-3 * max(
                 abs(value), 1.0
             )

@@ -154,16 +154,7 @@ def product_terms(eng: SeriesEngine, i: int, left: int, right: int, power: int, 
             yield k, a * eng.at(right, power, n - k)
 
 
-_ENGINES: Dict[SpeciesSpec, SeriesEngine] = {}
-
-
-def engine_for(spec: SpeciesSpec) -> SeriesEngine:
-    eng = _ENGINES.get(spec)
-    if eng is None:
-        eng = _ENGINES[spec] = SeriesEngine(spec)
-    return eng
-
-
 def ogf(spec: SpeciesSpec, truncation: int, power: int = 1) -> TruncatedSeries:
-    """Counting series of the species under the nu^power weighting."""
-    return engine_for(spec).ogf(truncation, power=power)
+    """Counting series of the species under the nu^power weighting, from a
+    fresh engine that is freed with the result's last caller."""
+    return SeriesEngine(spec).ogf(truncation, power=power)

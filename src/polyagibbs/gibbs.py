@@ -1,8 +1,8 @@
 """Boltzmann-type random generation for composite species up to symmetry.
 
-A :class:`GibbsModel` packages an outer structure (SET or SEQ, or an
-explicit truncated cycle index) over an inner weighted species, together
-with the cached counting series the samplers and limit laws need:
+A :class:`GibbsModel` packages an outer structure, SET or SEQ, over an
+inner weighted species, together with the cached counting series the
+samplers and limit laws need:
 
 * the powered inner series family ``i -> G^{nu^i}``,
 * the composite series and the remainder-species series,
@@ -13,7 +13,9 @@ structure with argument values ``G^{nu^i}(y^i)``, then for each cycle of
 length ``l`` draw one inner object under the ``nu^l`` weighting from the
 Boltzmann law at ``y^l`` and attach ``l`` identical copies.  The induced
 law on composite orbits is the Boltzmann law of the composite series at
-``y``; conditioning on total size gives the weight-proportional law.
+``y``: :meth:`GibbsModel.sample_composite` returns that orbit, and
+conditioning on total size gives the weight-proportional law of
+:meth:`GibbsModel.sample_S_n`.
 
 Size distributions are truncated at the model truncation and renormalized;
 ``boltzmann_size_distribution`` records the neglected mass as the law's
@@ -21,8 +23,8 @@ Size distributions are truncated at the model truncation and renormalized;
 truncated values, so sampler-vs-formula comparisons are exact identities up
 to Monte Carlo noise.
 
-Block sizes, the longer cycles of a SET symmetry, cycle-index symmetries
-and limit remainders are drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
+Block sizes, the longer cycles of a SET symmetry and limit remainders are
+drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
 The model builds each law once per (stage, parameters) and caches it, so
 repeated draws at one parameter, as in the rejection sampler, only sample.
 A block-size law reads the powered inner coefficients only until its float
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
-from .cycleindex import CycleIndexPoly, CycleType, z_seq, z_set
+from .cycleindex import CycleIndexPoly, CycleType
 from .engine import SeriesEngine
 from .errors import (
     EmptySize,
@@ -67,42 +69,12 @@ _LOG_EPS = 1e-18
 # neglected intensity sum of a SET symmetry draw
 _SET_TAIL = 1e-12
 
+# attempts the rejection sampler makes before it gives up
+_REJECTION_BUDGET = 2_000_000
 
-@dataclass(frozen=True)
-class SymmetryDraw:
-    """Outer symmetry plus one inner attachment per cycle.
-
-    ``attachments`` holds (cycle_length, inner_size, inner_object) triples,
-    one per cycle; the ``cycle_length`` identical copies of the object are
-    implied, never materialized.  ``inner_object`` is None for size-only
-    draws.
-    """
-
-    cycle_type: CycleType
-    attachments: Tuple[Tuple[int, int, object], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(l * s for l, s, _ in self.attachments)
-
-    @property
-    def fixpoints(self) -> int:
-        return sum(1 for l, _, _ in self.attachments if l == 1)
-
-    @property
-    def non_fixpoint_size(self) -> int:
-        return sum(l * s for l, s, _ in self.attachments if l > 1)
-
-    def to_object(self, outer: str):
-        """The induced composite orbit (requires materialized objects)."""
-        copies = []
-        for l, _, obj in self.attachments:
-            if obj is None:
-                raise PreconditionError("size-only draw has no objects")
-            copies.extend([obj] * l)
-        if outer == "SET":
-            return ("set", tuple(sorted(copies)))
-        return ("seq", tuple(copies))
+# degree of the truncated outer cycle index that the cycle-statistics check
+# and the radius-shift probe evaluate; the residual is its part above half
+_INDEX_DEGREE = 40
 
 
 @dataclass(frozen=True)
@@ -133,11 +105,12 @@ def _size_law(
 ) -> DiscreteLaw:
     """Law P(size = n) proportional to g_n y^n over the (n, g_n) pairs of
     ``terms``.  Reading stops once three successive terms leave the float
-    sum of the weights unchanged, the same three-term rule as
-    ``GibbsModel.inner_value``.  Inside the disc of convergence the terms
-    decay geometrically, so every later size would get a cumulative
-    probability of exactly 1.0 and could never be drawn: the law is
-    bit-identical to the one over all terms."""
+    sum of the weights unchanged (``total + w == total``);
+    ``GibbsModel.inner_value`` stops on a different rule, three successive
+    terms with ``t < 1e-18 * (1 + total)``.  Inside the disc of convergence
+    the terms decay geometrically, so every later size would get a
+    cumulative probability of exactly 1.0 and could never be drawn: the law
+    is bit-identical to the one over all terms."""
     sizes, weights = [], []
     total, flat = 0.0, 0
     for n, c in terms:
@@ -155,15 +128,13 @@ def _size_law(
     return DiscreteLaw(sizes, weights, mass_defect)
 
 
-def boltzmann_size_distribution(
-    series: TruncatedSeries, y: float, window: int | None = None
-) -> DiscreteLaw:
+def boltzmann_size_distribution(series: TruncatedSeries, y: float) -> DiscreteLaw:
     """Discrete law P(size = n) proportional to g_n y^n, over n up to the
     truncation, with the neglected tail mass reported (estimated via the
     fitted tail model when the series is not polynomial)."""
     if y < 0:
         raise PreconditionError("Boltzmann parameter must be >= 0")
-    ev = evaluate(series, y, window=window)
+    ev = evaluate(series, y)
     if ev.value <= 0:
         raise ZeroMass("series evaluates to zero mass")
     terms = ((n, series[n]) for n in series.nonzero_indices)
@@ -263,12 +234,7 @@ def general_symmetry_law(
 class GibbsModel:
     """Composite model F over G with cached series and samplers."""
 
-    def __init__(
-        self,
-        composite: SpeciesSpec,
-        truncation: int = 200,
-        outer_cycle_index: CycleIndexPoly | None = None,
-    ):
+    def __init__(self, composite: SpeciesSpec, truncation: int = 200):
         # one compiled program, shared by the engine and both samplers
         self.engine = SeriesEngine(composite)
         program = self.engine.program
@@ -283,7 +249,6 @@ class GibbsModel:
         self.inner_id: int = program.args[program.root][0]
         self.inner_spec = composite.with_root(root.inner)
         self.truncation = truncation
-        self.outer_cycle_index = outer_cycle_index
         self._inner_ogf: Dict[int, TruncatedSeries] = {}
         self._composite_ogf: TruncatedSeries | None = None
         self._rho: RadiusEstimate | None = None
@@ -347,11 +312,6 @@ class GibbsModel:
     @property
     def span(self) -> int:
         return self.inner_ogf(1).lattice_span()
-
-    def cycle_index(self, degree: int = 40) -> CycleIndexPoly:
-        if self.outer_cycle_index is not None:
-            return self.outer_cycle_index
-        return z_set(degree) if self.outer == "SET" else z_seq(degree)
 
     def exact_sampler(self) -> ExactSampler:
         if self._sampler is None:
@@ -417,11 +377,6 @@ class GibbsModel:
         if self.outer == "SET":
             law = self._law(("set", y), lambda: set_symmetry_law(values))
             ct = sample_set_symmetry(law, rng)
-        elif self.outer_cycle_index is not None:
-            ct = self._law(
-                ("cycle", y),
-                lambda: general_symmetry_law(self.outer_cycle_index, values),
-            ).sample(rng)
         else:
             g = self.inner_value(1, y)
             if g >= 1.0:
@@ -442,19 +397,23 @@ class GibbsModel:
                 out.append((l, law.sample(rng)))
         return out
 
-    def sample_composite(self, y: float, rng: random.Random) -> SymmetryDraw:
-        """One Boltzmann composite draw at parameter y: symmetry, then one
+    def _orbit(self, pairs: List[Tuple[int, int]], rng: random.Random):
+        """The composite orbit of (cycle_length, inner_size) pairs: one
+        weight-proportional inner object per cycle, drawn in pair order
+        under the powered weighting, in ``cycle_length`` identical copies."""
+        sampler = self.inner_sampler()
+        copies = []
+        for l, s in pairs:
+            copies.extend([sampler.sample(s, rng, power=l)] * l)
+        if self.outer == "SET":
+            return ("set", tuple(sorted(copies)))
+        return ("seq", tuple(copies))
+
+    def sample_composite(self, y: float, rng: random.Random):
+        """One Boltzmann composite orbit at parameter y: symmetry, then one
         weight-proportional inner object per cycle (under the powered
         weighting), shared by the cycle's atoms."""
-        pairs = self.sample_symmetry_sizes(y, rng)
-        sampler = self.inner_sampler()
-        att = tuple(
-            (l, s, sampler.sample(s, rng, power=l)) for l, s in pairs
-        )
-        counts: Dict[int, int] = {}
-        for l, _ in pairs:
-            counts[l] = counts.get(l, 0) + 1
-        return SymmetryDraw(tuple(sorted(counts.items())), att)
+        return self._orbit(self.sample_symmetry_sizes(y, rng), rng)
 
     def tuned_parameter(self, n: int) -> float:
         """Rejection tuning y* = rho (1 - 1/n)^{1/d}, clipped to (0, rho]."""
@@ -463,14 +422,7 @@ class GibbsModel:
         y = rho * (1.0 - 1.0 / max(n, 2)) ** (1.0 / d)
         return min(max(y, 1e-12), rho)
 
-    def sample_S_n(
-        self,
-        n: int,
-        rng: random.Random,
-        method: str = "exact_recursive",
-        budget: int = 2_000_000,
-        y: float | None = None,
-    ):
+    def sample_S_n(self, n: int, rng: random.Random, method: str = "exact_recursive"):
         """Size-n composite orbit, weight-proportional."""
         if self.engine.at(self.engine.program.root, 1, n) == 0:
             raise EmptySize(f"no composite objects of size {n}")
@@ -478,20 +430,13 @@ class GibbsModel:
             return self.exact_sampler().sample(n, rng)
         if method != "rejection":
             raise PreconditionError(f"unknown sampling method {method!r}")
-        ystar = self.tuned_parameter(n) if y is None else y
-        sampler = self.inner_sampler()
-        for _ in range(budget):
+        ystar = self.tuned_parameter(n)
+        for _ in range(_REJECTION_BUDGET):
             pairs = self.sample_symmetry_sizes(ystar, rng)
-            if sum(l * s for l, s in pairs) != n:
-                continue
-            copies = []
-            for l, s in pairs:
-                copies.extend([sampler.sample(s, rng, power=l)] * l)
-            if self.outer == "SET":
-                return ("set", tuple(sorted(copies)))
-            return ("seq", tuple(copies))
+            if sum(l * s for l, s in pairs) == n:
+                return self._orbit(pairs, rng)
         raise RejectionBudgetExceeded(
-            f"no size-{n} draw within {budget} attempts at y*={ystar:.6g}"
+            f"no size-{n} draw within {_REJECTION_BUDGET} attempts at y*={ystar:.6g}"
         )
 
     # -- remainders
@@ -527,11 +472,11 @@ class GibbsModel:
         if cap > self.enumerator().guard:
             self._enum = Enumerator(self.engine.program, guard=cap)
         rho = self.rho.rho
-        probs, lo, hi = self._limit_probs(cap, rho)
+        probs = self._limit_probs(cap, rho)
         spread = self.rho.spread
         sens = 0.0
         for shifted in (rho - spread, rho + spread):
-            p2, _, _ = self._limit_probs(cap, shifted)
+            p2 = self._limit_probs(cap, shifted)
             sens = max(
                 sens,
                 max(abs(p2[k] - probs[k]) for k in probs) if probs else 0.0,
@@ -539,16 +484,14 @@ class GibbsModel:
         tail = 1.0 - math.fsum(probs.values())
         return LimitLaw(probs, tail, cap, sens, rho)
 
-    def _limit_probs(self, cap: int, rho: float):
-        denom_series = self.remainder_ogf
-        ev = evaluate(denom_series, rho)
-        D = ev.value
+    def _limit_probs(self, cap: int, rho: float) -> Dict[object, float]:
+        D = evaluate(self.remainder_ogf, rho).value
         if D <= 0:
             raise ZeroMass("remainder series evaluates to zero")
         probs: Dict[object, float] = {}
         for key, weight, size in self._remainder_orbits(cap):
             probs[key] = float(weight) * rho**size / D
-        return probs, ev.partial, ev.tail
+        return probs
 
     def _remainder_orbits(self, cap: int):
         """(canonical remainder, weight, size) for all remainder orbits of
@@ -626,12 +569,33 @@ class GibbsModel:
 
     # -- cycle statistics
 
+    def outer_index_value(self, args: Callable[[int], float]) -> Tuple[float, float]:
+        """Value of the outer cycle index truncated to degree 40 at
+        z_i = args(i), and its residual, the part of degree above 20.
+
+        The degree-k part e_k follows k e_k = sum_{i<=k} a_i e_{k-i} for
+        SET = exp(sum_i z_i / i) and e_k = a_1 e_{k-1} for SEQ = sum_k z_1^k,
+        from e_0 = 1; this is the polynomial that
+        :meth:`~polyagibbs.cycleindex.CycleIndexPoly.evaluate_at` sums term
+        by term, without its one term per partition."""
+        if self.outer == "SET":
+            a = [0.0] + [float(args(i)) for i in range(1, _INDEX_DEGREE + 1)]
+            e = [1.0]
+            for k in range(1, _INDEX_DEGREE + 1):
+                e.append(math.fsum(a[i] * e[k - i] for i in range(1, k + 1)) / k)
+        else:
+            a1 = float(args(1))
+            e = [1.0]
+            for _ in range(_INDEX_DEGREE):
+                e.append(a1 * e[-1])
+        return math.fsum(e), math.fsum(e[_INDEX_DEGREE // 2 + 1 :])
+
     def cycle_statistics_pgf_check(
         self, y_point: float, w_point: float, samples: int, rng: random.Random
     ) -> "PgfReport":
         """Monte Carlo check of the joint transform E[y^f w^h] at the
         radius, where f counts outer fixpoints and h is the total size
-        attached to longer cycles, against the cycle-index evaluation with
+        attached to longer cycles, against :meth:`outer_index_value` with
         the same truncated argument values."""
         rho = self.rho.rho
         total = 0.0
@@ -649,15 +613,14 @@ class GibbsModel:
         mc = total / samples
         var = max(sq / samples - mc * mc, 0.0)
         se = math.sqrt(var / samples)
-        zf = self.cycle_index()
 
         def args_num(i: int) -> float:
             if i == 1:
                 return y_point * self.inner_value(1, rho)
             return self.inner_value(i, (w_point * rho) ** i)
 
-        num, num_resid = zf.evaluate_at(args_num)
-        den, den_resid = zf.evaluate_at(lambda i: self.inner_value(i, rho**i))
+        num, num_resid = self.outer_index_value(args_num)
+        den, den_resid = self.outer_index_value(lambda i: self.inner_value(i, rho**i))
         exact = num / den
         return PgfReport(mc, se, exact, max(num_resid, den_resid), samples)
 
@@ -680,14 +643,6 @@ class LimitLaw:
 
     def sample(self, rng: random.Random):
         return self._law.sample(rng)
-
-    def pushforward(self, fn) -> Dict[object, float]:
-        """Exact law of fn(R) on the enumerated part (tail stays a bucket)."""
-        out: Dict[object, float] = {}
-        for k, p in self.probs.items():
-            fk = fn(k)
-            out[fk] = out.get(fk, 0.0) + p
-        return out
 
 
 @dataclass(frozen=True)

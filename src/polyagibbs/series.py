@@ -29,12 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InsufficientData, PreconditionError, TailNotControlled
-
-DEFAULT_TRUNCATION = 256
-
 
 def as_exact(x):
     """x as an `int` when it is integral, else as a `Fraction`."""
@@ -419,7 +416,7 @@ def _tail_sum(r: float, beta: float, s: float) -> float:
     return total / math.gamma(b)
 
 
-def evaluate(g: TruncatedSeries, x: float, window: int | None = None) -> Evaluation:
+def evaluate(g: TruncatedSeries, x: float) -> Evaluation:
     """Partial sum of g at x plus a modelled tail estimate.
 
     The tail is inferred from the ratios of the last-window terms, fitted as
@@ -451,8 +448,7 @@ def evaluate(g: TruncatedSeries, x: float, window: int | None = None) -> Evaluat
     d = g.lattice_span()
     # Ratio window over consecutive lattice points.
     pts = [n for n in nz if n > 0 and n + d in logs]
-    w = window if window is not None else _window_size(len(pts))
-    pts = pts[-w:]
+    pts = pts[-_window_size(len(pts)) :]
     if len(pts) < 3:
         raise TailNotControlled("too few terms to control the tail")
     # log ratio(n) = log r_inf + beta * log(n/(n+d))
@@ -482,11 +478,8 @@ class RadiusEstimate:
     spread: float
     window: int
 
-    def as_tuple(self):
-        return self.rho, self.span
 
-
-def radius_estimate(g: TruncatedSeries, window: int | None = None) -> RadiusEstimate:
+def radius_estimate(g: TruncatedSeries) -> RadiusEstimate:
     """Extrapolated limit of (g_n / g_{n+d})^(1/d) over the last window.
 
     The ratio sequence is fitted as A + B/n and the intercept A reported as
@@ -497,10 +490,7 @@ def radius_estimate(g: TruncatedSeries, window: int | None = None) -> RadiusEsti
     pts = [n for n in nz if g[n] and n + d <= g.truncation and g[n + d]]
     if len(pts) < 3:
         raise InsufficientData("need at least 3 consecutive lattice ratios")
-    w = window if window is not None else _window_size(len(pts))
-    pts = pts[-w:]
-    if len(pts) < 3:
-        raise InsufficientData("window too small for extrapolation")
+    pts = pts[-_window_size(len(pts)) :]
     ratios = []
     for n in pts:
         lr = (_log2_fraction(g[n]) - _log2_fraction(g[n + d])) / d

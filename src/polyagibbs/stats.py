@@ -45,9 +45,6 @@ class EmpiricalLaw:
         self.tail_bucket += other.tail_bucket
         self.total += other.total
 
-    def freq(self, key) -> float:
-        return self.counts.get(key, 0) / self.total
-
 
 def deviation_radius(samples: int, delta: float = 0.01) -> float:
     """McDiarmid-type bound: the empirical TV deviates from its mean by
@@ -57,9 +54,10 @@ def deviation_radius(samples: int, delta: float = 0.01) -> float:
 
 def multinomial_radius(keys: int, samples: int, delta: float = 0.01) -> float:
     """Upper confidence bound for the TV between the empirical measure of N
-    iid draws and their true K-point law: the mean is at most
-    (1/2) sqrt(K/N) and concentration adds sqrt(ln(1/delta)/(2N))/... the
-    documented bound is (1/2)(sqrt(K/N) + sqrt(2 ln(1/delta)/N))."""
+    iid draws and their true K-point law, holding with probability at least
+    1 - delta: (1/2)(sqrt(K/N) + sqrt(2 ln(1/delta)/N)).  The first term
+    bounds the mean of the TV; the second, equal to sqrt(ln(1/delta)/(2N)),
+    is McDiarmid's bound on its deviation above that mean."""
     return 0.5 * (
         math.sqrt(keys / samples) + math.sqrt(2.0 * math.log(1.0 / delta) / samples)
     )

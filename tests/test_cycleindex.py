@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyagibbs import (
     CycleIndexPoly,
     InnerHasConstantTerm,
+    SeriesEngine,
     TruncatedSeries,
     cycle_type,
     geometric,
@@ -34,10 +35,7 @@ def powered_family(coeffs, n):
 
 def trees_family(n):
     """Powered Polya-tree series family i -> T^{(i)}, truncated to n // i."""
-    from polyagibbs.engine import engine_for
-
-    spec = polya_trees()
-    eng = engine_for(spec)
+    eng = SeriesEngine(polya_trees())
     return lambda i: eng.ogf(max(n // i, 1), power=i)
 
 

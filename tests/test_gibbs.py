@@ -1,5 +1,6 @@
 """Composite Boltzmann model: size laws, symmetry draws, remainder limit."""
 
+import hashlib
 import math
 import random
 import warnings
@@ -18,12 +19,14 @@ from polyagibbs import (
     forests,
     geometric,
     object_size,
+    object_to_string,
     ogf,
     parse_dsl,
     polya_trees,
     general_symmetry_law,
     sample_set_symmetry,
     set_symmetry_law,
+    z_seq,
     z_set,
 )
 from polyagibbs.gibbs import PLACEHOLDER, _size_law
@@ -150,7 +153,7 @@ class TestModelBasics:
         n = 20000
         counts = {}
         for _ in range(n):
-            s = forest_model.sample_composite(y, rng).size
+            s = object_size(forest_model.sample_composite(y, rng))
             counts[s] = counts.get(s, 0) + 1
         b = forest_model.composite_ogf
         direct = [float(b[k]) * y**k for k in range(forest_model.truncation + 1)]
@@ -159,6 +162,20 @@ class TestModelBasics:
             p = direct[k] / z
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(k, 0) / n - p) < 4.5 * se
+
+    def test_composite_draws_are_pinned(self, forest_model):
+        # sample_composite and the rejection sampler share one materialiser;
+        # the digest fixes its RNG order: the symmetry first, then one inner
+        # object per cycle in draw order
+        rng = random.Random(2718)
+        lines = [
+            object_to_string(forest_model.sample_composite(0.3, rng))
+            for _ in range(200)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "f43357f02bcbc106898c6d151a1ba04ec0fc8429ecb83ecfe8f378f71d75c6e7"
+        )
 
     def test_rejection_sampler_matches_enumeration(self, forest_model):
         en = Enumerator(forests())
@@ -281,6 +298,28 @@ class TestCycleStatistics:
         )
         assert rep.sigmas < 4.0
         assert rep.truncation_residual < 1e-6
+
+
+class TestOuterIndexValue:
+    def test_forest_pgf_denominator(self, forest_model):
+        # Z_SET(G(rho), G_2(rho^2), ...) truncated to degree 40, the value
+        # the term-by-term sum over z_set(40) gives
+        rho = forest_model.rho.rho
+        value, residual = forest_model.outer_index_value(
+            lambda i: forest_model.inner_value(i, rho**i)
+        )
+        assert value == pytest.approx(2.7772187558270236, rel=1e-12)
+        assert 0 < residual < 1e-8
+
+    def test_sequence_outer_matches_cycle_index(self):
+        coeffs = [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 101)]
+        model = GibbsModel.from_series(coeffs, outer="SEQ", truncation=100)
+        rho = model.rho.rho
+        args = lambda i: model.inner_value(i, rho**i)
+        value, residual = model.outer_index_value(args)
+        want, want_residual = z_seq(40).evaluate_at(args)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert residual == pytest.approx(want_residual, rel=1e-9)
 
 
 class TestLargeTruncation:
