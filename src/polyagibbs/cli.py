@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import sys
+from itertools import islice
 from typing import List
 
 from .asymptotics import diagnose_subexponential, coefficient_ratio_experiment
@@ -135,8 +136,7 @@ def cmd_sample(args) -> int:
 
             def run(rng, k, n=n):
                 lines = []
-                for _ in range(k):
-                    s = model.sample_S_n(n, rng, method=args.method)
+                for s in islice(model.draws(n, rng, args.method), k):
                     frag = model.extract_remainder(s, rng)
                     lines.append(
                         json.dumps(

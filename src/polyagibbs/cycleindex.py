@@ -151,9 +151,10 @@ class CycleIndexPoly:
     ) -> tuple[float, float]:
         """Numeric value of the truncated polynomial at z_i = args(i).
 
-        Returns (value, residual) where the residual is the difference
-        between the full-truncation value and the value restricted to
-        degree <= N/2 — an honest indicator of truncation sensitivity.
+        Returns (value, residual) where the residual is the part of the
+        value of degree above N/2 — an honest indicator of truncation
+        sensitivity — summed directly with ``math.fsum``, not as a
+        difference of two near-equal sums.
         """
         cache: Dict[int, float] = {}
 
@@ -166,15 +167,15 @@ class CycleIndexPoly:
             return cache[i]
 
         total = 0.0
-        half = 0.0
+        upper = []
         for ct, c in self.terms.items():
             term = float(c)
             for i, m in ct:
                 term *= a(i) ** m
             total += term
-            if cycle_type_degree(ct) <= self.truncation // 2:
-                half += term
-        return total, abs(total - half)
+            if cycle_type_degree(ct) > self.truncation // 2:
+                upper.append(term)
+        return total, math.fsum(upper)
 
     # -- serialization ---------------------------------------------------
 

@@ -23,10 +23,14 @@ Size distributions are truncated at the model truncation and renormalized;
 truncated values, so sampler-vs-formula comparisons are exact identities up
 to Monte Carlo noise.
 
-Block sizes, the longer cycles of a SET symmetry and limit remainders are
-drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
+Cycle counts, block sizes, the longer cycles of a SET symmetry and limit
+remainders are drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
 The model builds each law once per (stage, parameters) and caches it, so
 repeated draws at one parameter, as in the rejection sampler, only sample.
+Symmetries and block sizes are drawn without objects, a block of attempts
+at a time, as numpy arrays (:meth:`GibbsModel._attempt_block`); inner
+objects are drawn with the caller's ``random.Random`` only for the
+attempts that are kept.
 A block-size law reads the powered inner coefficients only until its float
 sum stops changing, so a new cycle length costs a few dozen coefficients,
 not the whole powered series up to the truncation.
@@ -38,7 +42,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from itertools import count, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .cycleindex import CycleIndexPoly, CycleType
 from .engine import SeriesEngine
@@ -69,8 +74,14 @@ _LOG_EPS = 1e-18
 # neglected intensity sum of a SET symmetry draw
 _SET_TAIL = 1e-12
 
-# attempts the rejection sampler makes before it gives up
+# failed attempts in a row after which the rejection sampler gives up
 _REJECTION_BUDGET = 2_000_000
+
+# Boltzmann attempts drawn per numpy block.  A rejection stream starts with
+# _FIRST_BLOCK attempts and doubles up to _BLOCK, so that a single draw, as
+# from sample_S_n, does not pay for a block that a long stream amortises.
+_FIRST_BLOCK = 128
+_BLOCK = 2048
 
 # degree of the truncated outer cycle index that the cycle-statistics check
 # and the radius-shift probe evaluate; the residual is its part above half
@@ -139,6 +150,12 @@ def boltzmann_size_distribution(series: TruncatedSeries, y: float) -> DiscreteLa
         raise ZeroMass("series evaluates to zero mass")
     terms = ((n, series[n]) for n in series.nonzero_indices)
     return _size_law(terms, y, ev.tail / ev.value)
+
+
+def _poisson_law(lam: float) -> DiscreteLaw:
+    """Law of a Poisson(lam) count: weights lam^k / k!, read like a size
+    law until their float sum stops changing."""
+    return _size_law(((k, Fraction(1, math.factorial(k))) for k in count()), lam, 0.0)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -231,6 +248,26 @@ def general_symmetry_law(
     return DiscreteLaw(entries, weights)
 
 
+class AttemptBlock(NamedTuple):
+    """m Boltzmann attempts drawn as arrays, sizes only.  ``lengths`` and
+    ``sizes`` hold one (cycle length, inner size) pair per cycle: first the
+    fixpoints of every attempt, attempt by attempt, then their longer
+    cycles.  Attempt a's pairs sit at ``offsets[a]:offsets[a + 1]`` and
+    ``offsets[m + a]:offsets[m + a + 1]``; ``owner`` maps each pair to its
+    attempt, and ``totals[a]`` is attempt a's total size."""
+
+    offsets: object
+    owner: object
+    lengths: object
+    sizes: object
+    totals: object
+
+    def pairs(self, a: int) -> Iterator[Tuple[int, int]]:
+        o, m = self.offsets, len(self.totals)
+        for lo, hi in ((o[a], o[a + 1]), (o[m + a], o[m + a + 1])):
+            yield from zip(self.lengths[lo:hi].tolist(), self.sizes[lo:hi].tolist())
+
+
 class GibbsModel:
     """Composite model F over G with cached series and samplers."""
 
@@ -252,6 +289,7 @@ class GibbsModel:
         self._inner_ogf: Dict[int, TruncatedSeries] = {}
         self._composite_ogf: TruncatedSeries | None = None
         self._rho: RadiusEstimate | None = None
+        self._span: int | None = None
         self._sampler: ExactSampler | None = None
         self._inner_sampler: ExactSampler | None = None
         self._laws: Dict[tuple, object] = {}
@@ -311,7 +349,9 @@ class GibbsModel:
 
     @property
     def span(self) -> int:
-        return self.inner_ogf(1).lattice_span()
+        if self._span is None:
+            self._span = self.inner_ogf(1).lattice_span()
+        return self._span
 
     def exact_sampler(self) -> ExactSampler:
         if self._sampler is None:
@@ -371,33 +411,62 @@ class GibbsModel:
 
     # -- samplers
 
-    def sample_symmetry_sizes(self, y: float, rng: random.Random) -> List[Tuple[int, int]]:
-        """(cycle_length, inner_size) per cycle, objects not materialized."""
-        values = lambda i: self.inner_value(i, y**i)
-        if self.outer == "SET":
-            law = self._law(("set", y), lambda: set_symmetry_law(values))
-            ct = sample_set_symmetry(law, rng)
-        else:
-            g = self.inner_value(1, y)
-            if g >= 1.0:
-                raise TailNotControlled(
-                    "SEQ outer needs inner series value < 1 at the parameter"
-                )
-            k = 0
-            while rng.random() < g:
-                k += 1
-            ct = ((1, k),) if k else ()
-        out = []
-        for l, m in ct:
-            yl = y**l
-            law = self._law(
-                ("size", l, yl), lambda: _size_law(self._inner_terms(l), yl, 0.0)
-            )
-            for _ in range(m):
-                out.append((l, law.sample(rng)))
-        return out
+    def _set_laws(self, y: float):
+        """Laws of one SET symmetry at y: the fixpoint count, the count of
+        longer cycles and their lengths (None when no longer cycle has
+        mass)."""
+        fixpoint, longer = set_symmetry_law(lambda i: self.inner_value(i, y**i))
+        more = _poisson_law(longer.total) if longer is not None else None
+        return _poisson_law(fixpoint), more, longer
 
-    def _orbit(self, pairs: List[Tuple[int, int]], rng: random.Random):
+    def _seq_law(self, y: float) -> DiscreteLaw:
+        """Law of the geometric block count of one SEQ at y."""
+        g = self.inner_value(1, y)
+        if g >= 1.0:
+            raise TailNotControlled(
+                "SEQ outer needs inner series value < 1 at the parameter"
+            )
+        return _size_law(((k, 1) for k in count()), g, 0.0)
+
+    def _attempt_block(self, y: float, gen, size: int) -> AttemptBlock:
+        """``size`` independent Boltzmann attempts at y, sizes only, drawn
+        with the ``numpy.random.Generator`` ``gen``.  The cycle counts,
+        the lengths of longer cycles and the inner sizes are each drawn for
+        the whole block by inversion on the cached laws."""
+        import numpy as np
+
+        if self.outer == "SET":
+            fix, more, longer = self._law(("set", y), lambda: self._set_laws(y))
+        else:
+            fix, more = self._law(("seq", y), lambda: self._seq_law(y)), None
+        counts = np.zeros(2 * size, dtype=np.int64)
+        counts[:size] = fix.sample_array(gen, size)
+        if more is not None:
+            counts[size:] = more.sample_array(gen, size)
+        offsets = np.zeros(2 * size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        fixed = int(offsets[size])
+        lengths = np.ones(int(offsets[-1]), dtype=np.int64)
+        sizes = np.empty_like(lengths)
+        sizes[:fixed] = self._block_size_law(1, y).sample_array(gen, fixed)
+        if more is not None:
+            rest = lengths[fixed:] = longer.sample_array(gen, len(lengths) - fixed)
+            rest_sizes = sizes[fixed:]
+            for l in np.bincount(rest).nonzero()[0].tolist():
+                at = rest == l
+                rest_sizes[at] = self._block_size_law(l, y).sample_array(
+                    gen, int(np.count_nonzero(at))
+                )
+        owner = np.repeat(np.arange(2 * size) % size, counts)
+        totals = np.bincount(owner, weights=lengths * sizes, minlength=size)
+        return AttemptBlock(offsets, owner, lengths, sizes, totals)
+
+    def _block_size_law(self, l: int, y: float) -> DiscreteLaw:
+        """Law of the inner size of an l-cycle at y."""
+        yl = y**l
+        return self._law(("size", l, yl), lambda: _size_law(self._inner_terms(l), yl, 0.0))
+
+    def _orbit(self, pairs: Iterable[Tuple[int, int]], rng: random.Random):
         """The composite orbit of (cycle_length, inner_size) pairs: one
         weight-proportional inner object per cycle, drawn in pair order
         under the powered weighting, in ``cycle_length`` identical copies."""
@@ -413,7 +482,10 @@ class GibbsModel:
         """One Boltzmann composite orbit at parameter y: symmetry, then one
         weight-proportional inner object per cycle (under the powered
         weighting), shared by the cycle's atoms."""
-        return self._orbit(self.sample_symmetry_sizes(y, rng), rng)
+        import numpy as np
+
+        block = self._attempt_block(y, np.random.default_rng(rng.getrandbits(128)), 1)
+        return self._orbit(block.pairs(0), rng)
 
     def tuned_parameter(self, n: int) -> float:
         """Rejection tuning y* = rho (1 - 1/n)^{1/d}, clipped to (0, rho]."""
@@ -422,22 +494,61 @@ class GibbsModel:
         y = rho * (1.0 - 1.0 / max(n, 2)) ** (1.0 / d)
         return min(max(y, 1e-12), rho)
 
-    def sample_S_n(self, n: int, rng: random.Random, method: str = "exact_recursive"):
-        """Size-n composite orbit, weight-proportional."""
+    def _require_size(self, n: int) -> None:
         if self.engine.at(self.engine.program.root, 1, n) == 0:
             raise EmptySize(f"no composite objects of size {n}")
+
+    def sample_S_n(self, n: int, rng: random.Random, method: str = "exact_recursive"):
+        """Size-n composite orbit, weight-proportional."""
+        if method != "exact_recursive":
+            return next(self.draws(n, rng, method))
+        self._require_size(n)
+        return self.exact_sampler().sample(n, rng)
+
+    def draws(
+        self, n: int, rng: random.Random, method: str = "exact_recursive"
+    ) -> Iterator:
+        """Independent weight-proportional size-n composite orbits.
+
+        ``"exact_recursive"`` makes one :meth:`sample_S_n` draw per item.
+        ``"rejection"`` draws Boltzmann attempts at the tuned parameter in
+        blocks of ``_FIRST_BLOCK`` doubling up to ``_BLOCK``, with a
+        ``numpy.random.Generator`` seeded once from ``rng``, and yields every attempt of total size n, in attempt
+        order: attempts are i.i.d., so each is an exact draw (Duchon,
+        Flajolet, Louchard and Schaeffer 2004, section 6).  An accepted
+        attempt's inner objects are drawn with ``rng`` when it is yielded.
+        ``_REJECTION_BUDGET`` failed attempts in a row raise
+        :class:`RejectionBudgetExceeded`."""
+        self._require_size(n)
         if method == "exact_recursive":
-            return self.exact_sampler().sample(n, rng)
+            sampler = self.exact_sampler()
+            return (sampler.sample(n, rng) for _ in repeat(None))
         if method != "rejection":
             raise PreconditionError(f"unknown sampling method {method!r}")
-        ystar = self.tuned_parameter(n)
-        for _ in range(_REJECTION_BUDGET):
-            pairs = self.sample_symmetry_sizes(ystar, rng)
-            if sum(l * s for l, s in pairs) == n:
-                return self._orbit(pairs, rng)
-        raise RejectionBudgetExceeded(
-            f"no size-{n} draw within {_REJECTION_BUDGET} attempts at y*={ystar:.6g}"
-        )
+        return self._rejection_draws(n, rng)
+
+    def _rejection_draws(self, n: int, rng: random.Random) -> Iterator:
+        import numpy as np
+
+        y = self.tuned_parameter(n)
+        gen = np.random.default_rng(rng.getrandbits(128))
+        missed, size = 0, _FIRST_BLOCK
+        while True:
+            block = self._attempt_block(y, gen, size)
+            start = 0
+            for a in np.flatnonzero(block.totals == n).tolist():
+                missed += a - start
+                if missed >= _REJECTION_BUDGET:
+                    break
+                yield self._orbit(block.pairs(a), rng)
+                missed, start = 0, a + 1
+            else:
+                missed += size - start
+            if missed >= _REJECTION_BUDGET:
+                raise RejectionBudgetExceeded(
+                    f"no size-{n} draw within {_REJECTION_BUDGET} attempts at y*={y:.6g}"
+                )
+            size = min(2 * size, _BLOCK)
 
     # -- remainders
 
@@ -468,7 +579,11 @@ class GibbsModel:
         """Boltzmann limit law of the remainder at the estimated radius:
         P(R = o) = weight(o) rho^{|o|} / D with D the remainder-species
         series at rho; exact orbit probabilities up to size ``cap`` plus
-        the residual tail mass, with a sensitivity from the rho spread."""
+        the residual tail mass, with a sensitivity from the rho spread.
+        The law is built once per cap and cached."""
+        return self._law(("limit", cap), lambda: self._limit_law(cap))
+
+    def _limit_law(self, cap: int) -> "LimitLaw":
         if cap > self.enumerator().guard:
             self._enum = Enumerator(self.engine.program, guard=cap)
         rho = self.rho.rho
@@ -597,19 +712,22 @@ class GibbsModel:
         radius, where f counts outer fixpoints and h is the total size
         attached to longer cycles, against :meth:`outer_index_value` with
         the same truncated argument values."""
+        import numpy as np
+
         rho = self.rho.rho
-        total = 0.0
-        sq = 0.0
-        for _ in range(samples):
-            f, h = 0, 0
-            for l, s in self.sample_symmetry_sizes(rho, rng):
-                if l == 1:
-                    f += 1
-                else:
-                    h += l * s
-            v = y_point**f * w_point**h
-            total += v
-            sq += v * v
+        gen = np.random.default_rng(rng.getrandbits(128))
+        total = sq = 0.0
+        for done in range(0, samples, _BLOCK):
+            k = min(_BLOCK, samples - done)
+            block = self._attempt_block(rho, gen, k)
+            f = np.diff(block.offsets[: k + 1])
+            fixed = block.offsets[k]
+            fixed_size = np.bincount(
+                block.owner[:fixed], weights=block.sizes[:fixed], minlength=k
+            )
+            v = y_point**f * w_point ** (block.totals - fixed_size)
+            total += float(v.sum())
+            sq += float(v @ v)
         mc = total / samples
         var = max(sq / samples - mc * mc, 0.0)
         se = math.sqrt(var / samples)

@@ -14,7 +14,8 @@ converts counting-series coefficients into branching probabilities:
 
 Every cumulative table, here and in :mod:`polyagibbs.gibbs`, is a
 :class:`DiscreteLaw`: entries with normalised cumulative probabilities,
-sampled by one uniform and a bisection.  The sampler dispatches on the
+sampled by one uniform and a bisection, or for a whole block of draws by
+numpy's ``searchsorted`` on the same table.  The sampler dispatches on the
 kind tag of a node id and caches one law per (node id, power, size), keyed
 by plain ints; sampling after the first draw of a given size is table
 lookups plus bisection.  A law is published to the cache only once it is
@@ -51,7 +52,7 @@ class DiscreteLaw:
     entries leave out, such as a truncated tail.
     """
 
-    __slots__ = ("entries", "total", "cum", "mass_defect")
+    __slots__ = ("entries", "total", "cum", "mass_defect", "_arrays")
 
     def __init__(self, entries, weights, mass_defect: float = 0.0):
         prefix = list(accumulate(weights))
@@ -61,9 +62,21 @@ class DiscreteLaw:
         self.total = prefix[-1]
         self.cum = [float(a / self.total) for a in prefix]
         self.mass_defect = mass_defect
+        self._arrays = None
 
     def sample(self, rng: random.Random):
         return self.entries[bisect_right(self.cum, rng.random())]
+
+    def sample_array(self, gen, size: int):
+        """``size`` independent draws from a ``numpy.random.Generator``, as
+        an array of entries: the rule of :meth:`sample`, inverting each
+        uniform on ``cum`` with ``side="right"`` like ``bisect_right``."""
+        if self._arrays is None:
+            import numpy as np
+
+            self._arrays = (np.asarray(self.cum), np.asarray(self.entries))
+        cum, entries = self._arrays
+        return entries[cum.searchsorted(gen.random(size), side="right")]
 
     def prob(self, entry) -> float:
         try:

@@ -13,6 +13,7 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Tuple
 
 from .errors import KeyMismatch, PreconditionError
@@ -200,8 +201,7 @@ def remainder_convergence_experiment(
     for n in sizes:
         def worker(rng: random.Random, k: int, n=n) -> EmpiricalLaw:
             law = EmpiricalLaw()
-            for _ in range(k):
-                s = model.sample_S_n(n, rng, method=method)
+            for s in islice(model.draws(n, rng, method), k):
                 frag = model.extract_remainder(s, rng)
                 law.add(frag.remainder, in_tail=frag.remainder_size > cap)
             return law
@@ -254,8 +254,7 @@ def component_count_experiment(
 
     def worker(rng: random.Random, k: int) -> EmpiricalLaw:
         law = EmpiricalLaw()
-        for _ in range(k):
-            s = model.sample_S_n(n, rng, method=method)
+        for s in islice(model.draws(n, rng, method), k):
             c = len(s[1])
             # counts larger than anything the capped remainder law can
             # produce land in the tail bucket

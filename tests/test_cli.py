@@ -168,6 +168,24 @@ class TestTv:
         assert outs[0] == outs[1]
 
 
+    def test_rejection_bytes_ignore_workers_and_hash_seed(self):
+        argv = [
+            sys.executable, "-m", "polyagibbs.cli",
+            "tv", "--spec", FOREST_DSL, "--sizes", "8", "10", "--samples", "2100",
+            "--cap", "7", "--seed", "15", "--trunc", "60", "--method", "rejection",
+        ]
+        src = str(Path(polyagibbs.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed, workers in (("1", "1"), ("7", "1"), ("7", "2")):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                argv + ["--workers", workers], env=env, capture_output=True, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] == outs[2]
+
+
 class TestDiagnose:
     def test_report_parses(self, capsys):
         code, out = run(
@@ -193,6 +211,15 @@ class TestErrors:
         monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, 1e-6, {}))
         code, _ = run(capsys, "limit", "--spec", FOREST_DSL, "--trunc", "60", "--cap", "5")
         assert code == 3
+
+    def test_rejection_budget_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr("polyagibbs.gibbs._REJECTION_BUDGET", 5)
+        code = main([
+            "sample", "--spec", FOREST_DSL, "--trunc", "60", "--sizes", "30",
+            "--samples", "10", "--seed", "3", "--method", "rejection",
+        ])
+        assert code == 4
+        assert "budget exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["coeffs", "sample"])
     @pytest.mark.parametrize(

@@ -84,6 +84,12 @@ class TestDerivative:
         )
 
 
+@pytest.fixture(scope="module")
+def z_set_40():
+    # 215,308 cycle types; built once for the tests that evaluate it
+    return z_set(40)
+
+
 class TestSpecializations:
     def test_set_ogf_of_atoms_is_geometric(self):
         # multisets of single atoms: one orbit per size
@@ -100,13 +106,26 @@ class TestSpecializations:
         with pytest.raises(InnerHasConstantTerm):
             z_set(4).plethysm_ogf(lambda i: geometric(4, 1))
 
-    def test_evaluate_at_matches_exp(self):
+    def test_evaluate_at_matches_exp(self, z_set_40):
         import math
 
-        value, residual = z_set(40).evaluate_at(lambda i: 0.4**i)
+        value, residual = z_set_40.evaluate_at(lambda i: 0.4**i)
         want = math.exp(sum(0.4**i / i for i in range(1, 200)))
         assert value == pytest.approx(want, rel=1e-8)
         assert residual < 1e-6
+
+    def test_residual_matches_degree_recurrence(self, z_set_40):
+        # on forests at rho (truncation 200) the residual is the degree
+        # 21..40 part summed directly, not a difference of two sums near
+        # 2.78, so it equals the recurrence's fsum of the same part
+        from polyagibbs import GibbsModel, forests
+
+        model = GibbsModel.from_species(forests(), truncation=200)
+        rho = model.rho.rho
+        args = lambda i: model.inner_value(i, rho**i)
+        _, want = model.outer_index_value(args)
+        _, residual = z_set_40.evaluate_at(args)
+        assert residual == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_json_roundtrip(self):
         zf = z_set(6)

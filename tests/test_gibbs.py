@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,6 +14,7 @@ from polyagibbs import (
     GibbsModel,
     LimitLaw,
     PreconditionError,
+    RejectionBudgetExceeded,
     SeriesEngine,
     SpecError,
     boltzmann_size_distribution,
@@ -164,9 +166,10 @@ class TestModelBasics:
             assert abs(counts.get(k, 0) / n - p) < 4.5 * se
 
     def test_composite_draws_are_pinned(self, forest_model):
-        # sample_composite and the rejection sampler share one materialiser;
-        # the digest fixes its RNG order: the symmetry first, then one inner
-        # object per cycle in draw order
+        # sample_composite and the rejection sampler share one attempt
+        # block and one materialiser; the digest fixes their RNG order: 128
+        # bits to seed the block's numpy generator, then one inner object
+        # per cycle, fixpoints first
         rng = random.Random(2718)
         lines = [
             object_to_string(forest_model.sample_composite(0.3, rng))
@@ -174,7 +177,7 @@ class TestModelBasics:
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "f43357f02bcbc106898c6d151a1ba04ec0fc8429ecb83ecfe8f378f71d75c6e7"
+            "13d6b791fe93e8d441f44e8a2d743fa0520586db2e78cfbcbb28dfc9f8f22a65"
         )
 
     def test_rejection_sampler_matches_enumeration(self, forest_model):
@@ -192,6 +195,48 @@ class TestModelBasics:
             se = math.sqrt(p * (1 - p) / n)
             worst = max(worst, abs(counts[o] / n - p) / se)
         assert worst < 4.5
+
+
+class TestDraws:
+    def test_sequence_outer_rejection_matches_enumeration(self):
+        spec = parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);")
+        model = GibbsModel.from_species(spec, truncation=200)
+        table = Enumerator(spec).enumerate_root(6)
+        total = sum(w for _, w in table)
+        n = 4000
+        counts = {o: 0 for o, _ in table}
+        for s in islice(model.draws(6, random.Random(78), "rejection"), n):
+            counts[s] += 1
+        worst = 0.0
+        for o, w in table:
+            p = float(w / total)
+            se = math.sqrt(p * (1 - p) / n)
+            worst = max(worst, abs(counts[o] / n - p) / se)
+        assert worst < 4.5
+
+    def test_exact_stream_repeats_sample_S_n(self, forest_model):
+        a, b = random.Random(31), random.Random(31)
+        stream = list(islice(forest_model.draws(11, a, "exact_recursive"), 40))
+        assert stream == [forest_model.sample_S_n(11, b) for _ in range(40)]
+        assert a.getstate() == b.getstate()
+
+    def test_rejection_draws_have_the_size(self, forest_model):
+        rng = random.Random(4)
+        assert {object_size(s) for s in islice(forest_model.draws(9, rng, "rejection"), 300)} == {9}
+        assert object_size(forest_model.sample_S_n(9, rng, method="rejection")) == 9
+
+    def test_unknown_method(self, forest_model):
+        with pytest.raises(PreconditionError):
+            forest_model.draws(5, random.Random(1), "inversion")
+
+    def test_budget_counts_attempts_since_last_acceptance(self, forest_model, monkeypatch):
+        # at y*(30) an attempt has total 30 with probability about 1e-3, so
+        # five attempts leave the budget spent
+        monkeypatch.setattr("polyagibbs.gibbs._REJECTION_BUDGET", 5)
+        with pytest.raises(RejectionBudgetExceeded):
+            forest_model.sample_S_n(30, random.Random(3), method="rejection")
+        with pytest.raises(RejectionBudgetExceeded):
+            list(islice(forest_model.draws(30, random.Random(3), "rejection"), 10))
 
 
 class TestRemainders:
@@ -215,6 +260,12 @@ class TestRemainders:
 
         D = evaluate(forest_model.remainder_ogf, law.rho).value
         assert law.probs[("set", ())] == pytest.approx(1.0 / D, rel=1e-12)
+
+    def test_limit_law_is_built_once_per_cap(self, forest_model):
+        law = forest_model.limit_remainder_distribution(6)
+        assert forest_model.limit_remainder_distribution(6) is law
+        again = forest_model._limit_law(6)
+        assert again.probs == law.probs and again.tail == law.tail
 
     def test_limit_law_tail_shrinks_with_cap(self, forest_model):
         t1 = forest_model.limit_remainder_distribution(4).tail

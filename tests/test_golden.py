@@ -62,12 +62,12 @@ GOLDEN = {
     "sample-rejection-set": (
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "6", "10",
          "--samples", "150", "--seed", "12", "--method", "rejection"],
-        "9314a870e5a8a1826d9930a2475ecabddf8cb3fe5b6846e9fa67289c67bcfa30",
+        "59c4af67c3b80668ea73da267b55d1b7015ba4203dbd5ee711544a0aa605f24c",
     ),
     "sample-rejection-seq": (
         ["sample", "--spec", SEQ_FOREST, "--trunc", "60", "--sizes", "6", "9",
          "--samples", "150", "--seed", "13", "--method", "rejection"],
-        "6c1298f190b149df54aaf2fe57fbc4ffd2c26bb6e81bf40220c0440e9b6baa80",
+        "88815048bb333bb04151e99ed468a1705a18d82d0106ff4c2a286e4ea91289fb",
     ),
     "limit": (
         ["limit", "--spec", FOREST, "--trunc", "60", "--cap", "7", "--seed", "14"],
@@ -77,7 +77,7 @@ GOLDEN = {
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
          "--samples", "2100", "--cap", "7", "--seed", "15", "--workers", "2",
          "--method", "rejection"],
-        "ea978b7434172ead523a222dbe4e2e515ef1bcfc8de13510b2936e49e3476c4e",
+        "8a3058abd2b0297290871816599661bcfc3bd01269baa9346e848e95afdf3225",
     ),
     "tv-components": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8",

@@ -99,3 +99,18 @@ class TestDiscreteLaw:
             DiscreteLaw([], [])
         with pytest.raises(ZeroMass):
             DiscreteLaw([1], [F(0)])
+
+    def test_array_draws_invert_like_bisect(self):
+        # the vectorised draw inverts each uniform on cum by the rule of
+        # sample, including uniforms that land exactly on a cumulative
+        import numpy as np
+        from bisect import bisect_right
+
+        law = DiscreteLaw([3, 5, 8], [1, 2, 1])
+
+        class Fixed:
+            def random(self, size):
+                return np.array([0.0, 0.25, 0.5, 0.75, 0.999][:size])
+
+        want = [law.entries[bisect_right(law.cum, u)] for u in Fixed().random(5)]
+        assert law.sample_array(Fixed(), 5).tolist() == want == [3, 5, 5, 8, 8]
