@@ -62,7 +62,7 @@ def _config_digest(parts: dict) -> str:
 
 def _semantic_config(args, spec_text: str) -> dict:
     keep = {}
-    for key in ("command", "trunc", "seed", "samples", "cap", "method", "format", "n", "experiment", "window"):
+    for key in ("command", "trunc", "seed", "samples", "cap", "method", "format", "experiment"):
         if hasattr(args, key):
             keep[key] = getattr(args, key)
     if hasattr(args, "sizes"):
@@ -295,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, trunc_default=200):
+    def common(sp, trunc_default=200, formats=("json", "csv")):
         sp.add_argument("--spec", required=True, help="spec file or inline DSL/JSON")
         sp.add_argument("--trunc", type=int, default=trunc_default)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("coeffs", help="coefficient table of the model series")
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_coeffs)
 
     sp = sub.add_parser("sample", help="JSON-lines transcript of size-conditioned draws")
-    common(sp)
+    common(sp, formats=("json",))
     sp.add_argument("--sizes", type=int, nargs="+")
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--method", choices=("exact_recursive", "rejection"), default="exact_recursive")

@@ -27,13 +27,15 @@ Cycle counts, block sizes, the longer cycles of a SET symmetry and limit
 remainders are drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
 The model builds each law once per (stage, parameters) and caches it, so
 repeated draws at one parameter, as in the rejection sampler, only sample.
+One cached size law per (power, x) serves every partial sum of a powered
+inner series: its ``total`` is :meth:`GibbsModel.inner_value`, hence the
+cycle intensities, and its entries are the block sizes.  It reads the
+coefficients only until its float sum stops changing, so a new cycle
+length costs a few dozen coefficients, not the whole powered series.
 Symmetries and block sizes are drawn without objects, a block of attempts
 at a time, as numpy arrays (:meth:`GibbsModel._attempt_block`); inner
 objects are drawn with the caller's ``random.Random`` only for the
 attempts that are kept.
-A block-size law reads the powered inner coefficients only until its float
-sum stops changing, so a new cycle length costs a few dozen coefficients,
-not the whole powered series up to the truncation.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import count, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
@@ -68,8 +71,6 @@ from .species import (
 )
 
 PLACEHOLDER = ("placeholder",)
-
-_LOG_EPS = 1e-18
 
 # neglected intensity sum of a SET symmetry draw
 _SET_TAIL = 1e-12
@@ -116,12 +117,11 @@ def _size_law(
 ) -> DiscreteLaw:
     """Law P(size = n) proportional to g_n y^n over the (n, g_n) pairs of
     ``terms``.  Reading stops once three successive terms leave the float
-    sum of the weights unchanged (``total + w == total``);
-    ``GibbsModel.inner_value`` stops on a different rule, three successive
-    terms with ``t < 1e-18 * (1 + total)``.  Inside the disc of convergence
-    the terms decay geometrically, so every later size would get a
-    cumulative probability of exactly 1.0 and could never be drawn: the law
-    is bit-identical to the one over all terms."""
+    sum of the weights unchanged (``total + w == total``), the one rule of
+    every partial sum of a model.  Inside the disc of convergence the terms
+    decay geometrically, so later terms change neither ``total`` nor any
+    cumulative probability, whatever the scale of the values: the law is
+    bit-identical to the one over all terms."""
     sizes, weights = [], []
     total, flat = 0.0, 0
     for n, c in terms:
@@ -158,53 +158,36 @@ def _poisson_law(lam: float) -> DiscreteLaw:
     return _size_law(((k, Fraction(1, math.factorial(k))) for k in count()), lam, 0.0)
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
-    """Poisson by inversion; adequate for the small means used here."""
-    if lam <= 0:
-        return 0
-    u = rng.random()
-    p = math.exp(-lam)
-    k, acc = 0, p
-    while u >= acc:
-        k += 1
-        p *= lam / k
-        acc += p
-        if k > 10_000:
-            raise TailNotControlled("Poisson inversion failed to terminate")
-    return k
-
-
-SetSymmetryLaw = Tuple[float, DiscreteLaw | None]
-
-
-def set_symmetry_law(inner_values: Callable[[int], float]) -> SetSymmetryLaw:
+def set_symmetry_law(inner_values: Callable[[int], float]) -> Tuple[DiscreteLaw | None, ...]:
     """Law of a SET symmetry whose number of i-cycles is Poisson(y_i / i),
     independent over i, with y_i = inner_values(i).
 
-    Returns the fixpoint intensity and a law of the lengths i >= 2 whose
-    ``total`` is their aggregated Poisson mean (None when no longer cycle
-    has mass).  The cut index is chosen so the neglected intensity sum is
-    below ``_SET_TAIL``.
+    Returns the laws of the fixpoint count, of the count of longer cycles
+    (an aggregated Poisson) and of their lengths i >= 2, whose ``total`` is
+    that Poisson's mean; the last two are None when no longer cycle has
+    mass.  The cut index is chosen so the neglected intensity sum is below
+    ``_SET_TAIL``.
     """
     lams = _intensity_table(inner_values, _SET_TAIL)
-    fixpoint = lams[0][1] if lams and lams[0][0] == 1 else 0.0
+    fixpoint = _poisson_law(lams[0][1] if lams and lams[0][0] == 1 else 0.0)
     rest = [(i, lam) for i, lam in lams if i > 1]
     if not rest:
-        return fixpoint, None
-    return fixpoint, DiscreteLaw([i for i, _ in rest], [lam for _, lam in rest])
+        return fixpoint, None, None
+    longer = DiscreteLaw([i for i, _ in rest], [lam for _, lam in rest])
+    return fixpoint, _poisson_law(longer.total), longer
 
 
-def sample_set_symmetry(law: SetSymmetryLaw, rng: random.Random) -> CycleType:
+def sample_set_symmetry(law: Tuple[DiscreteLaw | None, ...], rng: random.Random) -> CycleType:
     """Cycle type drawn from a :func:`set_symmetry_law`: the i >= 2 cycles
     are drawn from the aggregated Poisson and then assigned lengths, which
     induces the same independent law."""
-    fixpoint, longer = law
+    fixpoint, more, longer = law
     counts: Dict[int, int] = {}
-    m1 = _poisson(rng, fixpoint)
+    m1 = fixpoint.sample(rng)
     if m1:
         counts[1] = m1
-    if longer is not None:
-        for _ in range(_poisson(rng, longer.total)):
+    if more is not None:
+        for _ in range(more.sample(rng)):
             i = longer.sample(rng)
             counts[i] = counts.get(i, 0) + 1
     return tuple(sorted(counts.items()))
@@ -286,14 +269,7 @@ class GibbsModel:
         self.inner_id: int = program.args[program.root][0]
         self.inner_spec = composite.with_root(root.inner)
         self.truncation = truncation
-        self._inner_ogf: Dict[int, TruncatedSeries] = {}
-        self._composite_ogf: TruncatedSeries | None = None
-        self._rho: RadiusEstimate | None = None
-        self._span: int | None = None
-        self._sampler: ExactSampler | None = None
-        self._inner_sampler: ExactSampler | None = None
         self._laws: Dict[tuple, object] = {}
-        self._value_cache: Dict[tuple, float] = {}
         self._enum: Enumerator | None = None
 
     # -- constructors
@@ -316,21 +292,17 @@ class GibbsModel:
     # -- cached series
 
     def inner_ogf(self, power: int = 1) -> TruncatedSeries:
-        s = self._inner_ogf.get(power)
-        if s is None:
-            s = self._inner_ogf[power] = self.engine.ogf(
-                self.truncation, node=self.inner_id, power=power
-            )
-        return s
+        return self._law(
+            ("ogf", power),
+            lambda: self.engine.ogf(self.truncation, node=self.inner_id, power=power),
+        )
 
-    @property
+    @cached_property
     def composite_ogf(self) -> TruncatedSeries:
-        if self._composite_ogf is None:
-            s = self.engine.ogf(self.truncation)
-            if s.is_polynomial_within():
-                raise PreconditionError("composite series must not be polynomial")
-            self._composite_ogf = s
-        return self._composite_ogf
+        s = self.engine.ogf(self.truncation)
+        if s.is_polynomial_within():
+            raise PreconditionError("composite series must not be polynomial")
+        return s
 
     @property
     def remainder_ogf(self) -> TruncatedSeries:
@@ -341,27 +313,19 @@ class GibbsModel:
             return self.composite_ogf
         return self.composite_ogf * self.composite_ogf
 
-    @property
+    @cached_property
     def rho(self) -> RadiusEstimate:
-        if self._rho is None:
-            self._rho = radius_estimate(self.inner_ogf(1))
-        return self._rho
+        return radius_estimate(self.inner_ogf(1))
 
-    @property
+    @cached_property
     def span(self) -> int:
-        if self._span is None:
-            self._span = self.inner_ogf(1).lattice_span()
-        return self._span
+        return self.inner_ogf(1).lattice_span()
 
     def exact_sampler(self) -> ExactSampler:
-        if self._sampler is None:
-            self._sampler = ExactSampler(self.spec, self.engine)
-        return self._sampler
+        return self._law(("sampler",), lambda: ExactSampler(self.spec, self.engine))
 
     def inner_sampler(self) -> ExactSampler:
-        if self._inner_sampler is None:
-            self._inner_sampler = ExactSampler(self.inner_spec, self.engine)
-        return self._inner_sampler
+        return self._law(("inner sampler",), lambda: ExactSampler(self.inner_spec, self.engine))
 
     def enumerator(self) -> Enumerator:
         if self._enum is None:
@@ -371,24 +335,22 @@ class GibbsModel:
     # -- partial evaluations (consistent with the truncated samplers)
 
     def inner_value(self, power: int, x: float) -> float:
-        """Partial sum of the powered inner series at x, truncated at the
-        model truncation, with geometric early exit."""
-        key = (power, x)
-        v = self._value_cache.get(key)
-        if v is not None:
-            return v
-        total, low = 0.0, 0
-        for n, c in self._inner_terms(power):
-            t = _term(c, x, n)
-            total += t
-            if t < _LOG_EPS * (1.0 + total):
-                low += 1
-                if low >= 3:
-                    break
-            else:
-                low = 0
-        self._value_cache[key] = total
-        return total
+        """Partial sum of the powered inner series at x up to the model
+        truncation: the ``total`` of :meth:`_inner_law`, which stops reading
+        on the rule of :func:`_size_law`, or 0.0 when every term vanishes
+        (x = 0, or all terms underflow)."""
+        try:
+            return self._inner_law(power, x).total
+        except ZeroMass:
+            return 0.0
+
+    def _inner_law(self, power: int, x: float) -> DiscreteLaw:
+        """Law of the size of an inner object under the nu^power weighting
+        at x, cached under ("size", power, x); the inner size of an l-cycle
+        at y has the law at (l, y**l)."""
+        return self._law(
+            ("size", power, x), lambda: _size_law(self._inner_terms(power), x, 0.0)
+        )
 
     def _inner_terms(self, power: int) -> Iterator[Tuple[int, object]]:
         """(n, coefficient) of the powered inner series for n up to the
@@ -401,23 +363,14 @@ class GibbsModel:
                 yield n, c
 
     def _law(self, key: tuple, build: Callable[[], object]):
-        """The law cached under (stage, parameters), built on first use and
-        published only once complete."""
+        """The law, series or sampler cached under (stage, parameters),
+        built on first use and published only once complete."""
         law = self._laws.get(key)
         if law is None:
-            law = build()
-            self._laws[key] = law
+            law = self._laws[key] = build()
         return law
 
     # -- samplers
-
-    def _set_laws(self, y: float):
-        """Laws of one SET symmetry at y: the fixpoint count, the count of
-        longer cycles and their lengths (None when no longer cycle has
-        mass)."""
-        fixpoint, longer = set_symmetry_law(lambda i: self.inner_value(i, y**i))
-        more = _poisson_law(longer.total) if longer is not None else None
-        return _poisson_law(fixpoint), more, longer
 
     def _seq_law(self, y: float) -> DiscreteLaw:
         """Law of the geometric block count of one SEQ at y."""
@@ -436,7 +389,9 @@ class GibbsModel:
         import numpy as np
 
         if self.outer == "SET":
-            fix, more, longer = self._law(("set", y), lambda: self._set_laws(y))
+            fix, more, longer = self._law(
+                ("set", y), lambda: set_symmetry_law(lambda i: self.inner_value(i, y**i))
+            )
         else:
             fix, more = self._law(("seq", y), lambda: self._seq_law(y)), None
         counts = np.zeros(2 * size, dtype=np.int64)
@@ -448,23 +403,18 @@ class GibbsModel:
         fixed = int(offsets[size])
         lengths = np.ones(int(offsets[-1]), dtype=np.int64)
         sizes = np.empty_like(lengths)
-        sizes[:fixed] = self._block_size_law(1, y).sample_array(gen, fixed)
+        sizes[:fixed] = self._inner_law(1, y).sample_array(gen, fixed)
         if more is not None:
             rest = lengths[fixed:] = longer.sample_array(gen, len(lengths) - fixed)
             rest_sizes = sizes[fixed:]
             for l in np.bincount(rest).nonzero()[0].tolist():
                 at = rest == l
-                rest_sizes[at] = self._block_size_law(l, y).sample_array(
+                rest_sizes[at] = self._inner_law(l, y**l).sample_array(
                     gen, int(np.count_nonzero(at))
                 )
         owner = np.repeat(np.arange(2 * size) % size, counts)
         totals = np.bincount(owner, weights=lengths * sizes, minlength=size)
         return AttemptBlock(offsets, owner, lengths, sizes, totals)
-
-    def _block_size_law(self, l: int, y: float) -> DiscreteLaw:
-        """Law of the inner size of an l-cycle at y."""
-        yl = y**l
-        return self._law(("size", l, yl), lambda: _size_law(self._inner_terms(l), yl, 0.0))
 
     def _orbit(self, pairs: Iterable[Tuple[int, int]], rng: random.Random):
         """The composite orbit of (cycle_length, inner_size) pairs: one

@@ -74,19 +74,17 @@ def tv_distance(p, q, delta: float = 0.01) -> Tuple[float, float]:
     if isinstance(p, EmpiricalLaw):
         if p.total == 0:
             raise PreconditionError("empty empirical law")
-        keys = set(p.counts) | set(q_probs)
-        acc = math.fsum(
-            [abs(p.counts.get(k, 0) / p.total - q_probs.get(k, 0.0)) for k in keys]
-            + [abs(p.tail_bucket / p.total - q_tail)]
-        )
-        return 0.5 * acc, deviation_radius(p.total, delta)
-    p_probs, p_tail = _exact_parts(p)
-    keys = set(p_probs) | set(q_probs)
+        p_probs = {k: c / p.total for k, c in p.counts.items()}
+        p_tail, radius = p.tail_bucket / p.total, deviation_radius(p.total, delta)
+    else:
+        (p_probs, p_tail), radius = _exact_parts(p), 0.0
+    # each key of either law once: the exact law's keys, then the others
     acc = math.fsum(
-        [abs(p_probs.get(k, 0.0) - q_probs.get(k, 0.0)) for k in keys]
+        [abs(p_probs.get(k, 0.0) - qk) for k, qk in q_probs.items()]
+        + [abs(pk) for k, pk in p_probs.items() if k not in q_probs]
         + [abs(p_tail - q_tail)]
     )
-    return 0.5 * acc, 0.0
+    return 0.5 * acc, radius
 
 
 def _exact_parts(q):

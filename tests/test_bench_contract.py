@@ -1,11 +1,13 @@
 """The library names the benchmark reaches into.
 
 ``bench/spans.py`` patches the attributes in its ``BOUNDARIES`` table when
-a traced run starts, and ``bench/workloads.py`` passes ``workers=`` to the
-two experiments.  A rename or deletion in the library must fail here, not
-halfway through a traced benchmark run.
+a traced run starts, and ``bench/workloads.py`` calls ``pg.<name>`` on the
+package and ``model.<name>`` on a ``GibbsModel``, and passes ``workers=``
+to the two experiments.  A rename or deletion in the library must fail
+here, not halfway through a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +17,8 @@ import pytest
 
 import polyagibbs
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _boundaries():
@@ -34,6 +37,30 @@ def test_span_boundary_resolves(home, attr):
         assert meth in vars(getattr(mod, cls_name))
     else:
         assert callable(getattr(mod, attr))
+
+
+def _workload_names():
+    """(owner, attribute) of every ``pg.<name>`` and ``model.<name>`` read
+    in ``bench/workloads.py``."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    return sorted({
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("pg", "model")
+    })
+
+
+def test_workload_names_are_found():
+    owners = {owner for owner, _ in _workload_names()}
+    assert owners == {"pg", "model"}
+
+
+@pytest.mark.parametrize("owner,attr", _workload_names())
+def test_workload_name_resolves(owner, attr):
+    target = polyagibbs if owner == "pg" else polyagibbs.GibbsModel
+    assert hasattr(target, attr)
 
 
 @pytest.mark.parametrize(

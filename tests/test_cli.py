@@ -107,6 +107,13 @@ class TestSample:
             digests.append(json.loads(out.splitlines()[0])["config_digest"])
         assert digests[0] == digests[1]
 
+    def test_csv_format_is_rejected(self, capsys):
+        # the transcript is JSON lines only, so csv is not a choice
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--spec", FOREST_DSL, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
 
 class TestLimit:
     def test_law_rows(self, capsys):

@@ -4,9 +4,11 @@ import hashlib
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from polyagibbs import (
@@ -115,25 +117,48 @@ class TestSymmetryDraws:
         ) / n
         assert abs(mean - 0.3) < 4 * math.sqrt(0.3 / n)
 
-    def test_general_route_agrees_with_set_route(self):
+    def test_general_route_agrees_with_set_route(self, forest_model):
         # drawing the cycle type from the stored SET cycle index terms must
-        # induce the same law as the Poisson construction
-        vals = lambda i: 0.35**i
-        a, b = {}, {}
-        rng = random.Random(9)
+        # induce the same law as the Poisson construction, drawn one at a
+        # time or as a block of model attempts
         n = 8000
-        zf = z_set(24)
+        vals = lambda i: 0.35**i
         set_law = set_symmetry_law(vals)
-        general_law = general_symmetry_law(zf, vals)
-        for _ in range(n):
-            ct1 = sample_set_symmetry(set_law, rng)
-            ct2 = general_law.sample(rng)
-            a[ct1] = a.get(ct1, 0) + 1
-            b[ct2] = b.get(ct2, 0) + 1
-        tv = 0.5 * sum(
-            abs(a.get(k, 0) - b.get(k, 0)) / n for k in set(a) | set(b)
-        )
-        assert tv < 0.035
+        rng = random.Random(9)
+        scalar = [sample_set_symmetry(set_law, rng) for _ in range(n)]
+        assert _cycle_type_tv(scalar, general_symmetry_law(z_set(24), vals), rng) < 0.035
+
+        block = forest_model._attempt_block(0.3, np.random.default_rng(9), n)
+        blocked = [
+            tuple(sorted(Counter(l for l, _ in block.pairs(a)).items())) for a in range(n)
+        ]
+        general = general_symmetry_law(z_set(24), lambda i: forest_model.inner_value(i, 0.3**i))
+        assert _cycle_type_tv(blocked, general, random.Random(9)) < 0.035
+
+
+def _cycle_type_tv(drawn, general_law, rng) -> float:
+    """TV between the empirical laws of the cycle types ``drawn`` and of as
+    many draws from ``general_law``."""
+    a = Counter(drawn)
+    b = Counter(general_law.sample(rng) for _ in drawn)
+    return 0.5 * sum(abs(a[k] - b[k]) for k in a.keys() | b.keys()) / len(drawn)
+
+
+class TestInnerValue:
+    def test_small_values_keep_their_mass(self):
+        # terms near 1e-20: a stopping rule with an absolute cut would read
+        # three of them and lose 15% of the sum
+        coeffs = [F(0)] + [F(1, 10**20 * n * n) for n in range(1, 201)]
+        model = GibbsModel.from_series(coeffs, truncation=200)
+        want = math.fsum(float(c) * 0.99**n for n, c in enumerate(coeffs))
+        assert model.inner_value(1, 0.99) == pytest.approx(want, rel=1e-15)
+
+    def test_vanishing_terms_give_zero(self, forest_model):
+        for i in (1, 2, 5):
+            assert forest_model.inner_value(i, 0.0) == 0.0
+        # every term c y^n underflows to 0.0
+        model = GibbsModel.from_series([F(0)] + [F(1, 10**300)] * 20, truncation=20)
+        assert model.inner_value(1, 1e-100) == 0.0
 
 
 class TestModelBasics:
