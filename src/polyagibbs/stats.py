@@ -4,16 +4,20 @@ fragment laws and exact limit laws, with closed-form confidence radii.
 Sampling is organized in fixed-size chunks, each driven by its own RNG
 seeded from (seed, size, chunk index).  Chunks are merged in index order,
 so the aggregate counts — and every downstream report — are identical for
-any worker count.
+any worker count.  With more than one worker the chunks run in forked
+child processes, which inherit the parent's built laws and tables and
+send back only their chunk results; otherwise they run in-process.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Dict, List, Tuple
 
 from .errors import KeyMismatch, PreconditionError
@@ -78,12 +82,18 @@ def tv_distance(p, q, delta: float = 0.01) -> Tuple[float, float]:
         p_tail, radius = p.tail_bucket / p.total, deviation_radius(p.total, delta)
     else:
         (p_probs, p_tail), radius = _exact_parts(p), 0.0
-    # each key of either law once: the exact law's keys, then the others
-    acc = math.fsum(
-        [abs(p_probs.get(k, 0.0) - qk) for k, qk in q_probs.items()]
-        + [abs(pk) for k, pk in p_probs.items() if k not in q_probs]
-        + [abs(p_tail - q_tail)]
-    )
+    # sum |p_k - q_k| over the union of keys without visiting the exact
+    # law's keys in Python: take every |q_k|, and for each key of p that q
+    # also has, swap |q_k| for |p_k - q_k|.  The exact sum of the terms is
+    # the same, and fsum rounds it correctly, so the result is too.
+    terms = [abs(p_tail - q_tail)]
+    for k, pk in p_probs.items():
+        qk = q_probs.get(k)
+        if qk is None:
+            terms.append(abs(pk))
+        else:
+            terms += (-abs(qk), abs(pk - qk))
+    acc = math.fsum(chain(map(abs, q_probs.values()), terms))
     return 0.5 * acc, radius
 
 
@@ -106,6 +116,25 @@ def _chunk_rng(seed: int, label, index: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{index}")
 
 
+# (seed, label, worker_fn) of the chunks a process pool is running, set
+# before the pool forks so that children inherit it and no closure is
+# pickled
+_JOB = None
+
+
+def _run_one(task):
+    i, k = task
+    seed, label, worker_fn = _JOB
+    return worker_fn(_chunk_rng(seed, label, i), k)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_chunks(
     seed: int,
     label,
@@ -117,17 +146,37 @@ def _run_chunks(
     """Deterministic chunked sampling: chunk i draws up to ``chunk`` of the
     ``samples`` with its own RNG seeded from (seed, label, i), and the
     per-chunk results come back in index order regardless of the worker
-    count."""
+    count.
+
+    Chunks run in a pool of min(workers, chunks, usable CPUs) forked
+    processes, and in-process when that is at most one, when the platform
+    cannot fork, or when other threads are alive (a fork could copy a lock
+    one of them holds).  Every child has exited when this returns."""
+    global _JOB
     plan = list(
         enumerate(min(chunk, samples - done) for done in range(0, samples, chunk))
     )
-    if workers <= 1:
-        return [worker_fn(_chunk_rng(seed, label, i), k) for i, k in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(worker_fn, _chunk_rng(seed, label, i), k) for i, k in plan
-        ]
-        return [fut.result() for fut in futures]
+    size = min(workers, len(plan), _usable_cpus())
+    if size > 1 and threading.active_count() == 1:
+        # imported here, so that runs that never fork do not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            _JOB = (seed, label, worker_fn)
+            # objects frozen before the fork are left alone by the
+            # children's collector, so it does not touch (and copy) the
+            # parent's pages
+            gc.freeze()
+            try:
+                with ProcessPoolExecutor(
+                    size, mp_context=multiprocessing.get_context("fork")
+                ) as pool:
+                    return list(pool.map(_run_one, plan))
+            finally:
+                gc.unfreeze()
+                _JOB = None
+    return [worker_fn(_chunk_rng(seed, label, i), k) for i, k in plan]
 
 
 def _merged(parts: List[EmpiricalLaw]) -> EmpiricalLaw:

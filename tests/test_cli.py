@@ -228,6 +228,20 @@ class TestErrors:
         assert code == 4
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_rejection_budget_exits_4_from_child_processes(self, capsys, monkeypatch):
+        # two 1000-draw chunks on two workers: the budget is inherited
+        # through the fork, and the error raised in a child keeps its type
+        monkeypatch.setattr("polyagibbs.gibbs._REJECTION_BUDGET", 5)
+        code = main([
+            "sample", "--spec", FOREST_DSL, "--trunc", "60", "--sizes", "30",
+            "--samples", "2000", "--seed", "3", "--method", "rejection",
+            "--workers", "2",
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "budget exceeded" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["coeffs", "sample"])
     @pytest.mark.parametrize(
         "text, code, message",

@@ -1,6 +1,8 @@
 """Empirical laws, confidence radii, and the two sampling experiments."""
 
 import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from polyagibbs import (
     remainder_convergence_experiment,
     tv_distance,
 )
+from polyagibbs.stats import _run_chunks, _usable_cpus
 
 F = Fraction
 
@@ -57,6 +60,30 @@ class TestTvDistance:
     def test_unnormalized_dict_rejected(self):
         with pytest.raises(KeyMismatch):
             tv_distance({"a": 0.5}, {"a": 0.5, "b": 0.2})
+
+    def test_bit_identical_to_summing_over_the_key_union(self):
+        # the reference sums |p_k - q_k| over the union of keys, the exact
+        # law's keys first; the law has shared keys, empirical-only keys
+        # and a nonzero tail on both sides
+        rng = random.Random(5)
+        weights = [rng.random() ** 3 for _ in range(300)]
+        q_tail = 0.0123
+        q = {k: (1 - q_tail) * w / math.fsum(weights) for k, w in enumerate(weights)}
+        law = EmpiricalLaw()
+        for _ in range(4000):
+            if rng.random() < 0.01:
+                law.add(None, in_tail=True)
+            else:
+                law.add(rng.randrange(100, 400))
+        p = {k: c / law.total for k, c in law.counts.items()}
+        assert set(p) - set(q) and set(p) & set(q) and set(q) - set(p)
+        union = (
+            [abs(p.get(k, 0.0) - qk) for k, qk in q.items()]
+            + [abs(pk) for k, pk in p.items() if k not in q]
+            + [abs(law.tail_bucket / law.total - q_tail)]
+        )
+        tv, _ = tv_distance(law, (q, q_tail))
+        assert tv == 0.5 * math.fsum(union)
 
     def test_radii_are_sane(self):
         assert deviation_radius(100_000) < 0.006
@@ -146,3 +173,26 @@ class TestExperiments:
             forest_model, n=20, samples=3000, seed=5, cap=8
         )
         assert b.tv < a.tv
+
+
+def _chunk_probe(rng, k):
+    return k, rng.random(), os.getpid()
+
+
+class TestChunkRunner:
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_chunks_run_in_child_processes_in_index_order(self):
+        # a lambda cannot be pickled: the children inherit it through the fork
+        parts = _run_chunks(5, "probe", 7, 2, 2, lambda rng, k: _chunk_probe(rng, k))
+        alone = _run_chunks(5, "probe", 7, 2, 1, _chunk_probe)
+        assert [p[:2] for p in parts] == [p[:2] for p in alone]
+        assert [p[0] for p in parts] == [2, 2, 2, 1]
+        assert os.getpid() not in {p[2] for p in parts}
+        assert {p[2] for p in alone} == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    def test_single_chunk_runs_in_process_for_any_worker_count(self):
+        # the pool is capped by the chunk count: one chunk never forks
+        parts = _run_chunks(5, "probe", 5, 10, 10**6, _chunk_probe)
+        assert [p[0] for p in parts] == [5]
+        assert parts[0][2] == os.getpid()
