@@ -7,9 +7,11 @@ weighting nu^p, degree by degree:
 * SET uses the weighted Euler-transform recurrence
   n * b_n = sum_k q_k b_{n-k} with q_k = sum_{d|k} d * s_d^{(p*k/d)},
 * SEQ uses the quasi-inverse recurrence c_n = sum_k s_k^{(p)} c_{n-k},
-* PRODUCT is a Cauchy convolution, UNION a sum, DERIVE a structural
-  rewrite (product rule; SET' = SET * inner', SEQ' = SEQ * inner' * SEQ),
-  compiled into the program the first time the DERIVE is counted.
+* PRODUCT is a Cauchy convolution, UNION a sum, and DERIVE the stream of
+  its inner node's derivative, which :meth:`Program.derivative
+  <polyagibbs.species.Program.derivative>` adds to the program on ids (sum
+  and product rules; SET' = SET * inner', SEQ' = SEQ * inner' * SEQ) the
+  first time the DERIVE is counted.
 
 The engine counts the spec's compiled :class:`~polyagibbs.species.Program`,
 with one handler per kind tag and one stream per (node id, power).
@@ -114,6 +116,21 @@ class SeriesEngine:
                     qk += d * sd
         return qk
 
+    def _derive(self, i: int, power: int, n: int):
+        """The coefficient of the derivative of DERIVE node i's inner node.
+        A DERIVE of the same spec DERIVE asked for at the same size while
+        this one is counted closes a cycle on which the size never shrinks
+        and the derivative order grows without end."""
+        source = self.program.data[i]
+        key = ("DERIVE", i if source is None else source, power, n)
+        if key in self._busy:
+            raise IllFoundedRecursion()
+        self._busy.add(key)
+        try:
+            return self.at(self.program.derivative(self.program.args[i][0]), power, n)
+        finally:
+            self._busy.discard(key)
+
     def orbits(self, i: int, n: int, power: int) -> list:
         """The enumerated orbits of node i: TABLE weights have no closed
         recurrence, so they are counted and drawn by exhaustive enumeration
@@ -140,7 +157,7 @@ class SeriesEngine:
             e.at(e.program.args[i][0], p, n) * e.program.data[i] ** (p * n)
         ),
         TABLE=lambda e, i, p, n: as_exact(sum(w for _, w in e.orbits(i, n, p))),
-        DERIVE=lambda e, i, p, n: e.at(e.program.derivative(i), p, n),
+        DERIVE=_derive,
         FAIL=fail,
     )
 

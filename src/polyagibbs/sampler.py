@@ -142,8 +142,8 @@ class ExactSampler:
         self.root = self.program.id_of(spec.root)
         self._tables: Dict[tuple, DiscreteLaw] = {}
         # each id's handler is looked up once: a draw follows child ids
-        # only, and the program compiles nothing later but DERIVE
-        # rewrites, which are counted and never drawn
+        # only, and the program adds nothing later but the derivatives of
+        # DERIVE nodes, which are counted and never drawn
         self._draw = [self._kinds[k] for k in self.program.kind]
 
     def sample(self, n: int, rng: random.Random, power: int = 1):

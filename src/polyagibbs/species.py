@@ -9,9 +9,10 @@ A spec is compiled once into a :class:`Program`: every node gets an
 integer id, one kind tag and the ids of its children, names are resolved at
 compile time, and equal subtrees share one id.  The engine, the exact
 sampler and the enumerator dispatch on the kind tag and key their streams,
-laws and memos by plain ints; the Node trees stay the form that the DSL,
-the JSON codec and the derivative rewrite work on.  The rewrite of a
-DERIVE is compiled into the program the first time it is counted.
+laws and memos by plain ints, and the program derives ids, not trees: the
+derivative of a DERIVE's inner node is added to the program the first time
+the DERIVE is counted.  The Node trees are the form that the DSL and the
+JSON codec read and write, both through one op table (``OPS``).
 
 Unlabelled objects are canonical nested tuples; two objects are isomorphic
 iff their encodings are equal.  Enumeration is the test oracle of the whole
@@ -168,6 +169,15 @@ class Sized(Node):
             raise SpecError("SIZED species may not have size-0 objects")
 
 
+# op name -> node class.  The JSON form of a node is its op and its
+# dataclass fields, with a weight model written as its constant "c"; the
+# other ops that are kind names compile to that kind.
+OPS = {"ATOM": Atom, "EPSILON": Epsilon, "ZERO": Zero, "SIZED": Sized,
+       "SET": SetOf, "SEQ": SeqOf, "COMPOSE": Compose, "DERIVE": Derive,
+       "UNION": Union, "PRODUCT": Product, "REF": Ref, "WEIGHT": Weighted}
+_OP_OF = {cls: op for op, cls in OPS.items()}
+
+
 @dataclass(frozen=True)
 class SpeciesSpec:
     root: Node
@@ -226,34 +236,34 @@ class _Fail(Node):
     error: Exception
 
 
-_KIND_OF = {Atom: K_ATOM, Epsilon: K_EPSILON, Zero: K_ZERO, Union: K_UNION,
-            Product: K_PRODUCT, SetOf: K_SET, SeqOf: K_SEQ, Derive: K_DERIVE}
-
-
 class Program:
     """A species spec compiled to integer node ids.
 
     Node i has a kind tag ``kind[i]`` (an index into ``KINDS``), child ids
     ``args[i]``, a payload ``data[i]`` (SIZED coefficients, WEIGHT constant,
-    TABLE model, FAIL error, DERIVE rewrite id) and its source node
-    ``nodes[i]``; COMPOSE compiles to SET or SEQ.  A name gets the id of the
-    first non-name node of its chain, and a pure alias cycle such as
-    ``X := X;`` is a FAIL node raising :class:`IllFoundedRecursion`.  Equal
-    subtrees share one id.  The nodes reachable from the root are compiled
-    on construction.  DERIVE has its inner node as only child, whose atoms
-    the enumerator marks; the :func:`derive_node` rewrite that the engine
-    counts is compiled by :meth:`derivative` on first use, because a name
-    whose body derives itself has derivatives of every order.  So the
-    program only grows: existing ids never change.
+    TABLE model, FAIL error, and for a derived DERIVE the id of the spec's
+    DERIVE it descends from) and its source node ``nodes[i]``; COMPOSE
+    compiles to SET or SEQ.  A name gets the id of the first non-name node
+    of its chain, and a pure alias cycle such as ``X := X;`` is a FAIL node
+    raising :class:`IllFoundedRecursion`.  Equal subtrees share one id.  The
+    nodes reachable from the root are compiled on construction.  A DERIVE
+    has its inner node as only child: the enumerator marks its atoms, and
+    the engine counts :meth:`derivative` of it, which adds the derived nodes
+    (source node None) on first use, because a name whose body derives
+    itself has derivatives of every order.  So the program only grows:
+    existing ids never change.
     """
 
     def __init__(self, spec: SpeciesSpec):
         self.kind: List[int] = []
         self.args: List[tuple] = []
         self.data: list = []
-        self.nodes: List[Node] = []
+        self.nodes: List[Node | None] = []
         self._defs = dict(spec.defs)
         self._ids: Dict[Node, int] = {}
+        # (kind, args, payload) -> id of a derived node; id -> derivative
+        self._made: Dict[tuple, int] = {}
+        self._derivatives: Dict[int, int] = {}
         self.root = self._compile(spec.root)
 
     def id_of(self, node) -> int:
@@ -270,16 +280,79 @@ class Program:
         return coeffs[n] if 1 <= n < len(coeffs) else 0
 
     def derivative(self, i: int) -> int:
-        """The id of the rewrite of DERIVE node i, compiled on first use.
-        A rewrite that :func:`derive_node` refuses raises its `SpecError`
-        on every call and leaves the program as it was.  The caller
-        serialises calls (the engine holds its lock)."""
-        if self.data[i] is None:
-            defs = dict(self._defs)
-            rewrite = derive_node(self.nodes[i].inner, defs)
-            self._defs = defs
-            self.data[i] = self._compile(rewrite)
-        return self.data[i]
+        """The id of the derivative of node i, by the rules of Bergeron,
+        Labelle and Leroux (1998, §1.4) applied to ids: each id is derived
+        once, and new nodes are shared with equal ones.  A SIZED, TABLE or
+        non-unit WEIGHT node below i raises its `SpecError` before any node
+        is added, so the program stays as it was.  The caller serialises
+        calls (the engine holds its lock)."""
+        j = self._derivatives.get(i)
+        if j is None:
+            stack, seen = [i], set()
+            while stack:
+                k = stack.pop()
+                if k in seen or k in self._derivatives:
+                    continue
+                seen.add(k)
+                if self.kind[k] == K_SIZED:
+                    raise SpecError("cannot derive a SIZED species")
+                if self.kind[k] == K_TABLE or (self.kind[k] == K_WEIGHT and self.data[k] != 1):
+                    raise SpecError("derivative through non-unit weights is unsupported")
+                stack.extend(self.args[k])
+            j = self._derive(i)
+        return j
+
+    def _derive(self, i: int) -> int:
+        j = self._derivatives.get(i)
+        if j is None:
+            # the id exists before the children's derivatives, so a name
+            # that leads back to i finds it; it fails if never filled in
+            j = self._derivatives[i] = self._add(K_FAIL, (), SpecError("unfinished"))
+            parts = self._rules[self.kind[i]](self, i)
+            self.kind[j], self.args[j], self.data[j] = parts
+            self._made.setdefault(parts, j)
+        return j
+
+    def _product_rule(self, i: int):
+        a, b = self.args[i]
+        return K_UNION, (self._node(K_PRODUCT, (self._derive(a), b)),
+                         self._node(K_PRODUCT, (a, self._derive(b)))), None
+
+    # (program, id) -> (kind, child ids, payload) of the derivative of the
+    # id; SIZED and TABLE are refused by `derivative` before any rule runs
+    _rules = by_kind(
+        ATOM=lambda p, i: (K_EPSILON, (), None),
+        EPSILON=lambda p, i: (K_ZERO, (), None),
+        ZERO=lambda p, i: (K_ZERO, (), None),
+        SIZED=None,
+        UNION=lambda p, i: (K_UNION, tuple(p._derive(c) for c in p.args[i]), None),
+        PRODUCT=_product_rule,
+        SET=lambda p, i: (K_PRODUCT, (i, p._derive(p.args[i][0])), None),
+        SEQ=lambda p, i: (
+            K_PRODUCT, (i, p._node(K_PRODUCT, (p._derive(p.args[i][0]), i))), None
+        ),
+        WEIGHT=lambda p, i: (K_WEIGHT, (p._derive(p.args[i][0]),), 1),
+        TABLE=None,
+        DERIVE=lambda p, i: (
+            K_DERIVE, (p._derive(p.args[i][0]),), i if p.data[i] is None else p.data[i]
+        ),
+        FAIL=lambda p, i: (K_FAIL, (), p.data[i]),
+    )
+
+    def _node(self, kind: int, args: tuple, payload=None) -> int:
+        """The id of the node (kind, args, payload), added if new."""
+        key = (kind, args, payload)
+        i = self._made.get(key)
+        if i is None:
+            i = self._made[key] = self._add(kind, args, payload)
+        return i
+
+    def _add(self, kind: int, args: tuple, payload, node: Node | None = None) -> int:
+        self.kind.append(kind)
+        self.args.append(args)
+        self.data.append(payload)
+        self.nodes.append(node)
+        return len(self.kind) - 1
 
     def _compile(self, node: Node) -> int:
         i = self._ids.get(node)
@@ -290,11 +363,7 @@ class Program:
             return i
         kind, children, payload = self._parts(node)
         # the id exists before the children, so recursion finds it
-        i = self._ids[node] = len(self.nodes)
-        self.nodes.append(node)
-        self.kind.append(kind)
-        self.args.append(())
-        self.data.append(payload)
+        i = self._ids[node] = self._add(kind, (), payload, node)
         self.args[i] = tuple(self._compile(c) for c in children)
         return i
 
@@ -311,11 +380,8 @@ class Program:
 
     def _parts(self, node: Node):
         """(kind, child nodes, payload) of a node that is not a name."""
-        if type(node) in _KIND_OF:
-            children = [getattr(node, f.name) for f in fields(node)]
-            return _KIND_OF[type(node)], children, None
         if isinstance(node, Compose):
-            return (K_SET if node.outer == "SET" else K_SEQ), (node.inner,), None
+            return KINDS.index(node.outer), (node.inner,), None
         if isinstance(node, Sized):
             return K_SIZED, (), tuple(as_exact(c) for c in node.coeffs)
         if isinstance(node, Weighted):
@@ -327,7 +393,10 @@ class Program:
             return K_WEIGHT, (node.inner,), as_exact(getattr(model, "c", 1))
         if isinstance(node, _Fail):
             return K_FAIL, (), node.error
-        raise SpecError(f"cannot compile node {type(node).__name__}")
+        if type(node) not in _OP_OF:
+            raise SpecError(f"cannot compile node {type(node).__name__}")
+        children = [getattr(node, f.name) for f in fields(node)]
+        return KINDS.index(_OP_OF[type(node)]), children, None
 
 
 # -- canonical objects ---------------------------------------------------
@@ -381,7 +450,7 @@ def object_to_string(obj) -> str:
     if head == "eps":
         return "e"
     if head == "star":
-        return "*"
+        return "*" if len(obj) == 1 else f"*{obj[1]}"
     if head == "blob":
         return f"#{obj[1]}"
     if head == "set":
@@ -396,30 +465,45 @@ def object_to_string(obj) -> str:
 
 
 def mark_one_atom(obj) -> List[tuple]:
-    """All ways of replacing a single atom by the *-placeholder (before
-    canonicalization)."""
+    """All ways of replacing a single atom by a star (before
+    canonicalization).  The star is ``("star",)`` in an object without
+    stars and ``("star", k + 1)`` in one whose highest star label is k
+    (``("star",)`` has label 1), so the marks of nested derivatives stay
+    apart."""
+    k = _star_label(obj)
+    return _mark_atoms(obj, STAR_OBJ if k == 0 else ("star", k + 1))
+
+
+def _star_label(obj) -> int:
+    """The highest star label in the object, 0 if it has no star."""
+    head = obj[0]
+    if head == "star":
+        return obj[1] if len(obj) > 1 else 1
+    if head in ("set", "seq"):
+        return max(map(_star_label, obj[1]), default=0)
+    if head == "prod":
+        return max(_star_label(obj[1]), _star_label(obj[2]))
+    if head == "tag":
+        return _star_label(obj[2])
+    return 0
+
+
+def _mark_atoms(obj, star) -> List[tuple]:
     head = obj[0]
     if head == "atom":
-        return [STAR_OBJ]
-    if head in ("eps", "star"):
-        return []
+        return [star]
     if head == "blob":
         raise SpecError("cannot derive a SIZED species (no atom structure)")
-    out = []
     if head in ("set", "seq"):
         children = obj[1]
-        for i, c in enumerate(children):
-            for m in mark_one_atom(c):
-                out.append((head, children[:i] + (m,) + children[i + 1 :]))
-    elif head == "prod":
-        for m in mark_one_atom(obj[1]):
-            out.append(("prod", m, obj[2]))
-        for m in mark_one_atom(obj[2]):
-            out.append(("prod", obj[1], m))
-    elif head == "tag":
-        for m in mark_one_atom(obj[2]):
-            out.append(("tag", obj[1], m))
-    return out
+        return [(head, children[:i] + (m,) + children[i + 1 :])
+                for i, c in enumerate(children) for m in _mark_atoms(c, star)]
+    if head == "prod":
+        return ([("prod", m, obj[2]) for m in _mark_atoms(obj[1], star)]
+                + [("prod", obj[1], m) for m in _mark_atoms(obj[2], star)])
+    if head == "tag":
+        return [("tag", obj[1], m) for m in _mark_atoms(obj[2], star)]
+    return []
 
 
 # -- enumeration ---------------------------------------------------------
@@ -611,56 +695,10 @@ def unrank_by_weight(
     return orbits[-1][0]
 
 
-# -- derivative rewriting (for generating series) ------------------------
-
-
-def derive_node(node: Node, spec_defs: Dict[str, Node]) -> Node:
-    """Structural rewrite of the derived species, valid at the level of
-    cycle index sums (product rule, SET' = SET * inner', SEQ' = SEQ *
-    inner' * SEQ).  Recursive names get a companion derived definition in
-    ``spec_defs``."""
-    if isinstance(node, (Atom,)):
-        return EPSILON
-    if isinstance(node, (Epsilon, Zero, Sized)):
-        if isinstance(node, Sized):
-            raise SpecError("cannot derive a SIZED species")
-        return Zero()
-    if isinstance(node, Union):
-        return Union(derive_node(node.left, spec_defs), derive_node(node.right, spec_defs))
-    if isinstance(node, Product):
-        return Union(
-            Product(derive_node(node.left, spec_defs), node.right),
-            Product(node.left, derive_node(node.right, spec_defs)),
-        )
-    if isinstance(node, SetOf):
-        return Product(node, derive_node(node.inner, spec_defs))
-    if isinstance(node, SeqOf):
-        return Product(
-            node, Product(derive_node(node.inner, spec_defs), node)
-        )
-    if isinstance(node, Compose):
-        base = SetOf(node.inner) if node.outer == "SET" else SeqOf(node.inner)
-        return derive_node(base, spec_defs)
-    if isinstance(node, Weighted):
-        # weights are preserved by derivation only for UNIT weights
-        if isinstance(node.model, UnitWeight):
-            return Weighted(derive_node(node.inner, spec_defs), node.model)
-        raise SpecError("derivative through non-unit weights is unsupported")
-    if isinstance(node, Derive):
-        return Derive(derive_node(node.inner, spec_defs))
-    if isinstance(node, Ref):
-        dname = node.name + "'"
-        if dname not in spec_defs:
-            spec_defs[dname] = Zero()  # placeholder to terminate recursion
-            spec_defs[dname] = derive_node(spec_defs[node.name], spec_defs)
-        return Ref(dname)
-    raise SpecError(f"cannot derive node {type(node).__name__}")
-
-
 def derived_spec(s: SpeciesSpec) -> SpeciesSpec:
-    defs = dict(s.defs)
-    root = derive_node(s.root, defs)
-    return spec(root, defs)
+    """The derivative of a species: its objects are those of ``s`` with one
+    atom marked."""
+    return SpeciesSpec(Derive(s.root), s.defs)
 
 
 # -- spec language: text DSL and JSON ------------------------------------
@@ -670,7 +708,16 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>:=|[();,*+])|(?P<ws>\s+|#[^\n]*)|(?P<bad>.)"
 )
 
-_KEYWORDS = {"ATOM", "EPSILON", "SET", "SEQ", "COMPOSE", "DERIVE", "WEIGHT"}
+# the DSL keywords that take their fields as arguments in parentheses
+_CALLS = ("SET", "SEQ", "COMPOSE", "DERIVE", "WEIGHT")
+_KEYWORDS = {"ATOM", "EPSILON", *_CALLS}
+
+
+def _rational(value, line=None, column=None) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise SpecError(f"expected a rational, got {value!r}", line, column) from None
 
 
 class _Tokens:
@@ -732,51 +779,35 @@ def parse_dsl(text: str) -> SpeciesSpec:
             node = Product(node, parse_factor())
         return node
 
+    def parse_argument(field: str):
+        """A COMPOSE's outer name, a WEIGHT's constant, or a species."""
+        if field == "outer":
+            outer, line, col = toks.next()
+            if outer not in ("SET", "SEQ"):
+                raise SpecError(
+                    f"outer species must be SET or SEQ, got {outer!r}", line, col
+                )
+            return outer
+        if field == "model":
+            num, line, col = toks.next()
+            return AtomMultiplicative(_rational(num, line, col))
+        return parse_expr()
+
     def parse_factor() -> Node:
         tok, line, col = toks.next()
         if tok == "ATOM":
             return ATOM
         if tok == "EPSILON":
             return EPSILON
-        if tok == "SET":
+        if tok in _CALLS:
             toks.expect("(")
-            inner = parse_expr()
+            args = []
+            for f in fields(OPS[tok]):
+                if args:
+                    toks.expect(",")
+                args.append(parse_argument(f.name))
             toks.expect(")")
-            return SetOf(inner)
-        if tok == "SEQ":
-            toks.expect("(")
-            inner = parse_expr()
-            toks.expect(")")
-            return SeqOf(inner)
-        if tok == "COMPOSE":
-            toks.expect("(")
-            outer, oline, ocol = toks.next()
-            if outer not in ("SET", "SEQ"):
-                raise SpecError(
-                    f"outer species must be SET or SEQ, got {outer!r}",
-                    oline,
-                    ocol,
-                )
-            toks.expect(",")
-            inner = parse_expr()
-            toks.expect(")")
-            return Compose(outer, inner)
-        if tok == "DERIVE":
-            toks.expect("(")
-            inner = parse_expr()
-            toks.expect(")")
-            return Derive(inner)
-        if tok == "WEIGHT":
-            toks.expect("(")
-            inner = parse_expr()
-            toks.expect(",")
-            num, nline, ncol = toks.next()
-            try:
-                c = Fraction(num)
-            except (ValueError, TypeError):
-                raise SpecError(f"expected a rational, got {num!r}", nline, ncol)
-            toks.expect(")")
-            return Weighted(inner, AtomMultiplicative(c))
+            return OPS[tok](*args)
         if tok == "(":
             inner = parse_expr()
             toks.expect(")")
@@ -798,83 +829,47 @@ def parse_dsl(text: str) -> SpeciesSpec:
     return spec(Ref(last_name), defs)
 
 
-def _node_to_json(node: Node):
-    if isinstance(node, Atom):
-        return {"op": "ATOM"}
-    if isinstance(node, Epsilon):
-        return {"op": "EPSILON"}
-    if isinstance(node, Zero):
-        return {"op": "ZERO"}
-    if isinstance(node, SetOf):
-        return {"op": "SET", "inner": _node_to_json(node.inner)}
-    if isinstance(node, SeqOf):
-        return {"op": "SEQ", "inner": _node_to_json(node.inner)}
-    if isinstance(node, Compose):
-        return {
-            "op": "COMPOSE",
-            "outer": node.outer,
-            "inner": _node_to_json(node.inner),
-        }
-    if isinstance(node, Derive):
-        return {"op": "DERIVE", "inner": _node_to_json(node.inner)}
-    if isinstance(node, Union):
-        return {
-            "op": "UNION",
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    if isinstance(node, Product):
-        return {
-            "op": "PRODUCT",
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    if isinstance(node, Ref):
-        return {"op": "REF", "name": node.name}
-    if isinstance(node, Weighted):
-        if isinstance(node.model, AtomMultiplicative):
-            return {
-                "op": "WEIGHT",
-                "c": str(node.model.c),
-                "inner": _node_to_json(node.inner),
-            }
-        raise SpecError("only atom-multiplicative weights serialize to JSON")
-    if isinstance(node, Sized):
-        return {"op": "SIZED", "coeffs": [str(c) for c in node.coeffs]}
-    raise SpecError(f"cannot serialize node {type(node).__name__}")
+def _node_to_json(node: Node) -> dict:
+    if type(node) not in _OP_OF:
+        raise SpecError(f"cannot serialize node {type(node).__name__}")
+    out = {"op": _OP_OF[type(node)]}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Node):
+            out[f.name] = _node_to_json(value)
+        elif f.name == "model":
+            if not isinstance(value, AtomMultiplicative):
+                raise SpecError("only atom-multiplicative weights serialize to JSON")
+            out["c"] = str(value.c)
+        elif f.name == "coeffs":
+            out[f.name] = [str(c) for c in value]
+        else:
+            out[f.name] = value
+    return out
 
 
 def _node_from_json(data) -> Node:
-    op = data.get("op")
-    if op == "ATOM":
-        return ATOM
-    if op == "EPSILON":
-        return EPSILON
-    if op == "ZERO":
-        return Zero()
-    if op == "SET":
-        return SetOf(_node_from_json(data["inner"]))
-    if op == "SEQ":
-        return SeqOf(_node_from_json(data["inner"]))
-    if op == "COMPOSE":
-        return Compose(data["outer"], _node_from_json(data["inner"]))
-    if op == "DERIVE":
-        return Derive(_node_from_json(data["inner"]))
-    if op == "UNION":
-        return Union(_node_from_json(data["left"]), _node_from_json(data["right"]))
-    if op == "PRODUCT":
-        return Product(
-            _node_from_json(data["left"]), _node_from_json(data["right"])
-        )
-    if op == "REF":
-        return Ref(data["name"])
-    if op == "WEIGHT":
-        return Weighted(
-            _node_from_json(data["inner"]), AtomMultiplicative(Fraction(data["c"]))
-        )
-    if op == "SIZED":
-        return Sized(tuple(Fraction(c) for c in data["coeffs"]))
-    raise SpecError(f"unknown op {op!r} in JSON spec")
+    op = data.get("op") if isinstance(data, dict) else None
+    if not isinstance(op, str) or op not in OPS:
+        raise SpecError(f"unknown op {op!r} in JSON spec")
+    args = []
+    for f in fields(OPS[op]):
+        key = "c" if f.name == "model" else f.name
+        if key not in data:
+            raise SpecError(f"{op} node without {key!r} in JSON spec")
+        value = data[key]
+        if f.type == "Node":
+            value = _node_from_json(value)
+        elif f.name == "model":
+            value = AtomMultiplicative(_rational(value))
+        elif f.name == "coeffs":
+            if not isinstance(value, list):
+                raise SpecError(f"{op} coeffs must be a list in JSON spec")
+            value = tuple(map(_rational, value))
+        elif not isinstance(value, str):
+            raise SpecError(f"{op} {key!r} must be a string in JSON spec")
+        args.append(value)
+    return OPS[op](*args)
 
 
 def spec_to_json(s: SpeciesSpec) -> str:
@@ -891,6 +886,10 @@ def spec_from_json(text: str) -> SpeciesSpec:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON spec: {e.msg}", e.lineno, e.colno)
+    if not isinstance(data, dict) or "root" not in data or not isinstance(
+        data.get("defs", {}), dict
+    ):
+        raise SpecError('a JSON spec is an object with a "root" and optional "defs"')
     defs = {name: _node_from_json(nd) for name, nd in data.get("defs", {}).items()}
     return spec(_node_from_json(data["root"]), defs)
 

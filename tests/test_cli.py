@@ -242,6 +242,23 @@ class TestErrors:
         assert "budget exceeded" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"root": {"op": "SET"}}',
+            '{"root": {"op": "REF"}}',
+            '{"defs": {}}',
+            '{"root": {"op": "WEIGHT", "inner": {"op": "ATOM"}, "c": "x"}}',
+            '{"root": {"op": "SIZED", "coeffs": ["0", "a"]}}',
+            "W := COMPOSE(SET, WEIGHT(ATOM, 1/0));",
+        ],
+    )
+    def test_malformed_spec_is_a_spec_error(self, capsys, text):
+        assert main(["coeffs", "--spec", text, "--trunc", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "spec error" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["coeffs", "sample"])
     @pytest.mark.parametrize(
         "text, code, message",

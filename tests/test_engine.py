@@ -8,6 +8,7 @@ import pytest
 from polyagibbs import (
     ATOM,
     Compose,
+    Derive,
     Enumerator,
     IllFoundedRecursion,
     Ref,
@@ -131,16 +132,26 @@ class TestAgainstEnumeration:
     def test_name_whose_body_derives_itself(self):
         # T_n = [n = 1] + (n - 1) T_{n-1} = (n - 1)!: counting T at size n
         # takes derivatives of T of every order up to n, so they are
-        # compiled as they are counted, and the enumerator needs none
+        # derived as they are counted, and the enumerator needs none
         s = parse_dsl("T := ATOM + ATOM * ATOM * DERIVE(T);")
         counts = list(SeriesEngine(s).ogf(7).coeffs)
         assert counts == [0] + [math.factorial(n - 1) for n in range(1, 8)]
-        assert enum_totals(s, 3) == counts[:4]
+        assert enum_totals(s, 7) == counts
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the enumerator marks every DERIVE with the same star, so marking "
-        "an atom of an object that already holds a star can merge two "
-        "objects of the second derivative"))
+    def test_derivatives_of_every_order_up_to_forty(self):
+        # each order adds its nodes once, so the 40th derivative is cheap
+        s = parse_dsl("T := ATOM + ATOM * ATOM * DERIVE(T);")
+        counts = list(SeriesEngine(s).ogf(40).coeffs)
+        assert counts == [0] + [math.factorial(n - 1) for n in range(1, 41)]
+
+    def test_unit_weight_is_derivable(self):
+        # WEIGHT(A, 1) compiles like a unit weight, so it derives
+        trees = dict(polya_trees().defs)
+        plain = spec(Derive(Ref("T")), trees)
+        unit = spec(Derive(Weighted(Ref("T"), AtomMultiplicative(F(1)))), trees)
+        assert list(ogf(unit, 10).coeffs) == list(ogf(plain, 10).coeffs)
+        assert list(ogf(plain, 6).coeffs) == enum_totals(plain, 6)
+
     def test_enumerator_keeps_nested_derive_markings_apart(self):
         s = parse_dsl("T := ATOM + ATOM * ATOM * DERIVE(T);")
         assert enum_totals(s, 4)[4] == 6
@@ -153,12 +164,22 @@ class TestGuards:
             ogf(s, 3)
 
     def test_underivable_derive_fails_only_when_counted(self):
-        # the enumerator marks atoms and needs no rewrite; counting needs
-        # derive_node's rewrite, which refuses non-unit weights
+        # the enumerator marks atoms and needs no derivative; counting
+        # needs the derivative, which refuses non-unit weights
         s = parse_dsl("D := DERIVE(WEIGHT(ATOM, 2));")
         assert Enumerator(s).enumerate_root(0) == [(("star",), 2)]
-        with pytest.raises(SpecError, match="non-unit weights"):
-            SeriesEngine(s).coeff(s.root, 1, 0)
+        eng = SeriesEngine(s)
+        size = len(eng.program.kind)
+        for _ in range(2):
+            with pytest.raises(SpecError, match="non-unit weights"):
+                eng.coeff(s.root, 1, 0)
+        assert len(eng.program.kind) == size
+
+    def test_derive_cycle_that_never_shrinks_is_ill_founded(self):
+        # R = R' asks for derivatives of every order at one size
+        s = parse_dsl("R := DERIVE(R);")
+        with pytest.raises(IllFoundedRecursion):
+            ogf(s, 3)
 
     def test_set_of_possibly_empty_rejected(self):
         from polyagibbs.species import Epsilon, Union

@@ -484,8 +484,8 @@ class TestLifetime:
                 gc.enable()
 
     def test_derive_leaves_no_cycle(self):
-        # a DERIVE compiles its rewrite into the program when first
-        # counted; a rewrite that derive_node refuses leaves nothing behind
+        # a DERIVE adds its derivative to the program when first counted;
+        # a derivative that is refused leaves nothing behind
         import gc
         import weakref
 

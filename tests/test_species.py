@@ -1,5 +1,6 @@
 """Species expressions: DSL, enumeration, canonical objects, derivation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from polyagibbs import (
     ATOM,
     Atom,
     Compose,
+    Derive,
     Enumerator,
     IllFoundedRecursion,
     Ref,
@@ -22,6 +24,7 @@ from polyagibbs import (
     mark_one_atom,
     object_size,
     object_to_string,
+    ogf,
     parse_dsl,
     unrank_by_weight,
     parse_spec,
@@ -32,10 +35,16 @@ from polyagibbs import (
     spec_to_json,
 )
 from polyagibbs.species import (
+    EPSILON,
+    OPS,
     AtomMultiplicative,
+    Node,
     Product,
+    Sized,
     TableWeight,
-    derive_node,
+    Union,
+    Zero,
+    _Fail,
 )
 
 F = Fraction
@@ -185,12 +194,30 @@ class TestDsl:
         assert parse_spec(spec_to_json(s)) == s
         assert parse_spec("T := ATOM * SET(T);") == s
 
+    def test_op_table_names_every_node_class(self):
+        assert set(Node.__subclasses__()) - set(OPS.values()) == {_Fail}
+
+    def test_spec_with_every_op_round_trips_through_json(self):
+        tree = Union(Product(ATOM, SetOf(Ref("T"))), Zero())
+        extra = Product(EPSILON, Sized((F(0), F(1), F(5, 2))))
+        weighted = Weighted(SeqOf(Ref("T")), AtomMultiplicative(F(2, 3)))
+        s = spec(
+            Compose("SEQ", Union(Union(weighted, Derive(Ref("T"))), extra)),
+            {"T": tree},
+        )
+        text = spec_to_json(s)
+
+        def ops(node):
+            return {node["op"]}.union(*(ops(v) for v in node.values() if isinstance(v, dict)))
+
+        doc = json.loads(text)
+        assert set(OPS) == ops(doc["root"]) | ops(doc["defs"]["T"])
+        assert parse_spec(text) == s
+
 
 class TestDerivation:
     def test_atom_derivative_is_epsilon(self):
-        from polyagibbs.species import Epsilon
-
-        assert derive_node(Atom(), {}) == Epsilon()
+        assert list(ogf(derived_spec(spec(ATOM)), 5).coeffs) == [1, 0, 0, 0, 0, 0]
 
     def test_derived_forest_counts_match_marked_enumeration(self):
         # counting forests with one marked atom, then dividing by nothing:
@@ -214,8 +241,16 @@ class TestDerivation:
             assert total(der.enumerate_root(n - 1)) == len(marked)
 
     def test_sized_species_cannot_be_derived(self):
-        with pytest.raises(SpecError):
-            derived_spec(sized_species([F(0), F(1), F(1)]))
+        derived = derived_spec(sized_species([F(0), F(1), F(1)]))
+        with pytest.raises(SpecError, match="cannot derive a SIZED species"):
+            ogf(derived, 2)
+
+    def test_nested_derive_stars_are_labelled_apart(self):
+        # the second mark of a derivative of a derivative is a new star
+        once = mark_one_atom(("seq", (("atom",), ("atom",))))
+        assert object_to_string(once[0]) == "[*,o]"
+        twice = {canonicalize(m) for o in once for m in mark_one_atom(o)}
+        assert sorted(map(object_to_string, twice)) == ["[*,*2]", "[*2,*]"]
 
 
 class TestObjects:
