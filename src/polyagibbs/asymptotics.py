@@ -46,6 +46,40 @@ def _scaled_floats(g: TruncatedSeries, rho: float) -> Dict[int, float]:
     return out
 
 
+def _self_convolution(h: Dict[int, float], nz: List[int]) -> List[float]:
+    """For each n in nz, ``math.fsum`` of h_i * h_{n-i} over 0 < i < n with
+    both indices in nz, the terms in ascending i.
+
+    The products of one n form one numpy multiply over the array of the
+    h_i; an IEEE double product is the same in numpy as in Python, so the
+    terms are those of the scalar loop, and ``fsum`` rounds their sum
+    exactly as it did.  Where an index below the top is absent (a lattice
+    span d > 1, or gaps), a presence mask picks the pairs before the
+    multiply, so no absent 0.0 meets an infinite h_i.  A product that
+    overflows is ``inf``, as a Python float product is, without numpy's
+    overflow warning.
+    """
+    import numpy as np
+
+    top = nz[-1]
+    vals = np.zeros(top + 1)
+    vals[nz] = [h[n] for n in nz]
+    present = None
+    if len(nz) < top:
+        present = np.zeros(top + 1, dtype=bool)
+        present[nz] = True
+    sums = []
+    with np.errstate(over="ignore"):
+        for n in nz:
+            # index i - 1 holds the pair (i, n - i), i = 1 .. n-1
+            left, right = vals[1:n], vals[n - 1 : 0 : -1]
+            if present is not None:
+                pick = present[1:n] & present[n - 1 : 0 : -1]
+                left, right = left[pick], right[pick]
+            sums.append(math.fsum((left * right).tolist()))
+    return sums
+
+
 @dataclass
 class SubexpReport:
     d: int
@@ -74,7 +108,12 @@ class SubexpReport:
 def diagnose_subexponential(g: TruncatedSeries) -> SubexpReport:
     """Ratio and self-convolution tracks of a coefficient sequence, with
     last-window relative deviations reported at the full truncation and at
-    half of it (so a reader can see whether the deviations shrink)."""
+    half of it (so a reader can see whether the deviations shrink).
+
+    The O(N^2) products of the self-convolution track are numpy multiplies
+    (:func:`_self_convolution`), one per n; each sum is still one exactly
+    rounded ``math.fsum`` over the same terms, so the track is bit-for-bit
+    the scalar loop's."""
     nz = [n for n in g.nonzero_indices if n > 0]
     if len(nz) < 20:
         raise InsufficientData("need at least 20 nonzero coefficients")
@@ -86,13 +125,8 @@ def diagnose_subexponential(g: TruncatedSeries) -> SubexpReport:
     ratio_track = [
         (n, h[n] / h[n + d] * rho**d) for n in nz if n + d in h
     ]
-    conv_track = []
-    for n in nz:
-        s = math.fsum(
-            h[i] * h[n - i] for i in nz if 0 < i < n and (n - i) in h
-        )
-        # the rho^n scaling cancels: h_i h_{n-i} / h_n = g_i g_{n-i} / g_n
-        conv_track.append((n, s / h[n]))
+    # the rho^n scaling cancels: h_i h_{n-i} / h_n = g_i g_{n-i} / g_n
+    conv_track = [(n, s / h[n]) for n, s in zip(nz, _self_convolution(h, nz))]
 
     g_at_rho: Optional[Evaluation] = None
     hint = ""

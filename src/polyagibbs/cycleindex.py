@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, Tuple
 
 from .errors import InnerHasConstantTerm, PreconditionError
-from .series import TruncatedSeries, exp_weighted
+from .series import TruncatedSeries, convolve_at, exp_weighted
 
 CycleType = Tuple[Tuple[int, int], ...]
 
@@ -289,17 +289,17 @@ def multiset_ogf_product(
 
 
 def seq_ogf(inner: TruncatedSeries, truncation: int) -> TruncatedSeries:
-    """OGF of sequences, 1/(1 - g), via c_n = sum_k g_k c_{n-k}."""
+    """OGF of sequences, 1/(1 - g), via c_n = sum_k g_k c_{n-k}: one
+    :func:`~polyagibbs.series.convolve_at` per degree over g's nonzero
+    indices, in C when they are dense, with the exact values and types of
+    the plain loop."""
     g = inner.truncate(truncation)
     if g[0] != 0:
         raise InnerHasConstantTerm("sequence inner class must have no size-0 objects")
+    indices = g.nonzero_indices
+    values = [g[k] for k in indices]
     out = [0] * (truncation + 1)
     out[0] = 1
     for n in range(1, truncation + 1):
-        acc = 0
-        for k in g.nonzero_indices:
-            if k > n:
-                break
-            acc += g[k] * out[n - k]
-        out[n] = acc
+        out[n] = convolve_at(values, indices, out, n)
     return TruncatedSeries(out)

@@ -21,7 +21,10 @@ spec whose weights are all integral yields streams of Python `int`; a
 rational weight p/q makes the same code produce `Fraction` values.  The
 one division, in the SET recurrence, goes through
 :func:`~polyagibbs.series.exact_div`.  Cost is O(N^2) per stream, with
-streams shared across all powers that a composite pulls in.
+streams shared across all powers that a composite pulls in.  The SET and
+SEQ sums are :func:`~polyagibbs.series.convolve_at` over the nonzero q_k,
+so on a dense q their products and additions run in C; every coefficient
+is the plain loop's, in value and in type.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import threading
 from typing import Dict, Tuple
 
 from .errors import IllFoundedRecursion, SpecError
-from .series import TruncatedSeries, as_exact, exact_div
+from .series import TruncatedSeries, as_exact, convolve_at, exact_div
 from .species import Enumerator, Node, Program, SpeciesSpec, by_kind, fail
 
 
@@ -41,7 +44,7 @@ class SeriesEngine:
         self.spec = spec
         self.program = Program(spec)
         self._arr: Dict[Tuple[int, int], list] = {}
-        self._q: Dict[Tuple[int, int], list] = {}
+        self._q: Dict[Tuple[int, int], tuple] = {}
         self._busy: set = set()
         self._enum: Enumerator | None = None
         # arrays grow by appends; a reentrant lock keeps concurrent
@@ -96,14 +99,15 @@ class SeriesEngine:
                     "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
                 )
             return 1
-        arr = self._arr[(i, power)]
-        q = self._q.setdefault((i, power), [0])
+        # q, and its nonzero terms as convolve_at reads them
+        q, indices, values = self._q.setdefault((i, power), ([0], [], []))
         while len(q) <= n:
-            q.append(term(inner, power, len(q)))
-        total = 0
-        for k in range(1, n + 1):
-            if q[k]:
-                total += q[k] * arr[n - k]
+            qk = term(inner, power, len(q))
+            if qk:
+                indices.append(len(q))
+                values.append(qk)
+            q.append(qk)
+        total = convolve_at(values, indices, self._arr[(i, power)], n)
         return total if divisor == 1 else exact_div(total, divisor)
 
     def _euler_term(self, inner: int, power: int, k: int):

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InsufficientData, PreconditionError, TailNotControlled
@@ -245,33 +247,59 @@ class TruncatedSeries:
         return cls(coeffs, truncation=data["truncation"])
 
 
+def convolve_at(values: Sequence, indices: Sequence[int], b: Sequence, m: int):
+    """sum_k a_k * b[m - k] over the nonzero terms a_k of a series a with
+    1 <= k <= m, given as the ascending ``indices`` k and their ``values``:
+    the degree-m coefficient of a Cauchy product of a with b, when b[m]
+    is not yet known.  Reads b[0 .. m-1] only.
+
+    The terms, their order and the start value ``int`` 0 are those of
+
+        acc = 0
+        for k, a_k in zip(indices, values):
+            if k > m:
+                break
+            acc += a_k * b[m - k]
+
+    so the result equals the loop's in value and in type (an `int` when
+    every term is).  When the indices up to m are exactly 1..cut, as in a
+    dense series, the products and the sum run in C, through `sum` over
+    ``map(operator.mul, ...)``; otherwise the loop above runs, because a
+    gather through ``map`` costs more than the interpreted loop it would
+    replace.
+    """
+    cut = bisect_right(indices, m)
+    if cut and indices[cut - 1] == cut:
+        return sum(map(mul, values, reversed(b[m - cut : m])))
+    acc = 0
+    for k, a_k in zip(indices, values):
+        if k > m:
+            break
+        acc += a_k * b[m - k]
+    return acc
+
+
 def exp_weighted(weighted: Sequence) -> TruncatedSeries:
     """exp(A) to degree len(weighted) - 1, given the weighted coefficients
     ``weighted[k] = k * a_k`` of A (``weighted[0]`` is ignored), via
     n*e_n = sum_k k*a_k*e_{n-k}.
 
     Taking k*a_k rather than a_k lets a caller whose a_k are not integral
-    but whose k*a_k are (the Euler transform) stay in `int`.
+    but whose k*a_k are (the Euler transform) stay in `int`.  Each sum is
+    one :func:`convolve_at` over the argument's nonzero indices, so on a
+    dense argument the O(N^2) products run in C; the coefficients are the
+    exact values of the plain loop, and of the same types.
     """
     n = len(weighted) - 1
-    nonzero = [k for k in range(1, n + 1) if weighted[k]]
+    indices = [k for k in range(1, n + 1) if weighted[k]]
+    values = [weighted[k] for k in indices]
     out = [0] * (n + 1)
     out[0] = 1
-    # Skip indices off the argument's semigroup: e_m can only be nonzero
-    # when m is a sum of nonzero argument indices.
-    reachable = [False] * (n + 1)
-    reachable[0] = True
     for m in range(1, n + 1):
-        acc = 0
-        hit = False
-        for k in nonzero:
-            if k > m:
-                break
-            if reachable[m - k]:
-                hit = True
-                acc += weighted[k] * out[m - k]
-        if hit:
-            reachable[m] = True
+        # the weights are non-negative, so e_m is nonzero exactly when
+        # some term is: m is a sum of the argument's nonzero indices
+        acc = convolve_at(values, indices, out, m)
+        if acc:
             out[m] = exact_div(acc, m)
     return TruncatedSeries(out)
 

@@ -583,6 +583,11 @@ class Enumerator:
         return out
 
     def _derive(self, i: int, n: int, power: int) -> list:
+        """Orbits of size n + 1 of the inner node with one atom marked.
+        Reached again while it is busy at a smaller size, the DERIVE
+        closes a cycle that gains size on every turn and never ends."""
+        if any((i, m, power) in self._busy for m in range(n)):
+            raise IllFoundedRecursion()
         seen = {}
         for o, w in self._enumerate(self.program.args[i][0], n + 1, power):
             for marked in mark_one_atom(o):

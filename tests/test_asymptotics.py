@@ -21,6 +21,7 @@ from polyagibbs import (
     polya_trees,
     series_from_terms,
 )
+from polyagibbs.asymptotics import _scaled_floats, _self_convolution
 
 F = Fraction
 
@@ -59,6 +60,56 @@ class TestDiagnostics:
         )
         rep = diagnose_subexponential(g)
         assert rep.d == 2
+
+
+def _loop_convolution_track(g, rho):
+    """The self-convolution track as one fsum per n over a generator of
+    index pairs: the reference of the vectorised products."""
+    h = _scaled_floats(g, rho)
+    nz = [n for n in g.nonzero_indices if n > 0]
+    return [
+        (n, math.fsum(h[i] * h[n - i] for i in nz if 0 < i < n and (n - i) in h) / h[n])
+        for n in nz
+    ]
+
+
+def _bits(track):
+    return [(n, x.hex()) for n, x in track]
+
+
+class TestConvolutionTrack:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ogf(forests(), 400),
+            lambda: ogf(parse_dsl("B := ATOM + ATOM * B * B;"), 401),
+            lambda: power_law_series(600),
+        ],
+        ids=["forests-span-1", "binary-trees-span-2", "power-law-fractions"],
+    )
+    def test_track_is_bit_identical_to_the_loop(self, make):
+        g = make()
+        rep = diagnose_subexponential(g)
+        assert _bits(rep.convolution_track) == _bits(_loop_convolution_track(g, rep.rho.rho))
+
+    def test_overflowing_products_are_inf_without_a_warning(self):
+        # the suite turns RuntimeWarning into an error, so numpy's overflow
+        # warning would fail here; Python float products overflow silently
+        h = {n: 1e200 * n for n in range(1, 41)}
+        nz = sorted(h)
+        want = [math.fsum(h[i] * h[n - i] for i in range(1, n)) for n in nz]
+        got = _self_convolution(h, nz)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert math.isinf(got[-1]) and got[0] == 0.0
+
+    def test_infinite_terms_next_to_gaps_stay_infinite(self):
+        # an absent index must not meet an inf as 0.0 * inf = nan
+        h = {n: (math.inf if n == 7 else 0.5**n) for n in range(2, 60) if n % 5}
+        nz = sorted(h)
+        want = [math.fsum(h[i] * h[n - i] for i in nz if i < n and (n - i) in h) for n in nz]
+        got = _self_convolution(h, nz)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert math.isinf(got[nz.index(9)])
 
 
 class TestClosure:

@@ -25,6 +25,7 @@ from polyagibbs import (
     sized_species,
     spec,
 )
+from polyagibbs.series import exact_div
 from polyagibbs.species import AtomMultiplicative, Product, TableWeight, canonicalize
 
 F = Fraction
@@ -181,6 +182,15 @@ class TestGuards:
         with pytest.raises(IllFoundedRecursion):
             ogf(s, 3)
 
+    def test_enumerator_refuses_derive_cycle_that_grows(self):
+        # R = R' makes the enumerator ask for R at sizes n + 1, n + 2, ...
+        # while R is busy at n; it raises as the engine does, before the
+        # size guard
+        s = parse_dsl("R := DERIVE(R);")
+        for n in range(3):
+            with pytest.raises(IllFoundedRecursion):
+                Enumerator(s).enumerate_root(n)
+
     def test_set_of_possibly_empty_rejected(self):
         from polyagibbs.species import Epsilon, Union
 
@@ -194,6 +204,61 @@ class TestGuards:
         s = spec(SeqOf(Union(ATOM, Epsilon())))
         with pytest.raises(SpecError):
             ogf(s, 3)
+
+
+def _loop_recurrence(self, i, power, n, term, divisor):
+    """The SET/SEQ recurrence as a plain loop over a dense q: the reference
+    the engine's convolve_at must match in value and type."""
+    inner = self.program.args[i][0]
+    if n == 0:
+        if self.at(inner, power, 0) != 0:
+            raise SpecError("inner species of SET/SEQ/COMPOSE must have no size-0 objects")
+        return 1
+    arr = self._arr[(i, power)]
+    q = self._q.setdefault((i, power), [0])
+    while len(q) <= n:
+        q.append(term(inner, power, len(q)))
+    total = 0
+    for k in range(1, n + 1):
+        if q[k]:
+            total += q[k] * arr[n - k]
+    return total if divisor == 1 else exact_div(total, divisor)
+
+
+class LoopEngine(SeriesEngine):
+    _recurrence = _loop_recurrence
+
+
+class TestRecurrenceIdentity:
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("T := ATOM * SET(T); F := COMPOSE(SET, T);", 120),
+            ("B := ATOM + ATOM * B * B; S := SEQ(B);", 120),
+            ("T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);", 60),
+            # the odd-size-only B weighted by 1/3 has Fraction(0) at even
+            # sizes, which SEQ and SET read as their argument
+            ("B := ATOM + ATOM * B * B; W := WEIGHT(B, 1/3); S := SEQ(W) * SET(W);", 60),
+        ],
+    )
+    def test_streams_match_the_loop_in_value_and_type(self, text, n):
+        s = parse_dsl(text)
+        new, ref = SeriesEngine(s), LoopEngine(s)
+        for power in (1, 2):
+            new.ogf(n, power=power)
+            ref.ogf(n, power=power)
+        assert new._arr.keys() == ref._arr.keys()
+        for key, stream in ref._arr.items():
+            assert [(c, type(c)) for c in new._arr[key]] == [
+                (c, type(c)) for c in stream
+            ], key
+
+    def test_rational_streams_hold_fraction_zeros(self):
+        # the last case above exercises what it says
+        eng = SeriesEngine(parse_dsl("B := ATOM + ATOM * B * B; W := WEIGHT(B, 1/3);"))
+        w = eng.program.root
+        assert [type(eng.at(w, 1, k)) for k in range(4)] == [Fraction] * 4
+        assert eng.at(w, 1, 2) == 0
 
 
 class TestThreadSafety:

@@ -17,7 +17,8 @@ from polyagibbs import (
     radius_estimate,
     series_from_terms,
 )
-from polyagibbs.series import _tail_sum, exact_div
+from polyagibbs.cycleindex import seq_ogf
+from polyagibbs.series import _tail_sum, convolve_at, exact_div, exp_weighted
 
 F = Fraction
 
@@ -158,6 +159,120 @@ class TestExp:
         g = poly(0, 1, 2)
         sub = g.substitute_power(3, truncation=8)
         assert sub.coeffs == (F(0),) * 3 + (F(1),) + (F(0),) * 2 + (F(2), F(0), F(0))
+
+
+def _loop_convolve_at(a, b, m):
+    """sum_k a_k b_{m-k} over the nonzero a_k, k >= 1, as a plain loop."""
+    acc = 0
+    for k in range(1, m + 1):
+        if k < len(a) and a[k]:
+            acc += a[k] * b[m - k]
+    return acc
+
+
+def _loop_exp_weighted(weighted):
+    """exp_weighted as a plain loop that skips degrees off the argument's
+    semigroup: the reference of the C-level sums."""
+    n = len(weighted) - 1
+    nonzero = [k for k in range(1, n + 1) if weighted[k]]
+    out = [0] * (n + 1)
+    out[0] = 1
+    reachable = [False] * (n + 1)
+    reachable[0] = True
+    for m in range(1, n + 1):
+        acc = 0
+        hit = False
+        for k in nonzero:
+            if k > m:
+                break
+            if reachable[m - k]:
+                hit = True
+                acc += weighted[k] * out[m - k]
+        if hit:
+            reachable[m] = True
+            out[m] = exact_div(acc, m)
+    return TruncatedSeries(out)
+
+
+def _loop_seq_ogf(g, n):
+    out = [0] * (n + 1)
+    out[0] = 1
+    for m in range(1, n + 1):
+        acc = 0
+        for k in g.nonzero_indices:
+            if k > m:
+                break
+            acc += g[k] * out[m - k]
+        out[m] = acc
+    return TruncatedSeries(out)
+
+
+def _typed(xs):
+    return [(x, type(x)) for x in xs]
+
+
+def _tree_counts(n):
+    from polyagibbs import ogf, polya_trees
+
+    return ogf(polya_trees(), n)
+
+
+# arguments of the three kinds the exact recurrences see: integral (the
+# Euler-transform argument of rooted trees), rational with zeros on a
+# lattice, and one whose entries include Fraction(0)
+def _integral_argument(n=200):
+    t = _tree_counts(n)
+    return [0] + [sum(d * t[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, n + 1)]
+
+
+_RATIONAL_ARGUMENT = [0] + [F(k, 3) if k % 3 else 0 for k in range(1, 61)]
+_FRACTION_ZERO_ARGUMENT = [F(0), F(0), F(2), F(0), F(1, 5), F(0), 4, F(0), F(7, 2)] + [F(0)] * 32
+
+
+class TestExactLoops:
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0] + list(range(1, 41)),
+            [0, 0, 3, 0, 5] + [0] * 36,
+            [0, F(1, 2), 0, F(0), F(3, 4)] + [1] * 36,
+            [0, 2, 3, F(5, 2)] + [0] * 37,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "b",
+        [
+            list(range(1, 41)),
+            [1, 0, F(1, 3), F(0), 2, 0] * 7,
+            [1, F(0), 0, 5] * 10,
+        ],
+    )
+    def test_convolve_at_matches_the_loop_in_value_and_type(self, a, b, m):
+        indices = [k for k in range(1, len(a)) if a[k]]
+        values = [a[k] for k in indices]
+        got = convolve_at(values, indices, b[:m], m)
+        want = _loop_convolve_at(a, b, m)
+        assert (got, type(got)) == (want, type(want))
+
+    @pytest.mark.parametrize(
+        "weighted",
+        [_integral_argument(), _RATIONAL_ARGUMENT, _FRACTION_ZERO_ARGUMENT],
+        ids=["integral", "rational", "fraction-zero"],
+    )
+    def test_exp_weighted_matches_the_loop(self, weighted):
+        got, want = exp_weighted(weighted), _loop_exp_weighted(weighted)
+        assert _typed(got.coeffs) == _typed(want.coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [list(_tree_counts(200).coeffs), _RATIONAL_ARGUMENT, _FRACTION_ZERO_ARGUMENT],
+        ids=["integral", "rational", "fraction-zero"],
+    )
+    def test_seq_ogf_matches_the_loop(self, coeffs):
+        g = TruncatedSeries(coeffs)
+        n = g.truncation
+        assert _typed(seq_ogf(g, n).coeffs) == _typed(_loop_seq_ogf(g, n).coeffs)
 
 
 class TestLattice:
