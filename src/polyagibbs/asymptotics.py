@@ -48,35 +48,29 @@ def _scaled_floats(g: TruncatedSeries, rho: float) -> Dict[int, float]:
 
 def _self_convolution(h: Dict[int, float], nz: List[int]) -> List[float]:
     """For each n in nz, ``math.fsum`` of h_i * h_{n-i} over 0 < i < n with
-    both indices in nz, the terms in ascending i.
+    both indices in nz, the terms in ascending i; every h_i is positive.
 
     The products of one n form one numpy multiply over the array of the
     h_i; an IEEE double product is the same in numpy as in Python, so the
     terms are those of the scalar loop, and ``fsum`` rounds their sum
-    exactly as it did.  Where an index below the top is absent (a lattice
-    span d > 1, or gaps), a presence mask picks the pairs before the
-    multiply, so no absent 0.0 meets an infinite h_i.  A product that
-    overflows is ``inf``, as a Python float product is, without numpy's
-    overflow warning.
+    exactly as it did.  An absent index (a lattice span d > 1, or a gap)
+    holds 0.0, so its pairs add +0.0 terms, which leave the exact sum as
+    it is; ``np.fmax(p, 0.0)`` turns the nan of a 0.0 * inf back into
+    0.0 and leaves every product of positive values as it is.  A product
+    that overflows is ``inf``, as a Python float product is, without
+    numpy's overflow warning.
     """
     import numpy as np
 
     top = nz[-1]
     vals = np.zeros(top + 1)
     vals[nz] = [h[n] for n in nz]
-    present = None
-    if len(nz) < top:
-        present = np.zeros(top + 1, dtype=bool)
-        present[nz] = True
     sums = []
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in nz:
             # index i - 1 holds the pair (i, n - i), i = 1 .. n-1
-            left, right = vals[1:n], vals[n - 1 : 0 : -1]
-            if present is not None:
-                pick = present[1:n] & present[n - 1 : 0 : -1]
-                left, right = left[pick], right[pick]
-            sums.append(math.fsum((left * right).tolist()))
+            prods = vals[1:n] * vals[n - 1 : 0 : -1]
+            sums.append(math.fsum(np.fmax(prods, 0.0, out=prods).tolist()))
     return sums
 
 

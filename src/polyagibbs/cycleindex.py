@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, Tuple
 
 from .errors import InnerHasConstantTerm, PreconditionError
-from .series import TruncatedSeries, convolve_at, exp_weighted
+from .series import TruncatedSeries, cauchy_terms, exp_weighted
 
 CycleType = Tuple[Tuple[int, int], ...]
 
@@ -289,17 +289,16 @@ def multiset_ogf_product(
 
 
 def seq_ogf(inner: TruncatedSeries, truncation: int) -> TruncatedSeries:
-    """OGF of sequences, 1/(1 - g), via c_n = sum_k g_k c_{n-k}: one
-    :func:`~polyagibbs.series.convolve_at` per degree over g's nonzero
-    indices, in C when they are dense, with the exact values and types of
-    the plain loop."""
+    """OGF of sequences, 1/(1 - g), via c_n = sum_k g_k c_{n-k}: each sum
+    runs in C over :func:`~polyagibbs.series.cauchy_terms`, with the exact
+    values and types of the plain loop."""
     g = inner.truncate(truncation)
     if g[0] != 0:
         raise InnerHasConstantTerm("sequence inner class must have no size-0 objects")
-    indices = g.nonzero_indices
-    values = [g[k] for k in indices]
+    a = g.coeffs[1:]
+    nonzero = [c for c in a if c]
     out = [0] * (truncation + 1)
     out[0] = 1
     for n in range(1, truncation + 1):
-        out[n] = convolve_at(values, indices, out, n)
+        out[n] = sum(cauchy_terms(a, nonzero, out, n))
     return TruncatedSeries(out)

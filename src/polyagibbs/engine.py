@@ -22,9 +22,9 @@ rational weight p/q makes the same code produce `Fraction` values.  The
 one division, in the SET recurrence, goes through
 :func:`~polyagibbs.series.exact_div`.  Cost is O(N^2) per stream, with
 streams shared across all powers that a composite pulls in.  The SET and
-SEQ sums are :func:`~polyagibbs.series.convolve_at` over the nonzero q_k,
-so on a dense q their products and additions run in C; every coefficient
-is the plain loop's, in value and in type.
+SEQ sums run in C over :func:`~polyagibbs.series.cauchy_terms`, the
+products with the nonzero q_k; every coefficient is the plain loop's, in
+value and in type.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import threading
 from typing import Dict, Tuple
 
 from .errors import IllFoundedRecursion, SpecError
-from .series import TruncatedSeries, as_exact, convolve_at, exact_div
+from .series import TruncatedSeries, as_exact, cauchy_terms, exact_div
 from .species import Enumerator, Node, Program, SpeciesSpec, by_kind, fail
 
 
@@ -99,15 +99,14 @@ class SeriesEngine:
                     "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
                 )
             return 1
-        # q, and its nonzero terms as convolve_at reads them
-        q, indices, values = self._q.setdefault((i, power), ([0], [], []))
-        while len(q) <= n:
-            qk = term(inner, power, len(q))
+        # q_1, q_2, ... and its nonzero terms, as cauchy_terms reads them
+        q, nonzero = self._q.setdefault((i, power), ([], []))
+        while len(q) < n:
+            qk = term(inner, power, len(q) + 1)
             if qk:
-                indices.append(len(q))
-                values.append(qk)
+                nonzero.append(qk)
             q.append(qk)
-        total = convolve_at(values, indices, self._arr[(i, power)], n)
+        total = sum(cauchy_terms(q, nonzero, self._arr[(i, power)], n))
         return total if divisor == 1 else exact_div(total, divisor)
 
     def _euler_term(self, inner: int, power: int, k: int):

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -247,36 +247,23 @@ class TruncatedSeries:
         return cls(coeffs, truncation=data["truncation"])
 
 
-def convolve_at(values: Sequence, indices: Sequence[int], b: Sequence, m: int):
-    """sum_k a_k * b[m - k] over the nonzero terms a_k of a series a with
-    1 <= k <= m, given as the ascending ``indices`` k and their ``values``:
-    the degree-m coefficient of a Cauchy product of a with b, when b[m]
-    is not yet known.  Reads b[0 .. m-1] only.
+def cauchy_terms(a: Sequence, nonzero: Sequence, b: Sequence, m: int):
+    """The terms a_k * b[m - k] of the degree-m coefficient of a Cauchy
+    product, over the nonzero a_k with 1 <= k <= m in ascending k, as an
+    iterator that runs in C.  ``a`` lists a_1, a_2, ... (only the truth of
+    each entry is read) and ``nonzero`` its nonzero entries in order; b[m]
+    need not be known yet, as only b[0 .. m-1] are read.
 
-    The terms, their order and the start value ``int`` 0 are those of
+    ``sum`` of the terms equals, in value and in type, the plain loop
 
         acc = 0
-        for k, a_k in zip(indices, values):
-            if k > m:
-                break
-            acc += a_k * b[m - k]
+        for k in range(1, m + 1):
+            if a_k:
+                acc += a_k * b[m - k]
 
-    so the result equals the loop's in value and in type (an `int` when
-    every term is).  When the indices up to m are exactly 1..cut, as in a
-    dense series, the products and the sum run in C, through `sum` over
-    ``map(operator.mul, ...)``; otherwise the loop above runs, because a
-    gather through ``map`` costs more than the interpreted loop it would
-    replace.
+    as it adds the same products in the same order from the ``int`` 0.
     """
-    cut = bisect_right(indices, m)
-    if cut and indices[cut - 1] == cut:
-        return sum(map(mul, values, reversed(b[m - cut : m])))
-    acc = 0
-    for k, a_k in zip(indices, values):
-        if k > m:
-            break
-        acc += a_k * b[m - k]
-    return acc
+    return map(mul, nonzero, compress(b[m - 1 :: -1], a))
 
 
 def exp_weighted(weighted: Sequence) -> TruncatedSeries:
@@ -285,22 +272,21 @@ def exp_weighted(weighted: Sequence) -> TruncatedSeries:
     n*e_n = sum_k k*a_k*e_{n-k}.
 
     Taking k*a_k rather than a_k lets a caller whose a_k are not integral
-    but whose k*a_k are (the Euler transform) stay in `int`.  Each sum is
-    one :func:`convolve_at` over the argument's nonzero indices, so on a
-    dense argument the O(N^2) products run in C; the coefficients are the
-    exact values of the plain loop, and of the same types.
+    but whose k*a_k are (the Euler transform) stay in `int`.  Each sum runs
+    in C over :func:`cauchy_terms`, without its zero terms.  The weights
+    are non-negative, so those are the terms at degrees that no sum of the
+    argument's nonzero indices reaches, which the plain loop skips: there
+    a `Fraction` weight times the `int` 0 would make an integral sum a
+    `Fraction`.  The coefficients are the plain loop's exact values, of
+    the same types, and so are the sums.
     """
     n = len(weighted) - 1
-    indices = [k for k in range(1, n + 1) if weighted[k]]
-    values = [weighted[k] for k in indices]
+    a = weighted[1:]
+    nonzero = [w for w in a if w]
     out = [0] * (n + 1)
     out[0] = 1
     for m in range(1, n + 1):
-        # the weights are non-negative, so e_m is nonzero exactly when
-        # some term is: m is a sum of the argument's nonzero indices
-        acc = convolve_at(values, indices, out, m)
-        if acc:
-            out[m] = exact_div(acc, m)
+        out[m] = exact_div(sum(filter(None, cauchy_terms(a, nonzero, out, m))), m)
     return TruncatedSeries(out)
 
 

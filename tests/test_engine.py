@@ -208,7 +208,7 @@ class TestGuards:
 
 def _loop_recurrence(self, i, power, n, term, divisor):
     """The SET/SEQ recurrence as a plain loop over a dense q: the reference
-    the engine's convolve_at must match in value and type."""
+    the engine's sums over cauchy_terms must match in value and type."""
     inner = self.program.args[i][0]
     if n == 0:
         if self.at(inner, power, 0) != 0:

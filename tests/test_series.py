@@ -18,7 +18,8 @@ from polyagibbs import (
     series_from_terms,
 )
 from polyagibbs.cycleindex import seq_ogf
-from polyagibbs.series import _tail_sum, convolve_at, exact_div, exp_weighted
+from polyagibbs import series as series_module
+from polyagibbs.series import _tail_sum, cauchy_terms, exact_div, exp_weighted
 
 F = Fraction
 
@@ -161,7 +162,7 @@ class TestExp:
         assert sub.coeffs == (F(0),) * 3 + (F(1),) + (F(0),) * 2 + (F(2), F(0), F(0))
 
 
-def _loop_convolve_at(a, b, m):
+def _loop_cauchy_sum(a, b, m):
     """sum_k a_k b_{m-k} over the nonzero a_k, k >= 1, as a plain loop."""
     acc = 0
     for k in range(1, m + 1):
@@ -170,9 +171,10 @@ def _loop_convolve_at(a, b, m):
     return acc
 
 
-def _loop_exp_weighted(weighted):
+def _loop_exp_weighted(weighted, sums=None):
     """exp_weighted as a plain loop that skips degrees off the argument's
-    semigroup: the reference of the C-level sums."""
+    semigroup: the reference of the C-level sums.  Each degree's sum is
+    appended to ``sums`` when it is given."""
     n = len(weighted) - 1
     nonzero = [k for k in range(1, n + 1) if weighted[k]]
     out = [0] * (n + 1)
@@ -188,6 +190,8 @@ def _loop_exp_weighted(weighted):
             if reachable[m - k]:
                 hit = True
                 acc += weighted[k] * out[m - k]
+        if sums is not None:
+            sums.append(acc)
         if hit:
             reachable[m] = True
             out[m] = exact_div(acc, m)
@@ -248,11 +252,10 @@ class TestExactLoops:
             [1, F(0), 0, 5] * 10,
         ],
     )
-    def test_convolve_at_matches_the_loop_in_value_and_type(self, a, b, m):
-        indices = [k for k in range(1, len(a)) if a[k]]
-        values = [a[k] for k in indices]
-        got = convolve_at(values, indices, b[:m], m)
-        want = _loop_convolve_at(a, b, m)
+    def test_cauchy_terms_sum_to_the_loop_in_value_and_type(self, a, b, m):
+        nonzero = [x for x in a[1:] if x]
+        got = sum(cauchy_terms(a[1:], nonzero, b[:m], m))
+        want = _loop_cauchy_sum(a, b, m)
         assert (got, type(got)) == (want, type(want))
 
     @pytest.mark.parametrize(
@@ -263,6 +266,22 @@ class TestExactLoops:
     def test_exp_weighted_matches_the_loop(self, weighted):
         got, want = exp_weighted(weighted), _loop_exp_weighted(weighted)
         assert _typed(got.coeffs) == _typed(want.coeffs)
+
+    def test_exp_weighted_sums_keep_the_loops_types(self, monkeypatch):
+        # int weights with Fraction weights at indices that skip degrees:
+        # a Fraction weight times the 0 of an unreachable degree must not
+        # turn a sum that the loop keeps in int into a Fraction
+        weighted = [0, 0, 4, F(1), 0, 0, 6, F(1, 2)] + [0] * 16
+        want = []
+        _loop_exp_weighted(weighted, want)
+        got = []
+        monkeypatch.setattr(
+            series_module, "exact_div", lambda a, m: got.append(a) or exact_div(a, m)
+        )
+        exp_weighted(weighted)
+        assert _typed(got) == _typed(want)
+        # degree 4 reads the weight F(1) at index 3 against the 0 at degree 1
+        assert _typed(got[3:4]) == [(8, int)]
 
     @pytest.mark.parametrize(
         "coeffs",
