@@ -18,7 +18,10 @@ sampled by one uniform and a bisection, or for a whole block of draws by
 numpy's ``searchsorted`` on the same table.  The sampler dispatches on the
 kind tag of a node id and caches one law per (node id, power, size), keyed
 by plain ints; sampling after the first draw of a given size is table
-lookups plus bisection.  A law is published to the cache only once it is
+lookups plus bisection.  Each node kind has one handler, a plain module
+function of the sampler that reads its cached law and bisects ``cum``
+inline, so a SET or PRODUCT node costs one Python call and a sampler holds
+no reference cycle.  A law is published to the cache only once it is
 built, so threads may share a sampler.
 """
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate
 from typing import Dict
 
@@ -101,26 +103,88 @@ def _seq_terms(eng, i, inner, power, n):
     for s in range(1, n + 1):
         g = eng.at(inner, power, s)
         if g:
-            yield (s, 1), g * eng.at(i, power, n - s)
+            yield s, g * eng.at(i, power, n - s)
 
 
 def _table_terms(eng, i, inner, power, n):
     return eng.orbits(i, n, power)
 
 
-def _blocks(terms, head: str, s, i: int, power: int, n: int, rng):
-    """A SET or SEQ object of node i: each step draws (size d, copies j) and
-    one orbit of size d under nu^(power * j); SEQ blocks have j = 1."""
-    inner = s.program.args[i][0]
+# node handlers: (sampler, id, power, size, rng) -> object.  They are plain
+# functions of the sampler, not bound methods or closures, so a sampler
+# holds no reference cycle and is freed as soon as its last user drops it.
+# Each reads its cached law and draws from it inline, by the rule of
+# DiscreteLaw.sample: one uniform and a bisection on ``cum``.
+
+
+def _union(s, i: int, power: int, n: int, rng):
+    left, right = s._args[i]
+    a = s.engine.at(left, power, n)
+    b = s.engine.at(right, power, n)
+    if not a and not b:
+        raise EmptySize(f"no objects of size {n}")
+    # one uniform per visit, also when a side is empty
+    u = rng.random()
+    side = int(u * float(a + b) >= float(a)) if a and b else int(not a)
+    branch = right if side else left
+    return ("tag", side, s._draw[branch](s, branch, power, n, rng))
+
+
+def _product(s, i: int, power: int, n: int, rng):
+    left, right = s._args[i]
+    law = s._tables.get((i, power, n)) or s._law(product_terms, i, power, n)
+    k = law.entries[bisect_right(law.cum, rng.random())]
+    draw = s._draw
+    return (
+        "prod",
+        draw[left](s, left, power, k, rng),
+        draw[right](s, right, power, n - k, rng),
+    )
+
+
+def _set(s, i: int, power: int, n: int, rng):
+    """A SET object of node i: each step draws (size d, copies j) and one
+    orbit of size d under nu^(power * j), inserted j times."""
+    inner = s._args[i][0]
     draw, tables = s._draw[inner], s._tables
     parts = []
     while n > 0:
-        law = tables.get((i, power, n)) or s._law(terms, i, power, n)
-        d, j = law.sample(rng)
+        law = tables.get((i, power, n)) or s._law(_set_terms, i, power, n)
+        d, j = law.entries[bisect_right(law.cum, rng.random())]
         orbit = draw(s, inner, power * j, d, rng)
-        parts.extend([orbit] * j)
+        if j == 1:
+            parts.append(orbit)
+        else:
+            parts.extend([orbit] * j)
         n -= d * j
-    return (head, tuple(sorted(parts) if head == "set" else parts))
+    parts.sort()
+    return ("set", tuple(parts))
+
+
+def _seq(s, i: int, power: int, n: int, rng):
+    """A SEQ object of node i: each step draws the size of the next block
+    and one orbit of that size."""
+    inner = s._args[i][0]
+    draw, tables = s._draw[inner], s._tables
+    parts = []
+    while n > 0:
+        law = tables.get((i, power, n)) or s._law(_seq_terms, i, power, n)
+        d = law.entries[bisect_right(law.cum, rng.random())]
+        parts.append(draw(s, inner, power, d, rng))
+        n -= d
+    return ("seq", tuple(parts))
+
+
+def _weighted(s, i: int, power: int, n: int, rng):
+    # a factor c^{p n} is constant on the size-n slice, so the conditional
+    # law equals the inner one
+    inner = s._args[i][0]
+    return s._draw[inner](s, inner, power, n, rng)
+
+
+def _table(s, i: int, power: int, n: int, rng):
+    law = s._tables.get((i, power, n)) or s._law(_table_terms, i, power, n)
+    return law.entries[bisect_right(law.cum, rng.random())]
 
 
 def _empty(message: str):
@@ -141,6 +205,8 @@ class ExactSampler:
         self.program = self.engine.program
         self.root = self.program.id_of(spec.root)
         self._tables: Dict[tuple, DiscreteLaw] = {}
+        # the program's list, which it only ever appends to
+        self._args = self.program.args
         # each id's handler is looked up once: a draw follows child ids
         # only, and the program adds nothing later but the derivatives of
         # DERIVE nodes, which are counted and never drawn
@@ -152,46 +218,12 @@ class ExactSampler:
     def _law(self, terms, i: int, power: int, n: int) -> DiscreteLaw:
         """Builds the law of node i at (power, n) from the nonzero (entry,
         weight) pairs of ``terms``; callers read the cache first."""
-        args = self.program.args[i]
-        pairs = [(e, w) for e, w in terms(self.engine, i, *args, power, n) if w]
+        pairs = [(e, w) for e, w in terms(self.engine, i, *self._args[i], power, n) if w]
         if not pairs:
             raise EmptySize(f"no objects of size {n}")
         entries, weights = zip(*pairs)
         return self._tables.setdefault((i, power, n), DiscreteLaw(entries, weights))
 
-    # node handlers: (sampler, id, power, size, rng) -> object
-
-    def _union(self, i: int, power: int, n: int, rng):
-        left, right = self.program.args[i]
-        a = self.engine.at(left, power, n)
-        b = self.engine.at(right, power, n)
-        if not a and not b:
-            raise EmptySize(f"no objects of size {n}")
-        # one uniform per visit, also when a side is empty
-        u = rng.random()
-        side = int(u * float(a + b) >= float(a)) if a and b else int(not a)
-        branch = right if side else left
-        return ("tag", side, self._draw[branch](self, branch, power, n, rng))
-
-    def _product(self, i: int, power: int, n: int, rng):
-        left, right = self.program.args[i]
-        law = self._tables.get((i, power, n)) or self._law(product_terms, i, power, n)
-        k = law.sample(rng)
-        draw = self._draw
-        return (
-            "prod",
-            draw[left](self, left, power, k, rng),
-            draw[right](self, right, power, n - k, rng),
-        )
-
-    def _weighted(self, i: int, power: int, n: int, rng):
-        # a factor c^{p n} is constant on the size-n slice, so the
-        # conditional law equals the inner one
-        inner = self.program.args[i][0]
-        return self._draw[inner](self, inner, power, n, rng)
-
-    # plain functions, not bound methods, so a sampler holds no reference
-    # cycle and is freed as soon as its last user drops it
     _kinds = by_kind(
         ATOM=lambda s, i, p, n, rng: ATOM_OBJ if n == 1 else _empty(f"no atom of size {n}"),
         EPSILON=lambda s, i, p, n, rng: (
@@ -203,12 +235,10 @@ class ExactSampler:
         ),
         UNION=_union,
         PRODUCT=_product,
-        SET=partial(_blocks, _set_terms, "set"),
-        SEQ=partial(_blocks, _seq_terms, "seq"),
+        SET=_set,
+        SEQ=_seq,
         WEIGHT=_weighted,
-        TABLE=lambda s, i, p, n, rng: (
-            s._tables.get((i, p, n)) or s._law(_table_terms, i, p, n)
-        ).sample(rng),
+        TABLE=_table,
         DERIVE=_cannot_sample,
         FAIL=fail,
     )

@@ -308,7 +308,7 @@ class Program:
             # the id exists before the children's derivatives, so a name
             # that leads back to i finds it; it fails if never filled in
             j = self._derivatives[i] = self._add(K_FAIL, (), SpecError("unfinished"))
-            parts = self._rules[self.kind[i]](self, i)
+            parts = self._folded(*self._rules[self.kind[i]](self, i))
             self.kind[j], self.args[j], self.data[j] = parts
             self._made.setdefault(parts, j)
         return j
@@ -340,12 +340,28 @@ class Program:
     )
 
     def _node(self, kind: int, args: tuple, payload=None) -> int:
-        """The id of the node (kind, args, payload), added if new."""
-        key = (kind, args, payload)
+        """The id of the node (kind, args, payload), added if new; a
+        PRODUCT with a ZERO factor is the one shared ZERO."""
+        key = self._folded(kind, args, payload)
         i = self._made.get(key)
         if i is None:
-            i = self._made[key] = self._add(kind, args, payload)
+            i = self._made[key] = self._add(*key)
         return i
+
+    def _folded(self, kind: int, args: tuple, payload):
+        """The parts of a derived node with structural zeros folded: a
+        PRODUCT with a ZERO factor and a UNION of two ZEROs are ZERO, and a
+        UNION with one ZERO side takes the parts of the other side, unless
+        that side is still being derived (a FAIL placeholder)."""
+        if kind == K_PRODUCT or kind == K_UNION:
+            zero = [self.kind[c] == K_ZERO for c in args]
+            if kind == K_PRODUCT and any(zero) or all(zero):
+                return K_ZERO, (), None
+            if any(zero):
+                other = args[zero.index(False)]
+                if self.kind[other] != K_FAIL:
+                    return self.kind[other], self.args[other], self.data[other]
+        return kind, args, payload
 
     def _add(self, kind: int, args: tuple, payload, node: Node | None = None) -> int:
         self.kind.append(kind)
@@ -424,43 +440,51 @@ def canonicalize(obj):
 
 
 def object_size(obj) -> int:
-    """Number of (non-star) atoms."""
-    head = obj[0]
-    if head == "atom":
-        return 1
-    if head == "blob":
-        return obj[1]
-    if head in ("eps", "star"):
-        return 0
-    if head in ("set", "seq"):
-        return sum(object_size(c) for c in obj[1])
-    if head == "prod":
-        return object_size(obj[1]) + object_size(obj[2])
-    if head == "tag":
-        return object_size(obj[2])
-    raise ValueError(f"unknown object head {head!r}")
+    """Number of (non-star) atoms.  An explicit stack walks the object, so
+    its depth meets no recursion limit."""
+    size = 0
+    stack = [obj]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        obj = pop()
+        head = obj[0]
+        if head == "prod":
+            push(obj[1])
+            push(obj[2])
+        elif head == "set" or head == "seq":
+            extend(obj[1])
+        elif head == "atom":
+            size += 1
+        elif head == "tag":
+            push(obj[2])
+        elif head == "blob":
+            size += obj[1]
+        elif head != "eps" and head != "star":
+            raise ValueError(f"unknown object head {head!r}")
+    return size
 
 
 def object_to_string(obj) -> str:
     """Compact nested-bracket serialization (stable, for transcripts and
-    golden tests)."""
+    golden tests).  Heads are tested in the order they are most common in
+    drawn objects."""
     head = obj[0]
+    if head == "prod":
+        return f"({object_to_string(obj[1])}|{object_to_string(obj[2])})"
+    if head == "set":
+        return "{" + ",".join(map(object_to_string, obj[1])) + "}"
     if head == "atom":
         return "o"
+    if head == "seq":
+        return "[" + ",".join(map(object_to_string, obj[1])) + "]"
+    if head == "tag":
+        return f"<{obj[1]}:{object_to_string(obj[2])}>"
     if head == "eps":
         return "e"
     if head == "star":
         return "*" if len(obj) == 1 else f"*{obj[1]}"
     if head == "blob":
         return f"#{obj[1]}"
-    if head == "set":
-        return "{" + ",".join(object_to_string(c) for c in obj[1]) + "}"
-    if head == "seq":
-        return "[" + ",".join(object_to_string(c) for c in obj[1]) + "]"
-    if head == "prod":
-        return "(" + object_to_string(obj[1]) + "|" + object_to_string(obj[2]) + ")"
-    if head == "tag":
-        return f"<{obj[1]}:{object_to_string(obj[2])}>"
     raise ValueError(f"unknown object head {head!r}")
 
 

@@ -116,15 +116,15 @@ def _chunk_rng(seed: int, label, index: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{index}")
 
 
-# (seed, label, worker_fn) of the chunks a process pool is running, set
-# before the pool forks so that children inherit it and no closure is
-# pickled
+# (seed, jobs) of the chunks a process pool is running, set before the
+# pool forks so that children inherit it and no closure is pickled
 _JOB = None
 
 
 def _run_one(task):
-    i, k = task
-    seed, label, worker_fn = _JOB
+    j, i, k = task
+    seed, jobs = _JOB
+    label, _, worker_fn = jobs[j]
     return worker_fn(_chunk_rng(seed, label, i), k)
 
 
@@ -135,27 +135,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(
-    seed: int,
-    label,
-    samples: int,
-    chunk: int,
-    workers: int,
-    worker_fn: Callable[[random.Random, int], object],
-) -> list:
-    """Deterministic chunked sampling: chunk i draws up to ``chunk`` of the
-    ``samples`` with its own RNG seeded from (seed, label, i), and the
-    per-chunk results come back in index order regardless of the worker
-    count.
+def _run_jobs(seed: int, jobs: list, chunk: int, workers: int) -> List[list]:
+    """Deterministic chunked sampling for several jobs at once.  Job j is a
+    (label, samples, worker_fn) triple: its chunk i draws up to ``chunk`` of
+    the job's ``samples`` with its own RNG seeded from (seed, label, i), and
+    each job's chunk results come back in index order regardless of the
+    worker count.
 
-    Chunks run in a pool of min(workers, chunks, usable CPUs) forked
-    processes, and in-process when that is at most one, when the platform
-    cannot fork, or when other threads are alive (a fork could copy a lock
-    one of them holds).  Every child has exited when this returns."""
+    The chunks of all jobs run in one pool of min(workers, chunks, usable
+    CPUs) forked processes, so the fork is paid once, and in-process when
+    that is at most one, when the platform cannot fork, or when other
+    threads are alive (a fork could copy a lock one of them holds).  Every
+    child has exited when this returns."""
     global _JOB
-    plan = list(
-        enumerate(min(chunk, samples - done) for done in range(0, samples, chunk))
-    )
+    plan = [
+        (j, i, min(chunk, samples - done))
+        for j, (_, samples, _) in enumerate(jobs)
+        for i, done in enumerate(range(0, samples, chunk))
+    ]
+    results = None
     size = min(workers, len(plan), _usable_cpus())
     if size > 1 and threading.active_count() == 1:
         # imported here, so that runs that never fork do not load them
@@ -163,7 +161,7 @@ def _run_chunks(
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            _JOB = (seed, label, worker_fn)
+            _JOB = (seed, jobs)
             # objects frozen before the fork are left alone by the
             # children's collector, so it does not touch (and copy) the
             # parent's pages
@@ -172,11 +170,30 @@ def _run_chunks(
                 with ProcessPoolExecutor(
                     size, mp_context=multiprocessing.get_context("fork")
                 ) as pool:
-                    return list(pool.map(_run_one, plan))
+                    results = list(pool.map(_run_one, plan))
             finally:
                 gc.unfreeze()
                 _JOB = None
-    return [worker_fn(_chunk_rng(seed, label, i), k) for i, k in plan]
+    if results is None:
+        results = [
+            jobs[j][2](_chunk_rng(seed, jobs[j][0], i), k) for j, i, k in plan
+        ]
+    per_job = [[] for _ in jobs]
+    for (j, _, _), result in zip(plan, results):
+        per_job[j].append(result)
+    return per_job
+
+
+def _run_chunks(
+    seed: int,
+    label,
+    samples: int,
+    chunk: int,
+    workers: int,
+    worker_fn: Callable[[random.Random, int], object],
+) -> list:
+    """The chunk results of one job of :func:`_run_jobs`."""
+    return _run_jobs(seed, [(label, samples, worker_fn)], chunk, workers)[0]
 
 
 def _merged(parts: List[EmpiricalLaw]) -> EmpiricalLaw:
@@ -244,18 +261,20 @@ def remainder_convergence_experiment(
             )
     limit = model.limit_remainder_distribution(cap)
 
-    rows = []
-    for n in sizes:
-        def worker(rng: random.Random, k: int, n=n) -> EmpiricalLaw:
+    def job(n: int):
+        def worker(rng: random.Random, k: int) -> EmpiricalLaw:
             law = EmpiricalLaw()
             for s in islice(model.draws(n, rng, method), k):
                 frag = model.extract_remainder(s, rng)
                 law.add(frag.remainder, in_tail=frag.remainder_size > cap)
             return law
 
-        emp = _merged(
-            _run_chunks(seed, ("remainder", n), samples, CHUNK, workers, worker)
-        )
+        return ("remainder", n), samples, worker
+
+    parts = _run_jobs(seed, [job(n) for n in sizes], CHUNK, workers)
+    rows = []
+    for n, chunks in zip(sizes, parts):
+        emp = _merged(chunks)
         tv, radius = tv_distance(emp, limit)
         rows.append(
             TvRow(

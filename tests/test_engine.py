@@ -26,7 +26,16 @@ from polyagibbs import (
     spec,
 )
 from polyagibbs.series import exact_div
-from polyagibbs.species import AtomMultiplicative, Product, TableWeight, canonicalize
+from polyagibbs.species import (
+    K_PRODUCT,
+    K_UNION,
+    K_ZERO,
+    AtomMultiplicative,
+    Product,
+    Program,
+    TableWeight,
+    canonicalize,
+)
 
 F = Fraction
 
@@ -144,6 +153,24 @@ class TestAgainstEnumeration:
         s = parse_dsl("T := ATOM + ATOM * ATOM * DERIVE(T);")
         counts = list(SeriesEngine(s).ogf(40).coeffs)
         assert counts == [0] + [math.factorial(n - 1) for n in range(1, 41)]
+
+    def test_structural_zeros_are_folded(self, monkeypatch):
+        # the same derivatives without the fold: every coefficient agrees,
+        # and the fold drops most of the nodes
+        text = "T := ATOM + ATOM * ATOM * DERIVE(T);"
+        folded = SeriesEngine(parse_dsl(text))
+        counts = list(folded.ogf(40).coeffs)
+        monkeypatch.setattr(Program, "_folded", lambda self, *parts: parts)
+        plain = SeriesEngine(parse_dsl(text))
+        assert counts == list(plain.ogf(40).coeffs)
+        assert len(plain.program.kind) == 3605
+        assert len(folded.program.kind) < len(plain.program.kind) // 4
+        zeros = [i for i, k in enumerate(folded.program.kind) if k == K_ZERO]
+        assert not any(
+            set(folded.program.args[i]) & set(zeros)
+            for i, k in enumerate(folded.program.kind)
+            if k in (K_PRODUCT, K_UNION)
+        )
 
     def test_unit_weight_is_derivable(self):
         # WEIGHT(A, 1) compiles like a unit weight, so it derives

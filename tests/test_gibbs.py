@@ -274,6 +274,19 @@ class TestRemainders:
             assert frag.component_count == len(s[1])
             assert frag.largest_size == max(object_size(c) for c in s[1])
 
+    def test_extraction_of_a_component_5000_deep(self, forest_model):
+        # a component deeper than the interpreter's recursion limit
+        tree = ("prod", ("atom",), ("set", ()))
+        chain = tree
+        for _ in range(4999):
+            chain = ("prod", ("atom",), ("set", (chain,)))
+        s = ("set", (tree, chain))
+        frag = forest_model.extract_remainder(s, random.Random(1))
+        assert frag.remainder == ("set", (tree,))
+        assert (frag.largest_size, frag.remainder_size, frag.component_count) == (5000, 1, 2)
+        seq = forest_model.extract_remainder(("seq", (chain, tree)), random.Random(1))
+        assert seq.remainder == ("seq", (("star",), tree))
+
     def test_limit_law_normalizes(self, forest_model):
         law = forest_model.limit_remainder_distribution(10)
         assert law.total == pytest.approx(1.0, abs=1e-9)

@@ -276,3 +276,103 @@ class TestObjects:
         bad = spec(SetOf(Union(Epsilon(), Atom())))
         with pytest.raises(SpecError):
             Enumerator(bad).enumerate_root(2)
+
+
+# -- the recursive walkers as they were before object_size took an explicit
+# stack and object_to_string reordered its heads: the oracles of both
+
+
+def _oracle_size(obj) -> int:
+    head = obj[0]
+    if head == "atom":
+        return 1
+    if head == "blob":
+        return obj[1]
+    if head in ("eps", "star"):
+        return 0
+    if head in ("set", "seq"):
+        return sum(_oracle_size(c) for c in obj[1])
+    if head == "prod":
+        return _oracle_size(obj[1]) + _oracle_size(obj[2])
+    if head == "tag":
+        return _oracle_size(obj[2])
+    raise ValueError(f"unknown object head {head!r}")
+
+
+def _oracle_string(obj) -> str:
+    head = obj[0]
+    if head == "atom":
+        return "o"
+    if head == "eps":
+        return "e"
+    if head == "star":
+        return "*" if len(obj) == 1 else f"*{obj[1]}"
+    if head == "blob":
+        return f"#{obj[1]}"
+    if head == "set":
+        return "{" + ",".join(_oracle_string(c) for c in obj[1]) + "}"
+    if head == "seq":
+        return "[" + ",".join(_oracle_string(c) for c in obj[1]) + "]"
+    if head == "prod":
+        return "(" + _oracle_string(obj[1]) + "|" + _oracle_string(obj[2]) + ")"
+    if head == "tag":
+        return f"<{obj[1]}:{_oracle_string(obj[2])}>"
+    raise ValueError(f"unknown object head {head!r}")
+
+
+_A, _E, _S = ("atom",), ("eps",), ("star",)
+HAND_BUILT = [
+    _A,
+    _E,
+    _S,
+    ("star", 3),
+    ("blob", 7),
+    ("set", ()),
+    ("seq", ()),
+    ("tag", 1, _A),
+    ("prod", _E, ("blob", 2)),
+    ("seq", (_A, _S, ("star", 2), ("tag", 0, ("prod", _A, ("set", (_A, _A)))))),
+    ("set", (("blob", 3), ("blob", 3), ("seq", (_E, _A)), ("tag", 12, ("star", 4)))),
+    ("prod", ("tag", 0, ("seq", (("prod", _S, ("blob", 1)), _E))), ("set", (("set", (_A,)),))),
+]
+
+
+class TestObjectWalkers:
+    @pytest.mark.parametrize("obj", HAND_BUILT, ids=_oracle_string)
+    def test_size_and_string_match_the_recursive_oracles(self, obj):
+        assert object_size(obj) == _oracle_size(obj)
+        assert object_to_string(obj) == _oracle_string(obj)
+
+    def test_sampled_objects_match_the_recursive_oracles(self):
+        import random
+
+        from polyagibbs import ExactSampler
+
+        rng = random.Random(4)
+        mixed = parse_dsl(
+            "B := ATOM + WEIGHT(ATOM, 2) * SEQ(ATOM + ATOM * ATOM); F := COMPOSE(SEQ, B);"
+        )
+        for sampler in (ExactSampler(forests()), ExactSampler(mixed)):
+            for n in (1, 5, 12, 30):
+                for _ in range(10):
+                    o = sampler.sample(n, rng)
+                    assert object_size(o) == _oracle_size(o) == n
+                    assert object_to_string(o) == _oracle_string(o)
+
+    @pytest.mark.parametrize(
+        "obj", [("leaf",), ("set", (_A, ("leaf", 1))), ("prod", _A, ("tag", 0, ("?",)))]
+    )
+    def test_unknown_head_raises(self, obj):
+        with pytest.raises(ValueError, match="unknown object head"):
+            object_size(obj)
+        with pytest.raises(ValueError, match="unknown object head"):
+            object_to_string(obj)
+
+    def test_size_of_a_chain_5000_deep(self):
+        # deeper than the interpreter's recursion limit
+        chain = _A
+        for k in range(5000):
+            chain = ("prod", _A, ("set", (chain,))) if k % 2 else ("tag", 0, ("seq", (chain, _S)))
+        assert object_size(chain) == 2501
+        with pytest.raises(RecursionError):
+            _oracle_size(chain)

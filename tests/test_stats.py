@@ -20,7 +20,7 @@ from polyagibbs import (
     remainder_convergence_experiment,
     tv_distance,
 )
-from polyagibbs.stats import _run_chunks, _usable_cpus
+from polyagibbs.stats import _run_chunks, _run_jobs, _usable_cpus
 
 F = Fraction
 
@@ -196,3 +196,36 @@ class TestChunkRunner:
         parts = _run_chunks(5, "probe", 5, 10, 10**6, _chunk_probe)
         assert [p[0] for p in parts] == [5]
         assert parts[0][2] == os.getpid()
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_remainder_experiment_forks_one_pool_for_all_sizes(
+        self, forest_model, monkeypatch
+    ):
+        import concurrent.futures
+
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        kw = dict(sizes=[8, 10, 12], samples=2500, cap=6, seed=9)
+        alone = remainder_convergence_experiment(forest_model, workers=1, **kw)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        pooled = remainder_convergence_experiment(forest_model, workers=2, **kw)
+        assert len(pools) == 1
+        assert pooled.to_dict() == alone.to_dict()
+        # each size keeps its own chunk seeds: the rows are those of
+        # one-size runs
+        for n, row in zip(kw["sizes"], alone.rows):
+            one = remainder_convergence_experiment(
+                forest_model, **dict(kw, sizes=[n]), workers=1
+            )
+            assert one.rows == [row]
+
+    def test_jobs_keep_their_chunk_results_apart(self):
+        jobs = [("probe", 5, _chunk_probe), ("other", 3, _chunk_probe)]
+        got = _run_jobs(5, jobs, 2, 1)
+        assert got == [_run_chunks(5, label, k, 2, 1, fn) for label, k, fn in jobs]
+        assert [[p[0] for p in part] for part in got] == [[2, 2, 1], [2, 1]]
