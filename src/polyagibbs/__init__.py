@@ -26,13 +26,9 @@ from .series import (
     series_from_terms,
 )
 from .cycleindex import (
-    CycleIndexPoly,
-    cycle_type,
     multiset_ogf,
     multiset_ogf_product,
     seq_ogf,
-    z_seq,
-    z_set,
 )
 from .species import (
     ATOM,
@@ -67,7 +63,6 @@ from .species import (
     spec,
     spec_from_json,
     spec_to_json,
-    unrank_by_weight,
 )
 from .engine import SeriesEngine, ogf
 from .sampler import DiscreteLaw, ExactSampler
@@ -77,18 +72,12 @@ from .gibbs import (
     LimitLaw,
     PLACEHOLDER,
     PgfReport,
-    boltzmann_size_distribution,
-    general_symmetry_law,
     sample_set_symmetry,
     set_symmetry_law,
 )
 from .asymptotics import (
-    RadiusShiftProbe,
-    ClosureReport,
     RatioLimitReport,
     SubexpReport,
-    radius_shift_probe,
-    check_closure_under_composition,
     diagnose_subexponential,
     coefficient_ratio_experiment,
 )

@@ -159,62 +159,6 @@ def diagnose_subexponential(g: TruncatedSeries) -> SubexpReport:
 
 
 @dataclass
-class ClosureReport:
-    constant: float
-    ratio_track: List[Tuple[int, float]]
-    deviation: float
-    window: List[int]
-
-
-def check_closure_under_composition(
-    f_analytic: TruncatedSeries,
-    g: TruncatedSeries,
-    composed: TruncatedSeries | None = None,
-) -> ClosureReport:
-    """Windowed check of [z^n] f(g(z)) ~ f'(g(rho)) * [z^n] g(z).
-
-    ``composed`` may be supplied when f(g) is available from a cheaper
-    route (e.g. the Euler transform for f = exp); otherwise the truncated
-    composition sum_k f_k g^k is formed directly.
-    """
-    est = radius_estimate(g)
-    rho = est.rho
-    if composed is None:
-        composed = _substitute(f_analytic, g)
-    gv = evaluate(g, rho).value
-    # f'(x) = sum k f_k x^{k-1}
-    fprime = math.fsum(
-        k * float(f_analytic[k]) * gv ** (k - 1)
-        for k in f_analytic.nonzero_indices
-        if k >= 1
-    )
-    hg = _scaled_floats(g, rho)
-    hc = _scaled_floats(composed, rho)
-    track = [(n, hc[n] / hg[n]) for n in hg if n > 0 and n in hc]
-    track.sort()
-    win = _window([n for n, _ in track], track[-1][0])
-    tr = dict(track)
-    dev = max(abs(tr[n] / fprime - 1.0) for n in win)
-    return ClosureReport(constant=fprime, ratio_track=track, deviation=dev, window=win)
-
-
-def _substitute(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    if g[0] != 0:
-        raise InsufficientData("inner series must vanish at 0 for composition")
-    n = g.truncation
-    acc = TruncatedSeries([f[0]], n)
-    power = TruncatedSeries([1], n)
-    # powers of g above f's top degree would be multiplied by zero
-    for k in range(1, max(f.nonzero_indices, default=0) + 1):
-        power = power * g
-        if f[k]:
-            acc = acc + power * f[k]
-        if not power.nonzero_indices:
-            break
-    return acc
-
-
-@dataclass
 class RatioLimitReport:
     constant: float
     constant_paths: Dict[str, float]
@@ -286,36 +230,3 @@ def coefficient_ratio_experiment(model) -> RatioLimitReport:
         deviation=dev,
         rho=rho,
     )
-
-
-@dataclass
-class RadiusShiftProbe:
-    epsilon: float
-    value: float
-    residual: float
-    diverged: bool
-
-
-def radius_shift_probe(model, epsilons) -> List[RadiusShiftProbe]:
-    """Evaluates the truncated outer cycle index
-    (:meth:`~polyagibbs.gibbs.GibbsModel.outer_index_value`) at
-    radius-shifted argument values; a large value or residual is evidence
-    (not proof) against the finiteness assumption behind the limit
-    theorem."""
-    rho = model.rho.rho
-    out = []
-    for eps in epsilons:
-        def args(i: int, eps=eps) -> float:
-            if i == 1:
-                return model.inner_value(1, rho) + eps
-            return model.inner_value(i, (rho + eps) ** i)
-
-        try:
-            value, residual = model.outer_index_value(args)
-            diverged = not math.isfinite(value) or residual > 1e-3 * max(
-                abs(value), 1.0
-            )
-        except OverflowError:
-            value, residual, diverged = math.inf, math.inf, True
-        out.append(RadiusShiftProbe(eps, value, residual, diverged))
-    return out

@@ -31,7 +31,7 @@ from .errors import (
 from .gibbs import GibbsModel
 from .species import object_size, object_to_string, parse_spec
 from .stats import (
-    _run_chunks,
+    _run_jobs,
     component_count_experiment,
     remainder_convergence_experiment,
 )
@@ -46,13 +46,24 @@ SAMPLE_CHUNK = 1000
 
 def _read_spec(source: str) -> str:
     """``source`` is a filename if it names an existing file, otherwise it
-    is taken as inline DSL/JSON text."""
+    is taken as inline DSL/JSON text.  A file that cannot be read as UTF-8
+    text is a :class:`SpecError`."""
     import os
 
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise SpecError(f"cannot read spec file {source!r}: {e}") from e
     return source
+
+
+def _non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _config_digest(parts: dict) -> str:
@@ -129,32 +140,34 @@ def cmd_sample(args) -> int:
         "sizes": sizes,
         "samples": args.samples,
     }
+
+    def job(n: int):
+        def run(rng, k):
+            lines = []
+            for s in islice(model.draws(n, rng, args.method), k):
+                frag = model.extract_remainder(s, rng)
+                lines.append(
+                    json.dumps(
+                        {
+                            "n": n,
+                            "canonical": object_to_string(s),
+                            "largest": frag.largest_size,
+                            "remainder_size": frag.remainder_size,
+                            "components": frag.component_count,
+                        },
+                        sort_keys=True,
+                    )
+                )
+            return lines
+
+        return f"sample:{n}", args.samples, run
+
     out = _open_out(args)
     try:
         out.write(json.dumps(header, sort_keys=True) + "\n")
-        for n in sizes:
-
-            def run(rng, k, n=n):
-                lines = []
-                for s in islice(model.draws(n, rng, args.method), k):
-                    frag = model.extract_remainder(s, rng)
-                    lines.append(
-                        json.dumps(
-                            {
-                                "n": n,
-                                "canonical": object_to_string(s),
-                                "largest": frag.largest_size,
-                                "remainder_size": frag.remainder_size,
-                                "components": frag.component_count,
-                            },
-                            sort_keys=True,
-                        )
-                    )
-                return lines
-
-            chunks = _run_chunks(
-                args.seed, f"sample:{n}", args.samples, SAMPLE_CHUNK, args.workers, run
-            )
+        # every size's chunks run in one plan, so a pool is forked once
+        parts = _run_jobs(args.seed, [job(n) for n in sizes], SAMPLE_CHUNK, args.workers)
+        for chunks in parts:
             for lines in chunks:
                 for line in lines:
                     out.write(line + "\n")
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, trunc_default=200, formats=("json", "csv")):
         sp.add_argument("--spec", required=True, help="spec file or inline DSL/JSON")
-        sp.add_argument("--trunc", type=int, default=trunc_default)
+        sp.add_argument("--trunc", type=_non_negative_int, default=trunc_default)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None)

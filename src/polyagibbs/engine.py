@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Tuple
 
-from .errors import IllFoundedRecursion, SpecError
+from .errors import EmptySize, IllFoundedRecursion, SpecError
 from .series import TruncatedSeries, as_exact, cauchy_terms, exact_div
 from .species import Enumerator, Node, Program, SpeciesSpec, by_kind, fail
 
@@ -55,7 +55,10 @@ class SeriesEngine:
 
     def coeff(self, node: Node | int, power: int, n: int):
         """[z^n] of the node's series under nu^power: an `int` when
-        integral, else a `Fraction`."""
+        integral, else a `Fraction`.  A negative n raises :class:`EmptySize`
+        (:meth:`at`, the inner loop of every count, does not check)."""
+        if n < 0:
+            raise EmptySize(f"no objects of negative size {n}")
         return self.at(self.program.id_of(node), power, n)
 
     def at(self, i: int, power: int, n: int):

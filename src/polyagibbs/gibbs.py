@@ -17,11 +17,10 @@ law on composite orbits is the Boltzmann law of the composite series at
 conditioning on total size gives the weight-proportional law of
 :meth:`GibbsModel.sample_S_n`.
 
-Size distributions are truncated at the model truncation and renormalized;
-``boltzmann_size_distribution`` records the neglected mass as the law's
-``mass_defect``.  All closed-form expectations computed here use the same
-truncated values, so sampler-vs-formula comparisons are exact identities up
-to Monte Carlo noise.
+Size distributions are truncated at the model truncation and renormalized.
+All closed-form expectations computed here use the same truncated values,
+so sampler-vs-formula comparisons are exact identities up to Monte Carlo
+noise.
 
 Cycle counts, block sizes, the longer cycles of a SET symmetry and limit
 remainders are drawn from a :class:`~polyagibbs.sampler.DiscreteLaw`.
@@ -48,7 +47,6 @@ from fractions import Fraction
 from itertools import count, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .cycleindex import CycleIndexPoly, CycleType
 from .engine import SeriesEngine
 from .errors import (
     EmptySize,
@@ -85,7 +83,7 @@ _FIRST_BLOCK = 128
 _BLOCK = 2048
 
 # degree of the truncated outer cycle index that the cycle-statistics check
-# and the radius-shift probe evaluate; the residual is its part above half
+# evaluates; the residual is its part above half
 _INDEX_DEGREE = 40
 
 
@@ -112,9 +110,7 @@ def _term(c, x: float, n: int) -> float:
         )
 
 
-def _size_law(
-    terms: Iterable[Tuple[int, object]], y: float, mass_defect: float
-) -> DiscreteLaw:
+def _size_law(terms: Iterable[Tuple[int, object]], y: float) -> DiscreteLaw:
     """Law P(size = n) proportional to g_n y^n over the (n, g_n) pairs of
     ``terms``.  Reading stops once three successive terms leave the float
     sum of the weights unchanged (``total + w == total``), the one rule of
@@ -136,26 +132,13 @@ def _size_law(
         if w > 0:
             sizes.append(n)
             weights.append(w)
-    return DiscreteLaw(sizes, weights, mass_defect)
-
-
-def boltzmann_size_distribution(series: TruncatedSeries, y: float) -> DiscreteLaw:
-    """Discrete law P(size = n) proportional to g_n y^n, over n up to the
-    truncation, with the neglected tail mass reported (estimated via the
-    fitted tail model when the series is not polynomial)."""
-    if y < 0:
-        raise PreconditionError("Boltzmann parameter must be >= 0")
-    ev = evaluate(series, y)
-    if ev.value <= 0:
-        raise ZeroMass("series evaluates to zero mass")
-    terms = ((n, series[n]) for n in series.nonzero_indices)
-    return _size_law(terms, y, ev.tail / ev.value)
+    return DiscreteLaw(sizes, weights)
 
 
 def _poisson_law(lam: float) -> DiscreteLaw:
     """Law of a Poisson(lam) count: weights lam^k / k!, read like a size
     law until their float sum stops changing."""
-    return _size_law(((k, Fraction(1, math.factorial(k))) for k in count()), lam, 0.0)
+    return _size_law(((k, Fraction(1, math.factorial(k))) for k in count()), lam)
 
 
 def set_symmetry_law(inner_values: Callable[[int], float]) -> Tuple[DiscreteLaw | None, ...]:
@@ -177,10 +160,11 @@ def set_symmetry_law(inner_values: Callable[[int], float]) -> Tuple[DiscreteLaw 
     return fixpoint, _poisson_law(longer.total), longer
 
 
-def sample_set_symmetry(law: Tuple[DiscreteLaw | None, ...], rng: random.Random) -> CycleType:
-    """Cycle type drawn from a :func:`set_symmetry_law`: the i >= 2 cycles
-    are drawn from the aggregated Poisson and then assigned lengths, which
-    induces the same independent law."""
+def sample_set_symmetry(law: Tuple[DiscreteLaw | None, ...], rng: random.Random) -> tuple:
+    """Cycle type, as sorted (length, count) pairs, drawn from a
+    :func:`set_symmetry_law`: the i >= 2 cycles are drawn from the
+    aggregated Poisson and then assigned lengths, which induces the same
+    independent law."""
     fixpoint, more, longer = law
     counts: Dict[int, int] = {}
     m1 = fixpoint.sample(rng)
@@ -213,22 +197,6 @@ def _intensity_table(
         prev = lam
         i += 1
     return [(i, lam) for i, lam in lams if lam > 0]
-
-
-def general_symmetry_law(
-    zf: CycleIndexPoly, inner_values: Callable[[int], float]
-) -> DiscreteLaw:
-    """Law of the cycle type, proportional to coeff(lambda) *
-    prod_i y_i^{m_i} over the stored cycle-index terms."""
-    entries, weights = [], []
-    for ct, coeff in zf.terms.items():
-        w = float(coeff)
-        for i, m in ct:
-            w *= inner_values(i) ** m
-        if w > 0:
-            entries.append(ct)
-            weights.append(w)
-    return DiscreteLaw(entries, weights)
 
 
 class AttemptBlock(NamedTuple):
@@ -349,7 +317,7 @@ class GibbsModel:
         at x, cached under ("size", power, x); the inner size of an l-cycle
         at y has the law at (l, y**l)."""
         return self._law(
-            ("size", power, x), lambda: _size_law(self._inner_terms(power), x, 0.0)
+            ("size", power, x), lambda: _size_law(self._inner_terms(power), x)
         )
 
     def _inner_terms(self, power: int) -> Iterator[Tuple[int, object]]:
@@ -379,7 +347,7 @@ class GibbsModel:
             raise TailNotControlled(
                 "SEQ outer needs inner series value < 1 at the parameter"
             )
-        return _size_law(((k, 1) for k in count()), g, 0.0)
+        return _size_law(((k, 1) for k in count()), g)
 
     def _attempt_block(self, y: float, gen, size: int) -> AttemptBlock:
         """``size`` independent Boltzmann attempts at y, sizes only, drawn
@@ -445,7 +413,7 @@ class GibbsModel:
         return min(max(y, 1e-12), rho)
 
     def _require_size(self, n: int) -> None:
-        if self.engine.at(self.engine.program.root, 1, n) == 0:
+        if n < 0 or self.engine.at(self.engine.program.root, 1, n) == 0:
             raise EmptySize(f"no composite objects of size {n}")
 
     def sample_S_n(self, n: int, rng: random.Random, method: str = "exact_recursive"):
@@ -640,9 +608,8 @@ class GibbsModel:
 
         The degree-k part e_k follows k e_k = sum_{i<=k} a_i e_{k-i} for
         SET = exp(sum_i z_i / i) and e_k = a_1 e_{k-1} for SEQ = sum_k z_1^k,
-        from e_0 = 1; this is the polynomial that
-        :meth:`~polyagibbs.cycleindex.CycleIndexPoly.evaluate_at` sums term
-        by term, without its one term per partition."""
+        from e_0 = 1; this is the polynomial that ``tests/oracles.py`` sums
+        term by term, without its one term per partition."""
         if self.outer == "SET":
             a = [0.0] + [float(args(i)) for i in range(1, _INDEX_DEGREE + 1)]
             e = [1.0]

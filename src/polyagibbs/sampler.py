@@ -50,20 +50,18 @@ class DiscreteLaw:
     ``cum`` holds the cumulative probabilities and ``total`` the sum of the
     weights.  Exact weights (`int` or `Fraction`) keep exact prefix sums,
     and ``int / int`` is correctly rounded like ``float(Fraction)``, so
-    each cumulative probability is correctly rounded.  ``mass_defect`` records mass the
-    entries leave out, such as a truncated tail.
+    each cumulative probability is correctly rounded.
     """
 
-    __slots__ = ("entries", "total", "cum", "mass_defect", "_arrays")
+    __slots__ = ("entries", "total", "cum", "_arrays")
 
-    def __init__(self, entries, weights, mass_defect: float = 0.0):
+    def __init__(self, entries, weights):
         prefix = list(accumulate(weights))
         if not prefix or prefix[-1] <= 0:
             raise ZeroMass("all weights of the law vanish")
         self.entries = entries
         self.total = prefix[-1]
         self.cum = [float(a / self.total) for a in prefix]
-        self.mass_defect = mass_defect
         self._arrays = None
 
     def sample(self, rng: random.Random):
@@ -213,6 +211,8 @@ class ExactSampler:
         self._draw = [self._kinds[k] for k in self.program.kind]
 
     def sample(self, n: int, rng: random.Random, power: int = 1):
+        if n < 0:
+            raise EmptySize(f"no objects of negative size {n}")
         return self._draw[self.root](self, self.root, power, n, rng)
 
     def _law(self, terms, i: int, power: int, n: int) -> DiscreteLaw:

@@ -695,35 +695,6 @@ class Enumerator:
     )
 
 
-def unrank_by_weight(
-    species: SpeciesSpec,
-    n: int,
-    u: Fraction,
-    guard: int = DEFAULT_SIZE_GUARD,
-    enumerator: Enumerator | None = None,
-):
-    """Orbit at cumulative-weight position u * (total size-n weight).
-
-    With u uniform on [0,1) the induced law is weight-proportional.
-    """
-    from .errors import EmptySize
-
-    if not (0 <= u < 1):
-        raise ValueError("u must lie in [0, 1)")
-    enum = enumerator or Enumerator(species, guard)
-    orbits = enum.enumerate_root(n)
-    total = sum(w for _, w in orbits)
-    if total == 0:
-        raise EmptySize(f"no objects of size {n}")
-    target = Fraction(u) * total
-    acc = Fraction(0)
-    for o, w in orbits:
-        acc += w
-        if target < acc:
-            return o
-    return orbits[-1][0]
-
-
 def derived_spec(s: SpeciesSpec) -> SpeciesSpec:
     """The derivative of a species: its objects are those of ``s`` with one
     atom marked."""

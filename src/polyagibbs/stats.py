@@ -18,7 +18,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import KeyMismatch, PreconditionError
 from .gibbs import GibbsModel, LimitLaw
@@ -184,18 +184,6 @@ def _run_jobs(seed: int, jobs: list, chunk: int, workers: int) -> List[list]:
     return per_job
 
 
-def _run_chunks(
-    seed: int,
-    label,
-    samples: int,
-    chunk: int,
-    workers: int,
-    worker_fn: Callable[[random.Random, int], object],
-) -> list:
-    """The chunk results of one job of :func:`_run_jobs`."""
-    return _run_jobs(seed, [(label, samples, worker_fn)], chunk, workers)[0]
-
-
 def _merged(parts: List[EmpiricalLaw]) -> EmpiricalLaw:
     law = EmpiricalLaw()
     for part in parts:
@@ -327,9 +315,8 @@ def component_count_experiment(
             law.add(c, in_tail=c > cap + 1)
         return law
 
-    emp = _merged(
-        _run_chunks(seed, ("components", n), samples, CHUNK, workers, worker)
-    )
+    (chunks,) = _run_jobs(seed, [(("components", n), samples, worker)], CHUNK, workers)
+    emp = _merged(chunks)
     tv, radius = tv_distance(emp, (exact, exact_tail))
     return ComponentCountReport(
         n=n,

@@ -1,4 +1,4 @@
-"""Subexponentiality diagnostics, closure checks, and the ratio limit."""
+"""Subexponentiality diagnostics and the ratio limit."""
 
 import math
 from fractions import Fraction
@@ -9,9 +9,6 @@ from polyagibbs import (
     GibbsModel,
     InnerNotSubexponential,
     InsufficientData,
-    TruncatedSeries,
-    radius_shift_probe,
-    check_closure_under_composition,
     diagnose_subexponential,
     forests,
     geometric,
@@ -112,33 +109,6 @@ class TestConvolutionTrack:
         assert math.isinf(got[nz.index(9)])
 
 
-class TestClosure:
-    def test_identity_outer_is_exact(self):
-        g = power_law_series(300)
-        f = TruncatedSeries([F(0), F(1)] + [F(0)] * 8)
-        rep = check_closure_under_composition(f, g)
-        assert rep.constant == pytest.approx(1.0, abs=1e-9)
-        assert rep.deviation < 1e-9
-
-    def test_square_outer(self):
-        # f(x) = x^2: the ratio tends to f'(g(rho)) = 2 g(rho)
-        g = power_law_series(300, beta=4)
-        f = TruncatedSeries([F(0), F(0), F(1)] + [F(0)] * 8)
-        rep = check_closure_under_composition(f, g)
-        from polyagibbs.series import evaluate, radius_estimate
-
-        gv = evaluate(g, radius_estimate(g).rho).value
-        assert rep.constant == pytest.approx(2 * gv, rel=1e-6)
-        assert rep.deviation < 0.05
-
-    def test_exp_outer_with_supplied_composition(self):
-        g = power_law_series(300, beta=4)
-        terms = [(k, F(1, math.factorial(k))) for k in range(0, 12)]
-        f = series_from_terms(terms, 11)
-        rep = check_closure_under_composition(f, g, composed=g.exp())
-        assert rep.deviation < 0.05
-
-
 class TestRatioLimit:
     def test_forest_constant_is_reciprocal_radius(self):
         # for rooted trees T = z SET(T), the inner series satisfies
@@ -171,17 +141,3 @@ class TestRatioLimit:
         )
         top = max(rep.deviation)
         assert rep.deviation[top] < 0.05
-
-
-class TestRadiusShiftProbe:
-    def test_forest_probe_is_finite(self):
-        model = GibbsModel.from_species(forests(), truncation=200)
-        probes = radius_shift_probe(model, [1e-3, 1e-2])
-        for p in probes:
-            assert not p.diverged
-            assert math.isfinite(p.value)
-
-    def test_supercritical_shift_flags(self):
-        model = GibbsModel.from_species(forests(), truncation=200)
-        probes = radius_shift_probe(model, [0.5])
-        assert probes[0].diverged

@@ -11,6 +11,7 @@ import pytest
 
 import polyagibbs
 from polyagibbs.cli import main
+from polyagibbs.stats import _usable_cpus
 
 FOREST_DSL = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
 
@@ -114,6 +115,28 @@ class TestSample:
         assert exc.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_all_sizes_share_one_pool(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        code, out = run(
+            capsys,
+            "sample", "--spec", FOREST_DSL, "--trunc", "60", "--sizes", "8", "15", "20",
+            "--samples", "4000", "--seed", "4", "--workers", "2",
+        )
+        assert code == 0
+        assert len(pools) == 1
+        sizes = [json.loads(l)["n"] for l in out.splitlines()[1:]]
+        assert sizes == [8] * 4000 + [15] * 4000 + [20] * 4000
+
 
 class TestLimit:
     def test_law_rows(self, capsys):
@@ -207,6 +230,29 @@ class TestErrors:
     def test_malformed_spec_exits_2(self, capsys):
         code, _ = run(capsys, "coeffs", "--spec", "T := ATOM *;", "--trunc", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf-8", "negative-trunc"])
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, case):
+        latin = tmp_path / "latin.spec"
+        latin.write_bytes(b"\xff\xfe" + FOREST_DSL.encode())
+        argv = {
+            "directory": ["--spec", str(tmp_path)],
+            "not-utf-8": ["--spec", str(latin)],
+            "negative-trunc": ["--spec", FOREST_DSL, "--trunc", "-1"],
+        }[case]
+        try:
+            code = main(["coeffs", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_size_exits_3(self, capsys):
+        code = main([
+            "sample", "--spec", FOREST_DSL, "--trunc", "30", "--sizes", "-2", "--samples", "3",
+        ])
+        assert code == 3
+        assert "no composite objects of size -2" in capsys.readouterr().err
 
     def test_non_composite_root_exits_3(self, capsys):
         code, _ = run(capsys, "coeffs", "--spec", "T := ATOM * SET(T);", "--trunc", "5")

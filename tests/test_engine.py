@@ -9,6 +9,7 @@ from polyagibbs import (
     ATOM,
     Compose,
     Derive,
+    EmptySize,
     Enumerator,
     IllFoundedRecursion,
     Ref,
@@ -186,6 +187,14 @@ class TestAgainstEnumeration:
 
 
 class TestGuards:
+    def test_negative_size_is_empty(self):
+        # a negative index must not read the filled stream from its end
+        s = forests()
+        eng = SeriesEngine(s)
+        assert eng.coeff(s.root, 1, 30) == 997171512998
+        with pytest.raises(EmptySize):
+            eng.coeff(s.root, 1, -1)
+
     def test_ill_founded(self):
         s = spec(Ref("X"), {"X": Ref("X")})
         with pytest.raises(IllFoundedRecursion):

@@ -11,7 +11,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from oracles import cycle_type_law, index_value, z_seq, z_set
 from polyagibbs import (
+    EmptySize,
     Enumerator,
     GibbsModel,
     LimitLaw,
@@ -19,23 +21,17 @@ from polyagibbs import (
     RejectionBudgetExceeded,
     SeriesEngine,
     SpecError,
-    boltzmann_size_distribution,
     forests,
-    geometric,
     object_size,
     object_to_string,
     ogf,
     parse_dsl,
     polya_trees,
-    general_symmetry_law,
     sample_set_symmetry,
     set_symmetry_law,
-    z_seq,
-    z_set,
 )
 from polyagibbs.gibbs import PLACEHOLDER, _size_law
 from polyagibbs.sampler import DiscreteLaw
-from polyagibbs.series import TruncatedSeries
 
 F = Fraction
 
@@ -52,30 +48,6 @@ def deep_forest_model():
 
 
 class TestSizeLaw:
-    def test_point_mass(self):
-        law = boltzmann_size_distribution(
-            TruncatedSeries([F(0), F(1)] + [F(0)] * 9), 0.4
-        )
-        assert law.prob(1) == 1.0
-        assert law.mass_defect == 0.0
-
-    def test_geometric_parameter(self):
-        # P(n) proportional to y^n over n = 0..N, so P(0) ~= 1 - y
-        law = boltzmann_size_distribution(geometric(60, 1), 0.5)
-        assert law.prob(0) == pytest.approx(0.5, abs=1e-9)
-        assert law.prob(3) == pytest.approx(0.5**4, abs=1e-9)
-        assert law.mass_defect > 0
-
-    def test_tree_series_matches_direct_normalization(self):
-        t = ogf(polya_trees(), 60)
-        y = 0.3
-        law = boltzmann_size_distribution(t, y)
-        direct = [float(t[n]) * y**n for n in range(61)]
-        z = math.fsum(direct)
-        for n in (1, 2, 5, 9):
-            assert law.prob(n) == pytest.approx(direct[n] / z, rel=1e-9)
-        assert law.mass_defect < 1e-4
-
     def test_early_exit_keeps_every_drawable_size(self, forest_model):
         # the block-size law stops reading coefficients once the float sum
         # stops changing; on the sizes it can draw it must be bit-identical
@@ -83,7 +55,7 @@ class TestSizeLaw:
         for l in (1, 2, 5):
             for y in (0.2, forest_model.rho.rho):
                 yl = y**l
-                short = _size_law(forest_model._inner_terms(l), yl, 0.0)
+                short = _size_law(forest_model._inner_terms(l), yl)
                 series = forest_model.inner_ogf(l)
                 sizes = list(series.nonzero_indices)
                 full = DiscreteLaw(sizes, [float(series[n]) * yl**n for n in sizes])
@@ -97,7 +69,7 @@ class TestSizeLaw:
 
     def test_samples_follow_law(self):
         t = ogf(polya_trees(), 60)
-        law = boltzmann_size_distribution(t, 0.3)
+        law = _size_law(((n, t[n]) for n in t.nonzero_indices), 0.3)
         rng = random.Random(23)
         n = 20000
         hits = sum(1 for _ in range(n) if law.sample(rng) == 1)
@@ -126,13 +98,13 @@ class TestSymmetryDraws:
         set_law = set_symmetry_law(vals)
         rng = random.Random(9)
         scalar = [sample_set_symmetry(set_law, rng) for _ in range(n)]
-        assert _cycle_type_tv(scalar, general_symmetry_law(z_set(24), vals), rng) < 0.035
+        assert _cycle_type_tv(scalar, cycle_type_law(z_set(24), vals), rng) < 0.035
 
         block = forest_model._attempt_block(0.3, np.random.default_rng(9), n)
         blocked = [
             tuple(sorted(Counter(l for l, _ in block.pairs(a)).items())) for a in range(n)
         ]
-        general = general_symmetry_law(z_set(24), lambda i: forest_model.inner_value(i, 0.3**i))
+        general = cycle_type_law(z_set(24), lambda i: forest_model.inner_value(i, 0.3**i))
         assert _cycle_type_tv(blocked, general, random.Random(9)) < 0.035
 
 
@@ -249,6 +221,14 @@ class TestDraws:
         rng = random.Random(4)
         assert {object_size(s) for s in islice(forest_model.draws(9, rng, "rejection"), 300)} == {9}
         assert object_size(forest_model.sample_S_n(9, rng, method="rejection")) == 9
+
+    def test_negative_size_is_empty(self, forest_model):
+        rng = random.Random(1)
+        with pytest.raises(EmptySize):
+            forest_model.sample_S_n(-3, rng)
+        for method in ("exact_recursive", "rejection"):
+            with pytest.raises(EmptySize):
+                forest_model.draws(-3, rng, method)
 
     def test_unknown_method(self, forest_model):
         with pytest.raises(PreconditionError):
@@ -406,7 +386,7 @@ class TestOuterIndexValue:
         rho = model.rho.rho
         args = lambda i: model.inner_value(i, rho**i)
         value, residual = model.outer_index_value(args)
-        want, want_residual = z_seq(40).evaluate_at(args)
+        want, want_residual = index_value(z_seq(40), args, 40)
         assert value == pytest.approx(want, rel=1e-12)
         assert residual == pytest.approx(want_residual, rel=1e-9)
 

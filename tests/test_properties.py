@@ -5,6 +5,7 @@ derivative through a non-unit weight).  The sampler draws no DERIVE, so
 specs with one are only counted and enumerated."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, reject, settings
@@ -25,6 +26,7 @@ from polyagibbs import (
     Union,
     Weighted,
     canonicalize,
+    multinomial_radius,
     object_size,
     parse_dsl,
     spec,
@@ -74,6 +76,35 @@ def test_engine_enumerator_and_sampler_agree(root, body):
             draw = sampler.sample(n, rng)
             assert draw in support
             assert object_size(draw) == n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(root=trees, body=trees)
+def test_sampler_follows_enumerated_weights(root, body):
+    # at the largest n <= MAX_N with two orbits or more, the TV between
+    # 2000 draws and the weight-proportional law stays within the
+    # multinomial bound, mean term included, at level 1 - 1e-3
+    s = spec(root, {"R": body})
+    enum = Enumerator(s)
+    try:
+        orbits = [enum.enumerate_root(n) for n in range(MAX_N + 1)]
+        sampler = ExactSampler(s)
+        sampler.engine.coeff(s.root, 1, MAX_N)
+    except SpecError:
+        reject()
+    if K_DERIVE in sampler.program.kind:
+        reject()
+    table = next((o for o in reversed(orbits) if len(o) >= 2), None)
+    if table is None:
+        reject()
+    n, draws = object_size(table[0][0]), 2000
+    total = sum(w for _, w in table)
+    rng = random.Random(0)
+    counts = Counter(sampler.sample(n, rng) for _ in range(draws))
+    tv = 0.5 * sum(abs(counts[o] / draws - float(w / total)) for o, w in table)
+    assert set(counts) <= {o for o, _ in table}
+    assert tv <= multinomial_radius(len(table), draws, 1e-3)
 
 
 def test_engine_and_enumerator_agree_on_a_second_derivative():

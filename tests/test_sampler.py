@@ -84,6 +84,10 @@ class TestBehaviour:
         ]
         assert run() == run()
 
+    def test_negative_size_is_empty(self):
+        with pytest.raises(EmptySize):
+            ExactSampler(forests()).sample(-3, random.Random(1))
+
     def test_zero_mass_size(self):
         s = parse_dsl("E := ATOM * ATOM;")
         with pytest.raises(EmptySize):

@@ -107,7 +107,6 @@ class TestExactTypes:
             ogf,
             parse_dsl,
             seq_ogf,
-            z_set,
         )
 
         rational = parse_dsl("T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);")
@@ -121,7 +120,6 @@ class TestExactTypes:
             ogf(rational, 30),
             multiset_ogf(lambda i: half, 8),
             multiset_ogf_product(lambda i: half, 8),
-            z_set(8).plethysm_ogf(lambda i: half),
         ]
         for g in made:
             assert all(type(c) in (int, Fraction) for c in g.coeffs)

@@ -26,7 +26,6 @@ from polyagibbs import (
     object_to_string,
     ogf,
     parse_dsl,
-    unrank_by_weight,
     parse_spec,
     polya_trees,
     sized_species,
@@ -134,15 +133,6 @@ class TestEnumeration:
                 assert got == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
-
-    def test_unrank_covers_all_objects(self):
-        en = Enumerator(forests())
-        tab = en.enumerate_root(3)
-        seen = set()
-        grid = 41
-        for k in range(grid):
-            seen.add(unrank_by_weight(forests(), 3, F(k, grid), enumerator=en))
-        assert seen == {o for o, _ in tab}
 
 
 class TestDsl:

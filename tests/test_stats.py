@@ -20,7 +20,7 @@ from polyagibbs import (
     remainder_convergence_experiment,
     tv_distance,
 )
-from polyagibbs.stats import _run_chunks, _run_jobs, _usable_cpus
+from polyagibbs.stats import _run_jobs, _usable_cpus
 
 F = Fraction
 
@@ -183,8 +183,8 @@ class TestChunkRunner:
     @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
     def test_chunks_run_in_child_processes_in_index_order(self):
         # a lambda cannot be pickled: the children inherit it through the fork
-        parts = _run_chunks(5, "probe", 7, 2, 2, lambda rng, k: _chunk_probe(rng, k))
-        alone = _run_chunks(5, "probe", 7, 2, 1, _chunk_probe)
+        (parts,) = _run_jobs(5, [("probe", 7, lambda rng, k: _chunk_probe(rng, k))], 2, 2)
+        (alone,) = _run_jobs(5, [("probe", 7, _chunk_probe)], 2, 1)
         assert [p[:2] for p in parts] == [p[:2] for p in alone]
         assert [p[0] for p in parts] == [2, 2, 2, 1]
         assert os.getpid() not in {p[2] for p in parts}
@@ -193,7 +193,7 @@ class TestChunkRunner:
 
     def test_single_chunk_runs_in_process_for_any_worker_count(self):
         # the pool is capped by the chunk count: one chunk never forks
-        parts = _run_chunks(5, "probe", 5, 10, 10**6, _chunk_probe)
+        (parts,) = _run_jobs(5, [("probe", 5, _chunk_probe)], 10, 10**6)
         assert [p[0] for p in parts] == [5]
         assert parts[0][2] == os.getpid()
 
@@ -227,5 +227,5 @@ class TestChunkRunner:
     def test_jobs_keep_their_chunk_results_apart(self):
         jobs = [("probe", 5, _chunk_probe), ("other", 3, _chunk_probe)]
         got = _run_jobs(5, jobs, 2, 1)
-        assert got == [_run_chunks(5, label, k, 2, 1, fn) for label, k, fn in jobs]
+        assert got == [_run_jobs(5, [job], 2, 1)[0] for job in jobs]
         assert [[p[0] for p in part] for part in got] == [[2, 2, 1], [2, 1]]
