@@ -429,23 +429,37 @@ class GibbsModel:
         """Independent weight-proportional size-n composite orbits.
 
         ``"exact_recursive"`` makes one :meth:`sample_S_n` draw per item.
-        ``"rejection"`` draws Boltzmann attempts at the tuned parameter in
-        blocks of ``_FIRST_BLOCK`` doubling up to ``_BLOCK``, with a
-        ``numpy.random.Generator`` seeded once from ``rng``, and yields every attempt of total size n, in attempt
-        order: attempts are i.i.d., so each is an exact draw (Duchon,
-        Flajolet, Louchard and Schaeffer 2004, section 6).  An accepted
-        attempt's inner objects are drawn with ``rng`` when it is yielded.
-        ``_REJECTION_BUDGET`` failed attempts in a row raise
-        :class:`RejectionBudgetExceeded`."""
+        ``"rejection"`` turns each attempt that :meth:`_accepted` keeps into
+        its orbit: the inner objects of an attempt are drawn with ``rng``
+        when it is yielded."""
         self._require_size(n)
         if method == "exact_recursive":
             sampler = self.exact_sampler()
             return (sampler.sample(n, rng) for _ in repeat(None))
         if method != "rejection":
             raise PreconditionError(f"unknown sampling method {method!r}")
-        return self._rejection_draws(n, rng)
+        return (self._orbit(pairs, rng) for pairs in self._accepted(n, rng))
 
-    def _rejection_draws(self, n: int, rng: random.Random) -> Iterator:
+    def component_counts(
+        self, n: int, rng: random.Random, method: str = "exact_recursive"
+    ) -> Iterator[int]:
+        """Component counts of independent size-n draws.  For
+        ``"rejection"`` a count is the sum of the cycle lengths of a kept
+        attempt, and no inner object is drawn; otherwise it is the length
+        of an exact draw."""
+        self._require_size(n)
+        if method == "rejection":
+            return (sum(l for l, _ in pairs) for pairs in self._accepted(n, rng))
+        return (len(s[1]) for s in self.draws(n, rng, method))
+
+    def _accepted(self, n: int, rng: random.Random) -> Iterator[List[Tuple[int, int]]]:
+        """The (cycle length, inner size) pairs of every Boltzmann attempt
+        of total size n, in attempt order.  Attempts are drawn at the tuned
+        parameter in blocks of ``_FIRST_BLOCK`` doubling up to ``_BLOCK``,
+        with a ``numpy.random.Generator`` seeded once from ``rng``; they are
+        i.i.d., so each kept attempt is an exact draw (Duchon, Flajolet,
+        Louchard and Schaeffer 2004, section 6).  ``_REJECTION_BUDGET``
+        failed attempts in a row raise :class:`RejectionBudgetExceeded`."""
         import numpy as np
 
         y = self.tuned_parameter(n)
@@ -458,7 +472,7 @@ class GibbsModel:
                 missed += a - start
                 if missed >= _REJECTION_BUDGET:
                     break
-                yield self._orbit(block.pairs(a), rng)
+                yield list(block.pairs(a))
                 missed, start = 0, a + 1
             else:
                 missed += size - start
@@ -469,6 +483,13 @@ class GibbsModel:
             size = min(2 * size, _BLOCK)
 
     # -- remainders
+
+    def remainders(
+        self, n: int, rng: random.Random, method: str = "exact_recursive"
+    ) -> Iterator[FragmentRecord]:
+        """Remainders of independent size-n draws, each after deleting one
+        uniformly chosen maximal component."""
+        return (self.extract_remainder(s, rng) for s in self.draws(n, rng, method))
 
     def extract_remainder(self, s, rng: random.Random) -> FragmentRecord:
         """Delete one uniformly chosen maximal component; the remainder is

@@ -252,8 +252,7 @@ def remainder_convergence_experiment(
     def job(n: int):
         def worker(rng: random.Random, k: int) -> EmpiricalLaw:
             law = EmpiricalLaw()
-            for s in islice(model.draws(n, rng, method), k):
-                frag = model.extract_remainder(s, rng)
+            for frag in islice(model.remainders(n, rng, method), k):
                 law.add(frag.remainder, in_tail=frag.remainder_size > cap)
             return law
 
@@ -308,8 +307,7 @@ def component_count_experiment(
 
     def worker(rng: random.Random, k: int) -> EmpiricalLaw:
         law = EmpiricalLaw()
-        for s in islice(model.draws(n, rng, method), k):
-            c = len(s[1])
+        for c in islice(model.component_counts(n, rng, method), k):
             # counts larger than anything the capped remainder law can
             # produce land in the tail bucket
             law.add(c, in_tail=c > cap + 1)
