@@ -488,8 +488,47 @@ class GibbsModel:
         self, n: int, rng: random.Random, method: str = "exact_recursive"
     ) -> Iterator[FragmentRecord]:
         """Remainders of independent size-n draws, each after deleting one
-        uniformly chosen maximal component."""
+        uniformly chosen maximal component.  ``"exact_recursive"`` draws
+        the whole object and calls :meth:`extract_remainder`.
+        ``"rejection"`` picks the deleted copy from a kept attempt's sizes
+        and draws inner objects only for the copies that remain."""
+        if method == "rejection":
+            self._require_size(n)
+            return (self._kept_remainder(pairs, rng) for pairs in self._accepted(n, rng))
         return (self.extract_remainder(s, rng) for s in self.draws(n, rng, method))
+
+    def _kept_remainder(self, pairs: List[Tuple[int, int]], rng: random.Random) -> FragmentRecord:
+        """The remainder of the orbit of ``pairs`` after deleting a uniformly
+        chosen copy of the largest inner size, with one ``rng.randrange``
+        over those copies in pair order.  An l-cycle that holds the deleted
+        copy keeps l - 1 copies of its inner object, and under SEQ the hole
+        takes the deleted block's place; the deleted copy itself is never
+        drawn."""
+        if not pairs:
+            raise PreconditionError("composite object has no components")
+        biggest = max(s for _, s in pairs)
+        hole = rng.randrange(sum(l for l, s in pairs if s == biggest))
+        sampler = self.inner_sampler()
+        kept, total, count = [], 0, 0
+        for l, s in pairs:
+            total += l * s
+            count += l
+            keep = l
+            if s == biggest:
+                if 0 <= hole < l:
+                    keep -= 1
+                    if self.outer == "SEQ":
+                        kept.append(STAR_OBJ)
+                hole -= l
+            if keep:
+                kept.extend([sampler.sample(s, rng, power=l)] * keep)
+        remainder = ("set", tuple(sorted(kept))) if self.outer == "SET" else ("seq", tuple(kept))
+        return FragmentRecord(
+            remainder=remainder,
+            remainder_size=total - biggest,
+            component_count=count,
+            largest_size=biggest,
+        )
 
     def extract_remainder(self, s, rng: random.Random) -> FragmentRecord:
         """Delete one uniformly chosen maximal component; the remainder is

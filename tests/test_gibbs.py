@@ -22,6 +22,7 @@ from polyagibbs import (
     SeriesEngine,
     SpecError,
     forests,
+    multinomial_radius,
     object_size,
     object_to_string,
     ogf,
@@ -266,6 +267,42 @@ class TestRemainders:
         assert (frag.largest_size, frag.remainder_size, frag.component_count) == (5000, 1, 2)
         seq = forest_model.extract_remainder(("seq", (chain, tree)), random.Random(1))
         assert seq.remainder == ("seq", (("star",), tree))
+
+    @pytest.mark.parametrize("outer", ["SET", "SEQ"])
+    def test_rejection_component_counts_are_draw_lengths(self, outer):
+        model = GibbsModel.from_species(
+            parse_dsl(f"T := ATOM * SET(T); F := COMPOSE({outer}, T);"), truncation=200
+        )
+        counts = list(islice(model.component_counts(9, random.Random(21), "rejection"), 300))
+        draws = islice(model.draws(9, random.Random(21), "rejection"), 300)
+        assert counts == [len(s[1]) for s in draws]
+
+    @pytest.mark.parametrize("outer", ["SET", "SEQ"])
+    def test_rejection_remainders_follow_the_exact_law(self, outer):
+        # the kept-only remainder against the size-6 remainder law built by
+        # enumeration: every composite orbit weighted by its weight, each of
+        # its maximal components deleted with equal probability
+        spec = parse_dsl(f"T := ATOM * SET(T); F := COMPOSE({outer}, T);")
+        model = GibbsModel.from_species(spec, truncation=200)
+        exact = Counter()
+        table = Enumerator(spec).enumerate_root(6)
+        total = sum(w for _, w in table)
+        for s, w in table:
+            sizes = [object_size(c) for c in s[1]]
+            maximal = [i for i, k in enumerate(sizes) if k == max(sizes)]
+            for i in maximal:
+                rest = s[1][:i] + s[1][i + 1 :]
+                key = ("set", tuple(sorted(rest))) if outer == "SET" else (
+                    ("seq", s[1][:i] + (("star",),) + s[1][i + 1 :])
+                )
+                exact[key] += w / total / len(maximal)
+        n = 20000
+        frags = list(islice(model.remainders(6, random.Random(22), "rejection"), n))
+        assert all(f.remainder_size + f.largest_size == 6 for f in frags)
+        empirical = Counter(f.remainder for f in frags)
+        assert set(empirical) <= set(exact)
+        tv = 0.5 * math.fsum(abs(empirical[k] / n - float(p)) for k, p in exact.items())
+        assert tv < multinomial_radius(len(exact), n, 1e-3)
 
     def test_limit_law_normalizes(self, forest_model):
         law = forest_model.limit_remainder_distribution(10)

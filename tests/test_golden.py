@@ -77,7 +77,7 @@ GOLDEN = {
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
          "--samples", "2100", "--cap", "7", "--seed", "15", "--workers", "2",
          "--method", "rejection"],
-        "8a3058abd2b0297290871816599661bcfc3bd01269baa9346e848e95afdf3225",
+        "80896461e25b6e59ccdb0e1460221a24191a5de5e4e7008a1fef013746f75a04",
     ),
     "tv-components": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8",
