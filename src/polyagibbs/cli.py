@@ -142,6 +142,8 @@ def cmd_sample(args) -> int:
     }
 
     def job(n: int):
+        model.prepare_draws(n, args.method)
+
         def run(rng, k):
             lines = []
             for s in islice(model.draws(n, rng, args.method), k):

@@ -82,6 +82,9 @@ _REJECTION_BUDGET = 2_000_000
 _FIRST_BLOCK = 128
 _BLOCK = 2048
 
+# bisection steps of the rejection tuning: its t = y / rho is found to 2^-40
+_TUNING_STEPS = 40
+
 # degree of the truncated outer cycle index that the cycle-statistics check
 # evaluates; the residual is its part above half
 _INDEX_DEGREE = 40
@@ -97,6 +100,12 @@ class FragmentRecord:
     largest_size: int
 
 
+def _log(c) -> float:
+    """log c of a positive integer or fraction of any size."""
+    c = Fraction(c)
+    return math.log(c.numerator) - math.log(c.denominator)
+
+
 def _term(c, x: float, n: int) -> float:
     """c * x**n as a float, log-scaled when the count c overflows a float."""
     try:
@@ -104,10 +113,7 @@ def _term(c, x: float, n: int) -> float:
     except OverflowError:
         if x == 0:
             return 0.0
-        c = Fraction(c)
-        return math.exp(
-            math.log(c.numerator) - math.log(c.denominator) + n * math.log(x)
-        )
+        return math.exp(_log(c) + n * math.log(x))
 
 
 def _size_law(terms: Iterable[Tuple[int, object]], y: float) -> DiscreteLaw:
@@ -349,6 +355,16 @@ class GibbsModel:
             )
         return _size_law(((k, 1) for k in count()), g)
 
+    def _attempt_laws(self, y: float) -> Tuple[DiscreteLaw | None, ...]:
+        """Laws of an attempt's symmetry at y: a SET's
+        :func:`set_symmetry_law`, whose intensities build the inner size
+        laws of every cycle length, or a SEQ's block count and two Nones."""
+        if self.outer == "SET":
+            return self._law(
+                ("set", y), lambda: set_symmetry_law(lambda i: self.inner_value(i, y**i))
+            )
+        return self._law(("seq", y), lambda: self._seq_law(y)), None, None
+
     def _attempt_block(self, y: float, gen, size: int) -> AttemptBlock:
         """``size`` independent Boltzmann attempts at y, sizes only, drawn
         with the ``numpy.random.Generator`` ``gen``.  The cycle counts,
@@ -356,12 +372,7 @@ class GibbsModel:
         the whole block by inversion on the cached laws."""
         import numpy as np
 
-        if self.outer == "SET":
-            fix, more, longer = self._law(
-                ("set", y), lambda: set_symmetry_law(lambda i: self.inner_value(i, y**i))
-            )
-        else:
-            fix, more = self._law(("seq", y), lambda: self._seq_law(y)), None
+        fix, more, longer = self._attempt_laws(y)
         counts = np.zeros(2 * size, dtype=np.int64)
         counts[:size] = fix.sample_array(gen, size)
         if more is not None:
@@ -406,11 +417,47 @@ class GibbsModel:
         return self._orbit(block.pairs(0), rng)
 
     def tuned_parameter(self, n: int) -> float:
-        """Rejection tuning y* = rho (1 - 1/n)^{1/d}, clipped to (0, rho]."""
-        d = self.span
-        rho = self.rho.rho
-        y = rho * (1.0 - 1.0 / max(n, 2)) ** (1.0 / d)
-        return min(max(y, 1e-12), rho)
+        """Rejection tuning: the y in (0, rho] at which a Boltzmann attempt
+        has mean size n on the composite stream, E_y[N] = n (Duchon,
+        Flajolet, Louchard and Schaeffer 2004), or rho when the mean at rho
+        is below n.  Built once per n and cached."""
+        return self._law(("tuned", n), lambda: self._mean_size_root(n))
+
+    def _mean_size_root(self, n: int) -> float:
+        """Bisection for E_y[N] = n over y = rho * t, t in (0, 1], with the
+        terms c_k (y/rho)^k rho^k kept in logs, so neither a large count nor
+        a composite radius below rho overflows.  The mean increases with t,
+        and the result is rho times a dyadic t."""
+        import numpy as np
+
+        comp, rho = self.composite_ogf, self.rho.rho
+        ks = np.array(comp.nonzero_indices, dtype=float)
+        logs = np.array([_log(comp[k]) for k in comp.nonzero_indices]) + ks * math.log(rho)
+
+        def mean(t: float) -> float:
+            w = logs + ks * math.log(t)
+            e = np.exp(w - w.max())
+            return float(ks @ e) / float(e.sum())
+
+        if mean(1.0) < n:
+            return rho
+        lo, hi = 0.0, 1.0
+        for _ in range(_TUNING_STEPS):
+            mid = 0.5 * (lo + hi)
+            if mean(mid) < n:
+                lo = mid
+            else:
+                hi = mid
+        return rho * hi
+
+    def prepare_draws(self, n: int, method: str) -> None:
+        """Build the tables that size-n draws by ``method`` read first:
+        for ``"rejection"``, the tuned parameter and the attempt laws at
+        it.  Called before a pool forks, so that every worker inherits them
+        instead of building its own."""
+        self._require_size(n)
+        if method == "rejection":
+            self._attempt_laws(self.tuned_parameter(n))
 
     def _require_size(self, n: int) -> None:
         if n < 0 or self.engine.at(self.engine.program.root, 1, n) == 0:

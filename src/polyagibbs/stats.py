@@ -248,6 +248,8 @@ def remainder_convergence_experiment(
                 f"size {n} is off the lattice (span {d})"
             )
     limit = model.limit_remainder_distribution(cap)
+    for n in sizes:
+        model.prepare_draws(n, method)
 
     def job(n: int):
         def worker(rng: random.Random, k: int) -> EmpiricalLaw:
@@ -304,6 +306,7 @@ def component_count_experiment(
     counts, exact_tail = model.limit_component_count_law(cap)
     exact = {1 + c: p for c, p in counts.items() if p > 0}
     total = math.fsum(exact.values()) + exact_tail
+    model.prepare_draws(n, method)
 
     def worker(rng: random.Random, k: int) -> EmpiricalLaw:
         law = EmpiricalLaw()

@@ -236,13 +236,49 @@ class TestDraws:
             forest_model.draws(5, random.Random(1), "inversion")
 
     def test_budget_counts_attempts_since_last_acceptance(self, forest_model, monkeypatch):
-        # at y*(30) an attempt has total 30 with probability about 1e-3, so
+        # at y*(30) an attempt has total 30 with probability about 3e-3, so
         # five attempts leave the budget spent
         monkeypatch.setattr("polyagibbs.gibbs._REJECTION_BUDGET", 5)
         with pytest.raises(RejectionBudgetExceeded):
             forest_model.sample_S_n(30, random.Random(3), method="rejection")
         with pytest.raises(RejectionBudgetExceeded):
             list(islice(forest_model.draws(30, random.Random(3), "rejection"), 10))
+
+
+class TestTuning:
+    @pytest.mark.parametrize("n", [8, 12, 40])
+    def test_mean_size_root_accepts_at_least_the_old_parameter(self, forest_model, n):
+        # c_n y^n / F(y) on the truncated composite series: its log has
+        # derivative (n - E_y[N]) / y, so it peaks where E_y[N] = n, or at
+        # rho when the mean at rho is below n
+        comp, rho = forest_model.composite_ogf, forest_model.rho.rho
+
+        def acceptance(y):
+            terms = [float(c) * y**k for k, c in enumerate(comp.coeffs)]
+            return terms[n] / math.fsum(terms)
+
+        y = forest_model.tuned_parameter(n)
+        assert y <= rho
+        assert acceptance(y) > acceptance(rho * (1 - 1 / n))
+
+    def test_parameter_is_built_once_per_n(self, forest_model, monkeypatch):
+        y = forest_model.tuned_parameter(9)
+        monkeypatch.setattr(
+            GibbsModel, "_mean_size_root", lambda self, n: pytest.fail("rebuilt")
+        )
+        assert forest_model.tuned_parameter(9) == y
+
+    def test_supercritical_sequence_draws(self):
+        # L(y) = y / (1 - y) reaches 1 at y = 1/2, half the inner radius:
+        # at rho (1 - 1/n) the SEQ law has no mass, at the mean-size root
+        # the composite series converges
+        model = GibbsModel.from_species(
+            parse_dsl("L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);")
+        )
+        draws = list(islice(model.draws(10, random.Random(5), "rejection"), 200))
+        assert len(draws) == 200
+        assert {object_size(s) for s in draws} == {10}
+        assert model.tuned_parameter(10) < 0.5
 
 
 class TestRemainders:

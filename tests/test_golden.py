@@ -62,12 +62,12 @@ GOLDEN = {
     "sample-rejection-set": (
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "6", "10",
          "--samples", "150", "--seed", "12", "--method", "rejection"],
-        "59c4af67c3b80668ea73da267b55d1b7015ba4203dbd5ee711544a0aa605f24c",
+        "50261d858afcd8501b92d811a5f10a102d5727b13fd788ff68b06f4dbbcea76c",
     ),
     "sample-rejection-seq": (
         ["sample", "--spec", SEQ_FOREST, "--trunc", "60", "--sizes", "6", "9",
          "--samples", "150", "--seed", "13", "--method", "rejection"],
-        "88815048bb333bb04151e99ed468a1705a18d82d0106ff4c2a286e4ea91289fb",
+        "477363a203546abeb8221bb5a811b7513df2c47f0b61f2f7a46da4dd3a3de2c4",
     ),
     "limit": (
         ["limit", "--spec", FOREST, "--trunc", "60", "--cap", "7", "--seed", "14"],
@@ -77,7 +77,7 @@ GOLDEN = {
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
          "--samples", "2100", "--cap", "7", "--seed", "15", "--workers", "2",
          "--method", "rejection"],
-        "80896461e25b6e59ccdb0e1460221a24191a5de5e4e7008a1fef013746f75a04",
+        "37ef60b43cfe5e77bb09a30941c026e069916d3812308f0a04b4ef9f28ab47ba",
     ),
     "tv-components": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8",
