@@ -324,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="JSON-lines transcript of size-conditioned draws")
     common(sp, formats=("json",))
     sp.add_argument("--sizes", type=int, nargs="+")
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_non_negative_int, default=1000)
     sp.add_argument("--method", choices=("exact_recursive", "rejection"), default="exact_recursive")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("limit", help="limit law of the remainder after deleting a maximal component")
     common(sp)
-    sp.add_argument("--cap", type=int, default=8)
+    sp.add_argument("--cap", type=_non_negative_int, default=8)
     sp.set_defaults(fn=cmd_limit)
 
     sp = sub.add_parser("asymptotics", help="composite/inner coefficient-ratio track and its limit constant")
@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tv", help="total-variation experiments against the limit law")
     common(sp)
     sp.add_argument("--sizes", type=int, nargs="+")
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--cap", type=int, default=12)
+    sp.add_argument("--samples", type=_non_negative_int, default=10000)
+    sp.add_argument("--cap", type=_non_negative_int, default=12)
     sp.add_argument("--method", choices=("exact_recursive", "rejection"), default="exact_recursive")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--experiment", choices=("remainder", "components"), default="remainder")

@@ -661,7 +661,12 @@ class GibbsModel:
         geometric lengths with parameter G(rho).
 
         Returns probabilities for counts 0..cap plus the residual tail mass.
+        The law is built once per cap and cached; callers must not change
+        the dict.
         """
+        return self._law(("count", cap), lambda: self._count_law(cap))
+
+    def _count_law(self, cap: int) -> Tuple[Dict[int, float], float]:
         rho = self.rho.rho
         if self.outer == "SET":
             lams = dict(

@@ -247,6 +247,24 @@ class TestErrors:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--samples", "-5", "--sizes", "8"],
+            ["limit", "--cap", "-1"],
+            ["tv", "--samples", "-5", "--sizes", "8"],
+            ["tv", "--cap", "-1", "--sizes", "8"],
+        ],
+        ids=["sample-samples", "limit-cap", "tv-samples", "tv-cap"],
+    )
+    def test_negative_count_exits_2(self, capsys, argv):
+        try:
+            code = main([*argv, "--spec", FOREST_DSL, "--trunc", "40"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_negative_size_exits_3(self, capsys):
         code = main([
             "sample", "--spec", FOREST_DSL, "--trunc", "30", "--sizes", "-2", "--samples", "3",

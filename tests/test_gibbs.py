@@ -358,6 +358,11 @@ class TestRemainders:
         again = forest_model._limit_law(6)
         assert again.probs == law.probs and again.tail == law.tail
 
+    def test_count_law_is_built_once_per_cap(self, forest_model):
+        law = forest_model.limit_component_count_law(7)
+        assert forest_model.limit_component_count_law(7) is law
+        assert forest_model._count_law(7) == law
+
     def test_limit_law_tail_shrinks_with_cap(self, forest_model):
         t1 = forest_model.limit_remainder_distribution(4).tail
         t2 = forest_model.limit_remainder_distribution(9).tail
