@@ -224,6 +224,24 @@ class AttemptBlock(NamedTuple):
         for lo, hi in ((o[a], o[a + 1]), (o[m + a], o[m + a + 1])):
             yield from zip(self.lengths[lo:hi].tolist(), self.sizes[lo:hi].tolist())
 
+    def hits(self, n: int) -> Iterator[Tuple[int, List[Tuple[int, int]]]]:
+        """(a, the pairs of attempt a) for every attempt a of total size n,
+        in attempt order, the pairs in :meth:`pairs` order.  The pairs of
+        all such attempts are gathered in one pass over the arrays."""
+        import numpy as np
+
+        hit = self.totals == n
+        at = np.flatnonzero(hit[self.owner])
+        # a stable sort by attempt keeps each attempt's fixpoints first
+        at = at[np.argsort(self.owner[at], kind="stable")]
+        flat = list(zip(self.lengths[at].tolist(), self.sizes[at].tolist()))
+        found = np.flatnonzero(hit)
+        ends = np.bincount(self.owner[at], minlength=len(hit))[found].cumsum()
+        start = 0
+        for a, end in zip(found.tolist(), ends.tolist()):
+            yield a, flat[start:end]
+            start = end
+
 
 class GibbsModel:
     """Composite model F over G with cached series and samplers."""
@@ -515,11 +533,11 @@ class GibbsModel:
         while True:
             block = self._attempt_block(y, gen, size)
             start = 0
-            for a in np.flatnonzero(block.totals == n).tolist():
+            for a, pairs in block.hits(n):
                 missed += a - start
                 if missed >= _REJECTION_BUDGET:
                     break
-                yield list(block.pairs(a))
+                yield pairs
                 missed, start = 0, a + 1
             else:
                 missed += size - start

@@ -212,6 +212,16 @@ class TestDraws:
             worst = max(worst, abs(counts[o] / n - p) / se)
         assert worst < 4.5
 
+    def test_block_hits_gather_the_pairs_of_each_attempt(self, forest_model):
+        block = forest_model._attempt_block(0.33, np.random.default_rng(4), 2048)
+        for n in (0, 1, 6, 12):
+            want = [
+                (a, list(block.pairs(a)))
+                for a in range(2048)
+                if block.totals[a] == n
+            ]
+            assert want and list(block.hits(n)) == want
+
     def test_exact_stream_repeats_sample_S_n(self, forest_model):
         a, b = random.Random(31), random.Random(31)
         stream = list(islice(forest_model.draws(11, a, "exact_recursive"), 40))
