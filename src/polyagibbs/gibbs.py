@@ -34,7 +34,11 @@ length costs a few dozen coefficients, not the whole powered series.
 Symmetries and block sizes are drawn without objects, a block of attempts
 at a time, as numpy arrays (:meth:`GibbsModel._attempt_block`); inner
 objects are drawn with the caller's ``random.Random`` only for the
-attempts that are kept.
+attempts that are kept, and only for what the caller reads:
+:meth:`GibbsModel.draws` draws every copy, :meth:`GibbsModel.remainders`
+only the copies that stay once a maximal one is deleted, and
+:meth:`GibbsModel.component_counts` none.  Attempts for size n run at the
+parameter where their mean size is n (:meth:`GibbsModel.tuned_parameter`).
 """
 
 from __future__ import annotations
@@ -438,7 +442,9 @@ class GibbsModel:
         """Rejection tuning: the y in (0, rho] at which a Boltzmann attempt
         has mean size n on the composite stream, E_y[N] = n (Duchon,
         Flajolet, Louchard and Schaeffer 2004), or rho when the mean at rho
-        is below n.  Built once per n and cached."""
+        is below n.  The acceptance c_n y^n / F(y) has log-derivative
+        (n - E_y[N]) / y, so this y maximises it on (0, rho].  Built once
+        per n and cached."""
         return self._law(("tuned", n), lambda: self._mean_size_root(n))
 
     def _mean_size_root(self, n: int) -> float:
@@ -494,9 +500,12 @@ class GibbsModel:
         """Independent weight-proportional size-n composite orbits.
 
         ``"exact_recursive"`` makes one :meth:`sample_S_n` draw per item.
-        ``"rejection"`` turns each attempt that :meth:`_accepted` keeps into
-        its orbit: the inner objects of an attempt are drawn with ``rng``
-        when it is yielded."""
+        ``"rejection"`` turns each attempt of total n that
+        :meth:`_accepted` keeps, at :meth:`tuned_parameter`, into its
+        orbit: every copy of every cycle, with the inner objects drawn with
+        ``rng`` when the orbit is yielded.  The experiments read
+        :meth:`remainders` and :meth:`component_counts` instead, which
+        draw less."""
         self._require_size(n)
         if method == "exact_recursive":
             sampler = self.exact_sampler()
