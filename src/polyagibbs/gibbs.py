@@ -521,8 +521,8 @@ class GibbsModel:
         ``"rejection"`` a count is the sum of the cycle lengths of a kept
         attempt, and no inner object is drawn; otherwise it is the length
         of an exact draw."""
-        self._require_size(n)
         if method == "rejection":
+            self._require_size(n)
             return (sum(l for l, _ in pairs) for pairs in self._accepted(n, rng))
         return (len(s[1]) for s in self.draws(n, rng, method))
 
