@@ -20,16 +20,26 @@ constants are normalised with :func:`~polyagibbs.series.as_exact`, so a
 spec whose weights are all integral yields streams of Python `int`; a
 rational weight p/q makes the same code produce `Fraction` values.  The
 one division, in the SET recurrence, goes through
-:func:`~polyagibbs.series.exact_div`.  Cost is O(N^2) per stream, with
-streams shared across all powers that a composite pulls in.  The SET and
-SEQ sums run in C over :func:`~polyagibbs.series.cauchy_terms`, the
-products with the nonzero q_k; every coefficient is the plain loop's, in
-value and in type.
+:func:`~polyagibbs.series.exact_div`.
+
+Cost is O(N^2) arithmetic per stream, with streams shared across all
+powers that a composite pulls in, and Python calls per coefficient
+rather than per term.  A term loop takes each stream it reads from
+:meth:`SeriesEngine.stream`, filled, and indexes the list, filling it in
+the order a loop of one :meth:`SeriesEngine.at` call per term would, so
+the same coefficients are counted and the same specs refused.  PRODUCT
+(and the sampler's PRODUCT and SEQ laws) run over :func:`factor_terms`,
+which picks the nonzero terms in C.  The Euler term q_k visits only the
+divisors of k.  The SET and SEQ sums
+run in C over :func:`~polyagibbs.series.cauchy_terms`, the products with
+the nonzero q_k; every coefficient is the plain loop's, in value and in
+type.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from typing import Dict, Tuple
 
 from .errors import EmptySize, IllFoundedRecursion, SpecError
@@ -55,17 +65,16 @@ class SeriesEngine:
 
     def coeff(self, node: Node | int, power: int, n: int):
         """[z^n] of the node's series under nu^power: an `int` when
-        integral, else a `Fraction`.  A negative n raises :class:`EmptySize`
-        (:meth:`at`, the inner loop of every count, does not check)."""
-        if n < 0:
-            raise EmptySize(f"no objects of negative size {n}")
+        integral, else a `Fraction`.  A negative n raises :class:`EmptySize`."""
         return self.at(self.program.id_of(node), power, n)
 
     def at(self, i: int, power: int, n: int):
         """:meth:`coeff` of the node with id i."""
         arr = self._arr.get((i, power))
-        if arr is not None and len(arr) > n:
+        if arr is not None and 0 <= n < len(arr):
             return arr[n]
+        if n < 0:
+            raise EmptySize(f"no objects of negative size {n}")
         with self._lock:
             arr = self._arr.setdefault((i, power), [])
             compute = self._count[self.program.kind[i]]
@@ -81,13 +90,22 @@ class SeriesEngine:
                 arr.append(value)
             return arr[n]
 
+    def stream(self, i: int, power: int, n: int):
+        """The coefficients of node i under nu^power, filled through degree
+        n, for callers to read and never write: the engine's own list, which
+        only grows by appends, so an index below its length is final."""
+        arr = self._arr.get((i, power), ())
+        if len(arr) <= n:
+            self.at(i, power, n)
+            arr = self._arr[(i, power)]
+        return arr
+
     def ogf(
         self, truncation: int, node: Node | int | None = None, power: int = 1
     ) -> TruncatedSeries:
         i = self.program.root if node is None else self.program.id_of(node)
         return TruncatedSeries(
-            [self.at(i, power, n) for n in range(truncation + 1)],
-            truncation,
+            self.stream(i, power, truncation)[: truncation + 1], truncation
         )
 
     # node handlers: (engine, id, power, degree) -> coefficient
@@ -112,14 +130,18 @@ class SeriesEngine:
         total = sum(cauchy_terms(q, nonzero, self._arr[(i, power)], n))
         return total if divisor == 1 else exact_div(total, divisor)
 
+    def _product(self, i: int, power: int, n: int):
+        """sum_k a_k * b_{n-k} over the splits k with a_k != 0."""
+        left, right = self.program.args[i]
+        return sum(a * b for _, a, b in factor_terms(self, left, right, power, 0, n))
+
     def _euler_term(self, inner: int, power: int, k: int):
         """q_k = sum_{d | k} d * s_d^{(power * k / d)}."""
         qk = 0
-        for d in range(1, k + 1):
-            if k % d == 0:
-                sd = self.at(inner, power * (k // d), d)
-                if sd:
-                    qk += d * sd
+        for d in _divisors(k):
+            sd = self.at(inner, power * (k // d), d)
+            if sd:
+                qk += d * sd
         return qk
 
     def _derive(self, i: int, power: int, n: int):
@@ -154,9 +176,7 @@ class SeriesEngine:
         ZERO=lambda e, i, p, n: 0,
         SIZED=lambda e, i, p, n: e.program.sized(i, n) ** p,
         UNION=lambda e, i, p, n: sum(e.at(c, p, n) for c in e.program.args[i]),
-        PRODUCT=lambda e, i, p, n: sum(
-            w for _, w in product_terms(e, i, *e.program.args[i], p, n)
-        ),
+        PRODUCT=_product,
         SET=lambda e, i, p, n: e._recurrence(i, p, n, e._euler_term, n),
         SEQ=lambda e, i, p, n: e._recurrence(i, p, n, e.at, 1),
         WEIGHT=lambda e, i, p, n: (
@@ -168,13 +188,46 @@ class SeriesEngine:
     )
 
 
-def product_terms(eng: SeriesEngine, i: int, left: int, right: int, power: int, n: int):
-    """(k, a_k * b_{n-k}) for the splits k of a PRODUCT with a_k != 0: the
-    terms of its coefficient, and the law of its split in the sampler."""
-    for k in range(n + 1):
-        a = eng.at(left, power, k)
-        if a:
-            yield k, a * eng.at(right, power, n - k)
+def _divisors(k: int) -> list:
+    """The divisors of k >= 1 in ascending order."""
+    small, large = [], []
+    d = 1
+    while d * d < k:
+        if k % d == 0:
+            small.append(d)
+            large.append(k // d)
+        d += 1
+    if d * d == k:
+        small.append(d)
+    return small + large[::-1]
+
+
+def factor_terms(eng: SeriesEngine, a: int, b: int, power: int, lo: int, n: int):
+    """(k, a_k, b_{n-k}) for lo <= k <= n with a_k != 0, in ascending k,
+    where a_k and b_m are the coefficients of nodes a and b under nu^power.
+
+    Each stream is filled once and then indexed, in the order of a loop
+    that reads a_k and then, if it is nonzero, b_{n-k}: a through its first
+    nonzero a_k0, b through n - k0, then a through n.  So the same
+    coefficients are counted in the same order, and an ill-founded or
+    invalid spec raises the same error."""
+    arr, k = (), lo
+    while k <= n:
+        if len(arr) <= k:
+            arr = eng.stream(a, power, k)
+        if arr[k]:
+            break
+        k += 1
+    else:
+        return iter(())
+    brr = eng.stream(b, power, n - k)
+    eng.stream(a, power, n)
+    mask = arr[k : n + 1]
+    return zip(
+        compress(range(k, n + 1), mask),
+        compress(mask, mask),
+        compress(brr[n - k :: -1], mask),
+    )
 
 
 def ogf(spec: SpeciesSpec, truncation: int, power: int = 1) -> TruncatedSeries:

@@ -352,9 +352,11 @@ class GibbsModel:
         """(n, coefficient) of the powered inner series for n up to the
         truncation, skipping zeros; coefficients are computed only as far
         as they are read."""
-        at, i = self.engine.at, self.inner_id
+        stream, i, arr = self.engine.stream, self.inner_id, ()
         for n in range(1, self.truncation + 1):
-            c = at(i, power, n)
+            if len(arr) <= n:
+                arr = stream(i, power, n)
+            c = arr[n]
             if c:
                 yield n, c
 

@@ -33,7 +33,7 @@ from itertools import accumulate
 from typing import Dict
 
 from .errors import EmptySize, SpecError, ZeroMass
-from .engine import SeriesEngine, product_terms
+from .engine import SeriesEngine, factor_terms
 from .species import (
     ATOM_OBJ,
     EPS_OBJ,
@@ -86,22 +86,37 @@ class DiscreteLaw:
         return self.cum[i] - (self.cum[i - 1] if i else 0.0)
 
 
-# law terms: (engine, id, children, power, size) -> (entry, weight) pairs
+# law terms: (engine, id, children, power, size) -> (entry, weight) pairs.
+# Each indexes filled streams and counts the same coefficients, in the same
+# order, as a loop of one engine.at call per term.  PRODUCT and SEQ read
+# one long range through engine.factor_terms; SET reads a short range per
+# copy count j, too short to pay for that call, so it fills a stream only
+# when an index reaches past its end.
+
+
+def _product_terms(eng, i, left, right, power, n):
+    """(k, a_k * b_{n-k}) for the splits k of a PRODUCT with a_k != 0."""
+    for k, a, b in factor_terms(eng, left, right, power, 0, n):
+        yield k, a * b
 
 
 def _set_terms(eng, i, inner, power, n):
+    stream, c = eng.stream, ()
     for j in range(1, n + 1):
+        g = ()
         for d in range(1, n // j + 1):
-            g = eng.at(inner, power * j, d)
-            if g:
-                yield (d, j), d * g * eng.at(i, power, n - d * j)
+            if len(g) <= d:
+                g = stream(inner, power * j, d)
+            if g[d]:
+                m = n - d * j
+                if len(c) <= m:
+                    c = stream(i, power, m)
+                yield (d, j), d * g[d] * c[m]
 
 
 def _seq_terms(eng, i, inner, power, n):
-    for s in range(1, n + 1):
-        g = eng.at(inner, power, s)
-        if g:
-            yield s, g * eng.at(i, power, n - s)
+    for s, g, c in factor_terms(eng, inner, i, power, 1, n):
+        yield s, g * c
 
 
 def _table_terms(eng, i, inner, power, n):
@@ -130,7 +145,7 @@ def _union(s, i: int, power: int, n: int, rng):
 
 def _product(s, i: int, power: int, n: int, rng):
     left, right = s._args[i]
-    law = s._tables.get((i, power, n)) or s._law(product_terms, i, power, n)
+    law = s._tables.get((i, power, n)) or s._law(_product_terms, i, power, n)
     k = law.entries[bisect_right(law.cum, rng.random())]
     draw = s._draw
     return (

@@ -1,8 +1,9 @@
 """Term-by-term cycle index sums of SET and SEQ, the oracles of the
 package's recurrences (``multiset_ogf``, ``outer_index_value``,
-``set_symmetry_law``).  A cycle type is a sorted tuple of (cycle length,
-multiplicity) pairs; an index is a list of (cycle type, coefficient)
-terms in degree order."""
+``set_symmetry_law``), and the engine's and sampler's term loops with one
+``SeriesEngine.at`` call per term.  A cycle type is a sorted tuple of
+(cycle length, multiplicity) pairs; an index is a list of (cycle type,
+coefficient) terms in degree order."""
 
 import math
 from collections import Counter
@@ -77,3 +78,41 @@ def cycle_type_law(terms, args):
     """Law of the cycle type, proportional to each term's value."""
     entries, weights = zip(*[(ct, v) for ct, v in term_values(terms, args) if v > 0])
     return DiscreteLaw(entries, weights)
+
+
+# The term loops of the engine and the sampler with one SeriesEngine.at call
+# per term: the reference for the package's loops over filled streams, which
+# must yield the same pairs and count the same coefficients in the same order.
+
+
+def product_terms(eng, i, left, right, power, n):
+    for k in range(n + 1):
+        a = eng.at(left, power, k)
+        if a:
+            yield k, a * eng.at(right, power, n - k)
+
+
+def set_terms(eng, i, inner, power, n):
+    for j in range(1, n + 1):
+        for d in range(1, n // j + 1):
+            g = eng.at(inner, power * j, d)
+            if g:
+                yield (d, j), d * g * eng.at(i, power, n - d * j)
+
+
+def seq_terms(eng, i, inner, power, n):
+    for s in range(1, n + 1):
+        g = eng.at(inner, power, s)
+        if g:
+            yield s, g * eng.at(i, power, n - s)
+
+
+def euler_term(eng, inner, power, k):
+    """q_k = sum_{d | k} d * s_d^{(power * k / d)}, over every d <= k."""
+    qk = 0
+    for d in range(1, k + 1):
+        if k % d == 0:
+            sd = eng.at(inner, power * (k // d), d)
+            if sd:
+                qk += d * sd
+    return qk

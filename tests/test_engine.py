@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import oracles
 from polyagibbs import (
     ATOM,
     Compose,
@@ -26,9 +28,12 @@ from polyagibbs import (
     sized_species,
     spec,
 )
+from polyagibbs.sampler import _product_terms, _seq_terms, _set_terms
 from polyagibbs.series import exact_div
 from polyagibbs.species import (
     K_PRODUCT,
+    K_SEQ,
+    K_SET,
     K_UNION,
     K_ZERO,
     AtomMultiplicative,
@@ -194,6 +199,8 @@ class TestGuards:
         assert eng.coeff(s.root, 1, 30) == 997171512998
         with pytest.raises(EmptySize):
             eng.coeff(s.root, 1, -1)
+        with pytest.raises(EmptySize):
+            eng.at(eng.program.root, 1, -1)
 
     def test_ill_founded(self):
         s = spec(Ref("X"), {"X": Ref("X")})
@@ -295,6 +302,132 @@ class TestRecurrenceIdentity:
         w = eng.program.root
         assert [type(eng.at(w, 1, k)) for k in range(4)] == [Fraction] * 4
         assert eng.at(w, 1, 2) == 0
+
+
+def _logged(handler, eng, i, power, n):
+    eng.log.append((i, power, n))
+    return handler(eng, i, power, n)
+
+
+class LoggedEngine(SeriesEngine):
+    """Logs (node id, power, degree) as each coefficient's count starts."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.log = []
+
+    _count = [partial(_logged, h) for h in SeriesEngine._count]
+
+
+class PerTermEngine(LoggedEngine):
+    """The engine with the per-term ``at`` loops of ``tests/oracles.py``."""
+
+    _euler_term = oracles.euler_term
+    _count = list(LoggedEngine._count)
+    _count[K_PRODUCT] = partial(
+        _logged,
+        lambda e, i, p, n: sum(
+            w for _, w in oracles.product_terms(e, i, *e.program.args[i], p, n)
+        ),
+    )
+
+
+TERM_SPECS = [
+    "T := ATOM * SET(T); F := COMPOSE(SET, T);",
+    # lattice span 2
+    "B := ATOM + ATOM * B * B; F := COMPOSE(SET, B);",
+    "L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);",
+    # Fraction streams
+    "T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);",
+    "T := ATOM * SET(T); D := ATOM * DERIVE(T); F := COMPOSE(SET, D);",
+    # the left factor SEQ(L) has a size-0 object
+    "L := ATOM + ATOM * L; P := SEQ(L) * SET(L);",
+]
+
+
+def _typed(pairs):
+    return [(e, w, type(w)) for e, w in pairs]
+
+
+class TestTermLoopIdentity:
+    """The term loops over filled streams against the per-term ``at``
+    loops: same pairs, same streams in value and type, and the same
+    coefficients counted in the same order."""
+
+    @pytest.mark.parametrize("text", TERM_SPECS)
+    def test_streams_and_count_order_match(self, text):
+        s = parse_dsl(text)
+        new, ref = LoggedEngine(s), PerTermEngine(s)
+        for power in (1, 2, 3):
+            new.ogf(30, power=power)
+            ref.ogf(30, power=power)
+        assert new.log == ref.log
+        assert new._arr.keys() == ref._arr.keys()
+        for key, stream in ref._arr.items():
+            assert [(c, type(c)) for c in new._arr[key]] == [
+                (c, type(c)) for c in stream
+            ], key
+
+    @pytest.mark.parametrize("text", TERM_SPECS)
+    def test_law_pairs_and_count_order_match(self, text):
+        # fresh engines, so the pairs themselves fill the streams
+        s = parse_dsl(text)
+        new, ref = LoggedEngine(s), PerTermEngine(s)
+        loops = {
+            K_PRODUCT: (_product_terms, oracles.product_terms),
+            K_SET: (_set_terms, oracles.set_terms),
+            K_SEQ: (_seq_terms, oracles.seq_terms),
+        }
+        args = new.program.args
+        ids = [i for i, k in enumerate(new.program.kind) if k in loops]
+        checked = 0
+        for n in range(13):
+            for power in (1, 2, 3):
+                for i in ids:
+                    ours, theirs = loops[new.program.kind[i]]
+                    got = _typed(ours(new, i, *args[i], power, n))
+                    assert got == _typed(theirs(ref, i, *args[i], power, n)), (i, power, n)
+                    checked += len(got)
+        assert checked
+        assert new.log == ref.log
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("B := ATOM + B * B;", IllFoundedRecursion),
+            ("X := X * ATOM + ATOM;", IllFoundedRecursion),
+            ("R := DERIVE(R);", IllFoundedRecursion),
+            ("S := SET(EPSILON + ATOM);", SpecError),
+            ("P := SEQ(ATOM) * SET(EPSILON + ATOM);", SpecError),
+        ],
+    )
+    def test_same_errors_after_the_same_counts(self, text, error):
+        s = parse_dsl(text)
+        new, ref = LoggedEngine(s), PerTermEngine(s)
+        for eng in (new, ref):
+            with pytest.raises(error):
+                eng.ogf(6)
+        assert new.log == ref.log
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IllFoundedRecursion,
+    reason="a PRODUCT reads its left factor through degree n even when the "
+    "right factor has no size-0 object; counting B * B needs per-node valuations",
+)
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda s, n: SeriesEngine(s).coeff(s.root, 1, n),
+        lambda s, n: sum(w for _, w in Enumerator(s).enumerate_root(n)),
+    ],
+    ids=["engine", "enumerator"],
+)
+def test_binary_trees_are_counted(count):
+    # B := ATOM + B * B is well-founded: the Catalan numbers
+    s = parse_dsl("B := ATOM + B * B;")
+    assert [count(s, n) for n in range(1, 6)] == [1, 1, 2, 5, 14]
 
 
 class TestThreadSafety:

@@ -20,9 +20,8 @@ from polyagibbs import (
     sized_species,
     spec,
 )
-from polyagibbs.engine import product_terms
 from polyagibbs.errors import EmptySize, ZeroMass
-from polyagibbs.sampler import _set_terms, _table_terms
+from polyagibbs.sampler import _product_terms, _set_terms, _table_terms
 from polyagibbs.species import ATOM_OBJ, EPS_OBJ, TableWeight, by_kind, fail
 
 F = Fraction
@@ -169,7 +168,7 @@ def _oracle_union(s, i, power, n, rng):
 
 def _oracle_product(s, i, power, n, rng):
     left, right = s.program.args[i]
-    k = (s._tables.get((i, power, n)) or s._law(product_terms, i, power, n)).sample(rng)
+    k = (s._tables.get((i, power, n)) or s._law(_product_terms, i, power, n)).sample(rng)
     return (
         "prod",
         s._draw[left](s, left, power, k, rng),
