@@ -7,7 +7,9 @@ job: every printed coefficient, the radius fit and both ratio constants.
 The ``mixed`` digests pin the node kinds the forest spec does not use:
 DERIVE, UNION, SEQ and integral and rational WEIGHT.  The
 ``tv`` digests assume TV sums taken with ``math.fsum``, which makes them
-independent of the order of the keys.
+independent of the order of the keys.  The ``csv`` digests pin the CSV
+writer of every table command, and ``tv-components-sizes`` a components
+run whose sizes share one chunk plan.
 """
 
 import hashlib
@@ -84,6 +86,41 @@ GOLDEN = {
          "--samples", "2500", "--cap", "7", "--seed", "16", "--workers", "2",
          "--experiment", "components"],
         "99a4f737d239b84a4a85a74b9c45910c16f5b9005830659bcdadd0d7aba8aca5",
+    ),
+    "coeffs-csv": (
+        ["coeffs", "--spec", FOREST, "--trunc", "120", "--format", "csv"],
+        "ccb5977720e9c1a72579dc535c221b9e43c6614856e6e446efb0b70a888924d2",
+    ),
+    "limit-csv": (
+        ["limit", "--spec", FOREST, "--trunc", "60", "--cap", "7", "--seed", "14",
+         "--format", "csv"],
+        "071ff5f9ae6512e5d010c85b0ac28041c116814eebdab484b88bae553ff31a3d",
+    ),
+    "asymptotics-csv": (
+        ["asymptotics", "--spec", FOREST, "--trunc", "150", "--format", "csv"],
+        "6d0721c34fc302fc0e6d8f6e72e8dbc3f08f8f43345f7e7ab0f30f9c323f55dd",
+    ),
+    "diagnose-csv": (
+        ["diagnose", "--spec", FOREST, "--trunc", "150", "--format", "csv"],
+        "a2d363c386a4d0993cc5c11815f8bdbce4c51f91d7eb2d5d78a92a7ca12f28c8",
+    ),
+    "tv-remainder-csv": (
+        ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
+         "--samples", "2100", "--cap", "7", "--seed", "15", "--workers", "2",
+         "--method", "rejection", "--format", "csv"],
+        "3817aaa88ceb105c4ba93c69732dd1d2123406015ac972a5868815857575fb91",
+    ),
+    "tv-components-csv": (
+        ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8",
+         "--samples", "2500", "--cap", "7", "--seed", "16", "--workers", "2",
+         "--experiment", "components", "--format", "csv"],
+        "e4bd8099937c2cdb165460b475d38060b93a668bef0c93e5aadba5998b2e7af3",
+    ),
+    "tv-components-sizes": (
+        ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10", "12",
+         "--samples", "2100", "--cap", "7", "--seed", "19", "--workers", "2",
+         "--experiment", "components", "--method", "rejection"],
+        "b3a24ec90b76d1211de17f3e2b9cf320528b0ade372e1a25f7f4ab4e811de24a",
     ),
 }
 
