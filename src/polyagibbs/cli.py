@@ -15,8 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import os
 import sys
+from contextlib import contextmanager
 from itertools import islice
 from typing import List
 
@@ -32,7 +35,7 @@ from .gibbs import GibbsModel
 from .species import object_size, object_to_string, parse_spec
 from .stats import (
     _run_jobs,
-    component_count_experiment,
+    component_count_reports,
     remainder_convergence_experiment,
 )
 
@@ -48,8 +51,6 @@ def _read_spec(source: str) -> str:
     """``source`` is a filename if it names an existing file, otherwise it
     is taken as inline DSL/JSON text.  A file that cannot be read as UTF-8
     text is a :class:`SpecError`."""
-    import os
-
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -66,12 +67,7 @@ def _non_negative_int(text: str) -> int:
     return n
 
 
-def _config_digest(parts: dict) -> str:
-    canon = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _semantic_config(args, spec_text: str) -> dict:
+def _config_digest(args, spec_text: str) -> str:
     keep = {}
     for key in ("command", "trunc", "seed", "samples", "cap", "method", "format", "experiment"):
         if hasattr(args, key):
@@ -79,67 +75,47 @@ def _semantic_config(args, spec_text: str) -> dict:
     if hasattr(args, "sizes"):
         keep["sizes"] = list(args.sizes) if args.sizes else None
     keep["spec"] = spec_text
-    return keep
+    canon = json.dumps(keep, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _open_out(args):
+@contextmanager
+def _output(args):
     if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
-def _emit_table(args, header: dict, columns: List[str], rows: List[list]):
-    out = _open_out(args)
-    try:
-        if args.format == "csv":
-            w = csv.writer(out, lineterminator="\n")
-            for k, v in header.items():
-                w.writerow([f"# {k}", v])
-            w.writerow(columns)
-            w.writerows(rows)
-        else:
-            json.dump(
-                {"header": header, "columns": columns, "rows": rows},
-                out,
-                indent=2,
-                sort_keys=True,
-            )
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _table(args, header: dict, columns: List[str], rows: List[list]) -> str:
+    if args.format == "json":
+        doc = {"header": header, "columns": columns, "rows": rows}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    for k, v in header.items():
+        w.writerow([f"# {k}", v])
+    w.writerow(columns)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
-def cmd_coeffs(args) -> int:
-    spec_text = _read_spec(args.spec)
-    model = GibbsModel.from_species(parse_spec(spec_text), truncation=args.trunc)
-    inner = model.inner_ogf(1)
-    comp = model.composite_ogf
-    derived = model.remainder_ogf
+def cmd_coeffs(args, species, header) -> str:
+    model = GibbsModel.from_species(species, truncation=args.trunc)
+    inner, comp, derived = model.inner_ogf(1), model.composite_ogf, model.remainder_ogf
     rows = [
         [n, str(inner[n]), str(comp[n]), str(derived[n])]
         for n in range(args.trunc + 1)
     ]
-    header = {
-        "seed": args.seed,
-        "config_digest": _config_digest(_semantic_config(args, spec_text)),
-        "truncation": args.trunc,
-    }
-    _emit_table(args, header, ["n", "inner", "composite", "derived_composite"], rows)
-    return 0
+    header["truncation"] = args.trunc
+    return _table(args, header, ["n", "inner", "composite", "derived_composite"], rows)
 
 
-def cmd_sample(args) -> int:
-    spec_text = _read_spec(args.spec)
-    model = GibbsModel.from_species(parse_spec(spec_text), truncation=args.trunc)
+def cmd_sample(args, species, header) -> str:
+    model = GibbsModel.from_species(species, truncation=args.trunc)
     sizes = args.sizes or [8]
-    header = {
-        "seed": args.seed,
-        "config_digest": _config_digest(_semantic_config(args, spec_text)),
-        "method": args.method,
-        "sizes": sizes,
-        "samples": args.samples,
-    }
+    header.update(method=args.method, sizes=sizes, samples=args.samples)
 
     def job(n: int):
         model.prepare_draws(n, args.method)
@@ -164,24 +140,15 @@ def cmd_sample(args) -> int:
 
         return f"sample:{n}", args.samples, run
 
-    out = _open_out(args)
-    try:
-        out.write(json.dumps(header, sort_keys=True) + "\n")
-        # every size's chunks run in one plan, so a pool is forked once
-        parts = _run_jobs(args.seed, [job(n) for n in sizes], SAMPLE_CHUNK, args.workers)
-        for chunks in parts:
-            for lines in chunks:
-                for line in lines:
-                    out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    # every size's chunks run in one plan, so a pool is forked once
+    parts = _run_jobs(args.seed, [job(n) for n in sizes], SAMPLE_CHUNK, args.workers)
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += (line for chunks in parts for chunk in chunks for line in chunk)
+    return "\n".join(lines) + "\n"
 
 
-def cmd_limit(args) -> int:
-    spec_text = _read_spec(args.spec)
-    model = GibbsModel.from_species(parse_spec(spec_text), truncation=args.trunc)
+def cmd_limit(args, species, header) -> str:
+    model = GibbsModel.from_species(species, truncation=args.trunc)
     law = model.limit_remainder_distribution(args.cap)
     rows = [
         [object_to_string(k), object_size(k), p]
@@ -189,115 +156,58 @@ def cmd_limit(args) -> int:
     ]
     rows.append(["<tail>", f">{args.cap}", law.tail])
     rows.append(["<total>", "", law.total])
-    header = {
-        "seed": args.seed,
-        "config_digest": _config_digest(_semantic_config(args, spec_text)),
-        "rho": law.rho,
-        "rho_sensitivity": law.sensitivity,
-        "cap": args.cap,
-    }
-    _emit_table(args, header, ["remainder", "size", "probability"], rows)
-    return 0
+    header.update(rho=law.rho, rho_sensitivity=law.sensitivity, cap=args.cap)
+    return _table(args, header, ["remainder", "size", "probability"], rows)
 
 
-def cmd_asymptotics(args) -> int:
-    spec_text = _read_spec(args.spec)
-    model = GibbsModel.from_species(parse_spec(spec_text), truncation=args.trunc)
+def cmd_asymptotics(args, species, header) -> str:
+    model = GibbsModel.from_species(species, truncation=args.trunc)
     rep = coefficient_ratio_experiment(model)
-    rows = [[n, r] for n, r in rep.track]
-    header = {
-        "seed": args.seed,
-        "config_digest": _config_digest(_semantic_config(args, spec_text)),
-        "constant": rep.constant,
-        "constant_cycle_index_path": rep.constant_paths["cycle_index"],
-        "constant_species_engine_path": rep.constant_paths["species_engine"],
-        "rho": rep.rho,
-        "window_deviation": json.dumps(rep.deviation, sort_keys=True),
-    }
-    _emit_table(args, header, ["n", "ratio"], rows)
-    return 0
+    header.update(
+        constant=rep.constant,
+        constant_cycle_index_path=rep.constant_paths["cycle_index"],
+        constant_species_engine_path=rep.constant_paths["species_engine"],
+        rho=rep.rho,
+        window_deviation=json.dumps(rep.deviation, sort_keys=True),
+    )
+    return _table(args, header, ["n", "ratio"], [[n, r] for n, r in rep.track])
 
 
-def cmd_tv(args) -> int:
-    spec_text = _read_spec(args.spec)
-    model = GibbsModel.from_species(parse_spec(spec_text), truncation=args.trunc)
-    header = {
-        "seed": args.seed,
-        "config_digest": _config_digest(_semantic_config(args, spec_text)),
-        "cap": args.cap,
-        "samples": args.samples,
-    }
+def cmd_tv(args, species, header) -> str:
+    model = GibbsModel.from_species(species, truncation=args.trunc)
+    header.update(cap=args.cap, samples=args.samples)
+    kw = dict(
+        sizes=args.sizes or [20, 40],
+        samples=args.samples,
+        cap=args.cap,
+        seed=args.seed,
+        workers=args.workers,
+        method=args.method,
+    )
     if args.experiment == "remainder":
-        rep = remainder_convergence_experiment(
-            model,
-            sizes=args.sizes or [20, 40],
-            samples=args.samples,
-            cap=args.cap,
-            seed=args.seed,
-            workers=args.workers,
-            method=args.method,
-        )
+        rep = remainder_convergence_experiment(model, **kw)
         header["decreasing"] = rep.decreasing
+        columns = ["n", "tv", "confidence_radius", "samples", "empirical_tail", "exact_tail"]
         rows = [
             [r.n, r.tv, r.radius, r.samples, r.empirical_tail, r.exact_tail]
             for r in rep.rows
         ]
-        _emit_table(
-            args,
-            header,
-            ["n", "tv", "confidence_radius", "samples", "empirical_tail", "exact_tail"],
-            rows,
-        )
     else:
-        rows = []
-        for n in args.sizes or [20, 40]:
-            rep = component_count_experiment(
-                model,
-                n=n,
-                samples=args.samples,
-                seed=args.seed,
-                cap=args.cap,
-                workers=args.workers,
-                method=args.method,
-            )
-            rows.append([rep.n, rep.tv, rep.radius, rep.samples, rep.exact_law_total])
-        _emit_table(
-            args,
-            header,
-            ["n", "tv", "confidence_radius", "samples", "exact_law_total"],
-            rows,
-        )
-    return 0
+        columns = ["n", "tv", "confidence_radius", "samples", "exact_law_total"]
+        rows = [
+            [r.n, r.tv, r.radius, r.samples, r.exact_law_total]
+            for r in component_count_reports(model, **kw)
+        ]
+    return _table(args, header, columns, rows)
 
 
-def cmd_diagnose(args) -> int:
-    spec_text = _read_spec(args.spec)
-    species = parse_spec(spec_text)
-    series = ogf(species, args.trunc)
-    rep = diagnose_subexponential(series)
-    header = {
-        "seed": args.seed,
-        "config_digest": _config_digest(_semantic_config(args, spec_text)),
-    }
-    if args.format == "csv":
-        rows = [[n, r] for n, r in rep.ratio_track]
-        header.update(
-            {
-                "d": rep.d,
-                "rho": rep.rho.rho,
-                "verdict_hint": rep.verdict_hint,
-            }
-        )
-        _emit_table(args, header, ["n", "ratio"], rows)
-    else:
-        out = _open_out(args)
-        try:
-            json.dump({"header": header, "report": rep.to_dict()}, out, indent=2, sort_keys=True)
-            out.write("\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    return 0
+def cmd_diagnose(args, species, header) -> str:
+    rep = diagnose_subexponential(ogf(species, args.trunc))
+    if args.format == "json":
+        doc = {"header": header, "report": rep.to_dict()}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    header.update(d=rep.d, rho=rep.rho.rho, verdict_hint=rep.verdict_hint)
+    return _table(args, header, ["n", "ratio"], [[n, r] for n, r in rep.ratio_track])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,10 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Read and parse the spec, stamp the header with the seed and the
+    config digest, run the command, and only then write its whole output,
+    so a failed run leaves ``--out`` as it was."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        spec_text = _read_spec(args.spec)
+        header = {"seed": args.seed, "config_digest": _config_digest(args, spec_text)}
+        text = args.fn(args, parse_spec(spec_text), header)
     except SpecError as e:
         print(f"spec error: {e}", file=sys.stderr)
         return EXIT_SPEC
@@ -368,6 +282,9 @@ def main(argv=None) -> int:
     except PolyaGibbsError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
+    with _output(args) as out:
+        out.write(text)
+    return 0
 
 
 if __name__ == "__main__":

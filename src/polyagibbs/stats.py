@@ -2,9 +2,11 @@
 fragment laws and exact limit laws, with closed-form confidence radii.
 
 Sampling is organized in fixed-size chunks, each driven by its own RNG
-seeded from (seed, size, chunk index).  Chunks are merged in index order,
-so the aggregate counts — and every downstream report — are identical for
-any worker count.  With more than one worker the chunks run in forked
+seeded from (seed, label, chunk index), where the label names the job and
+its size: ``("remainder", n)``, ``("components", n)``, or ``"sample:n"``
+for a ``sample`` transcript.  Chunks are merged in index order, so the
+aggregate counts — and every downstream report — are identical for any
+worker count.  With more than one worker the chunks run in forked
 child processes, which inherit the parent's built laws and tables and
 send back only their chunk results; otherwise they run in-process.
 """
@@ -17,6 +19,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from typing import Dict, List, Tuple
 
@@ -184,11 +187,21 @@ def _run_jobs(seed: int, jobs: list, chunk: int, workers: int) -> List[list]:
     return per_job
 
 
-def _merged(parts: List[EmpiricalLaw]) -> EmpiricalLaw:
-    law = EmpiricalLaw()
-    for part in parts:
-        law.merge(part)
-    return law
+def _size_laws(model, kind, sizes, samples, seed, workers, method, tally):
+    """One empirical law per size: build every size's draw tables, then run
+    the chunks of all sizes in one plan, so a pool is forked once.  Chunk i
+    of size n returns ``tally(n, rng, k)`` for its k draws, with the RNG of
+    label (kind, n), and the chunks are merged in index order."""
+    for n in sizes:
+        model.prepare_draws(n, method)
+    jobs = [((kind, n), samples, partial(tally, n)) for n in sizes]
+    laws = []
+    for chunks in _run_jobs(seed, jobs, CHUNK, workers):
+        law = EmpiricalLaw()
+        for part in chunks:
+            law.merge(part)
+        laws.append(law)
+    return laws
 
 
 @dataclass
@@ -248,22 +261,16 @@ def remainder_convergence_experiment(
                 f"size {n} is off the lattice (span {d})"
             )
     limit = model.limit_remainder_distribution(cap)
-    for n in sizes:
-        model.prepare_draws(n, method)
 
-    def job(n: int):
-        def worker(rng: random.Random, k: int) -> EmpiricalLaw:
-            law = EmpiricalLaw()
-            for frag in islice(model.remainders(n, rng, method), k):
-                law.add(frag.remainder, in_tail=frag.remainder_size > cap)
-            return law
+    def tally(n: int, rng: random.Random, k: int) -> EmpiricalLaw:
+        law = EmpiricalLaw()
+        for frag in islice(model.remainders(n, rng, method), k):
+            law.add(frag.remainder, in_tail=frag.remainder_size > cap)
+        return law
 
-        return ("remainder", n), samples, worker
-
-    parts = _run_jobs(seed, [job(n) for n in sizes], CHUNK, workers)
+    laws = _size_laws(model, "remainder", sizes, samples, seed, workers, method, tally)
     rows = []
-    for n, chunks in zip(sizes, parts):
-        emp = _merged(chunks)
+    for n, emp in zip(sizes, laws):
         tv, radius = tv_distance(emp, limit)
         rows.append(
             TvRow(
@@ -292,6 +299,50 @@ class ComponentCountReport:
     seed: int
 
 
+def component_count_reports(
+    model: GibbsModel,
+    sizes: List[int],
+    samples: int,
+    seed: int,
+    cap: int = 12,
+    workers: int = 1,
+    method: str = "exact_recursive",
+) -> List[ComponentCountReport]:
+    """For each size n: the empirical law of the component count of a
+    size-n composite against the exact law of 1 + (components of the limit
+    remainder).  The chunks of all sizes run in one plan."""
+    counts, exact_tail = model.limit_component_count_law(cap)
+    exact = {1 + c: p for c, p in counts.items() if p > 0}
+    total = math.fsum(exact.values()) + exact_tail
+
+    def tally(n: int, rng: random.Random, k: int) -> EmpiricalLaw:
+        law = EmpiricalLaw()
+        for c in islice(model.component_counts(n, rng, method), k):
+            # counts larger than anything the capped remainder law can
+            # produce land in the tail bucket
+            law.add(c, in_tail=c > cap + 1)
+        return law
+
+    laws = _size_laws(model, "components", sizes, samples, seed, workers, method, tally)
+    reports = []
+    for n, emp in zip(sizes, laws):
+        tv, radius = tv_distance(emp, (exact, exact_tail))
+        reports.append(
+            ComponentCountReport(
+                n=n,
+                tv=tv,
+                radius=radius,
+                samples=emp.total,
+                exact_law_total=total,
+                empirical=emp,
+                exact=exact,
+                exact_tail=exact_tail,
+                seed=seed,
+            )
+        )
+    return reports
+
+
 def component_count_experiment(
     model: GibbsModel,
     n: int,
@@ -301,32 +352,7 @@ def component_count_experiment(
     workers: int = 1,
     method: str = "exact_recursive",
 ) -> ComponentCountReport:
-    """Empirical law of the component count of a size-n composite against
-    the exact law of 1 + (components of the limit remainder)."""
-    counts, exact_tail = model.limit_component_count_law(cap)
-    exact = {1 + c: p for c, p in counts.items() if p > 0}
-    total = math.fsum(exact.values()) + exact_tail
-    model.prepare_draws(n, method)
-
-    def worker(rng: random.Random, k: int) -> EmpiricalLaw:
-        law = EmpiricalLaw()
-        for c in islice(model.component_counts(n, rng, method), k):
-            # counts larger than anything the capped remainder law can
-            # produce land in the tail bucket
-            law.add(c, in_tail=c > cap + 1)
-        return law
-
-    (chunks,) = _run_jobs(seed, [(("components", n), samples, worker)], CHUNK, workers)
-    emp = _merged(chunks)
-    tv, radius = tv_distance(emp, (exact, exact_tail))
-    return ComponentCountReport(
-        n=n,
-        tv=tv,
-        radius=radius,
-        samples=emp.total,
-        exact_law_total=total,
-        empirical=emp,
-        exact=exact,
-        exact_tail=exact_tail,
-        seed=seed,
-    )
+    """The component-count report of one size n; see
+    :func:`component_count_reports`."""
+    (report,) = component_count_reports(model, [n], samples, seed, cap, workers, method)
+    return report

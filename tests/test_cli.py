@@ -216,6 +216,29 @@ class TestTv:
         assert outs[0] == outs[1] == outs[2]
 
 
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_components_sizes_share_one_pool(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        code, out = run(
+            capsys,
+            "tv", "--spec", FOREST_DSL, "--trunc", "60", "--sizes", "8", "10", "12",
+            "--samples", "4000", "--cap", "7", "--seed", "4", "--workers", "2",
+            "--experiment", "components",
+        )
+        assert code == 0
+        assert len(pools) == 1
+        assert [r[0] for r in json.loads(out)["rows"]] == [8, 10, 12]
+
+
 class TestDiagnose:
     def test_report_parses(self, capsys):
         code, out = run(
@@ -264,6 +287,29 @@ class TestErrors:
             code = exc.code
         assert code == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sample", "--sizes", "8", "-2", "--samples", "10"], 3),
+            (["sample", "--sizes", "0", "--samples", "10"], 3),
+            (["limit", "--cap", "5"], 3),
+            (["tv", "--sizes", "8", "-2", "--samples", "10"], 3),
+            (["tv", "--sizes", "8", "-2", "--samples", "10", "--experiment", "components"], 3),
+        ],
+        ids=["sample-negative-size", "sample-size-0", "limit", "tv-remainder", "tv-components"],
+    )
+    def test_failed_run_leaves_out_file_as_it_was(self, capsys, monkeypatch, tmp_path, argv, code):
+        import scipy.integrate
+
+        if argv[0] == "limit":
+            # the limit law's tail sum does not converge
+            monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, 1e-6, {}))
+        out = tmp_path / "out"
+        out.write_bytes(b"an earlier run\n")
+        assert main([*argv, "--spec", FOREST_DSL, "--trunc", "30", "--out", str(out)]) == code
+        assert out.read_bytes() == b"an earlier run\n"
+        assert capsys.readouterr().out == ""
 
     def test_negative_size_exits_3(self, capsys):
         code = main([

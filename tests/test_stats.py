@@ -20,7 +20,7 @@ from polyagibbs import (
     remainder_convergence_experiment,
     tv_distance,
 )
-from polyagibbs.stats import _run_jobs, _usable_cpus
+from polyagibbs.stats import _run_jobs, _usable_cpus, component_count_reports
 
 F = Fraction
 
@@ -223,6 +223,29 @@ class TestChunkRunner:
                 forest_model, **dict(kw, sizes=[n]), workers=1
             )
             assert one.rows == [row]
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_component_reports_fork_one_pool_for_all_sizes(
+        self, forest_model, monkeypatch
+    ):
+        import concurrent.futures
+
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        kw = dict(samples=2500, cap=6, seed=9)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        pooled = component_count_reports(forest_model, [8, 10, 12], workers=2, **kw)
+        assert len(pools) == 1
+        # each size keeps its own chunk seeds: the reports are those of
+        # one-size runs in-process
+        for rep in pooled:
+            one = component_count_experiment(forest_model, rep.n, workers=1, **kw)
+            assert (rep.tv, rep.radius, rep.empirical) == (one.tv, one.radius, one.empirical)
 
     def test_jobs_keep_their_chunk_results_apart(self):
         jobs = [("probe", 5, _chunk_probe), ("other", 3, _chunk_probe)]
