@@ -88,20 +88,20 @@ def _output(args):
         yield sys.stdout
 
 
-def _table(args, header: dict, columns: List[str], rows: List[list]) -> str:
+def _table(args, header: dict, columns: List[str], rows: List[list]) -> List[str]:
     if args.format == "json":
         doc = {"header": header, "columns": columns, "rows": rows}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     for k, v in header.items():
         w.writerow([f"# {k}", v])
     w.writerow(columns)
     w.writerows(rows)
-    return buf.getvalue()
+    return [buf.getvalue()]
 
 
-def cmd_coeffs(args, species, header) -> str:
+def cmd_coeffs(args, species, header) -> List[str]:
     model = GibbsModel.from_species(species, truncation=args.trunc)
     inner, comp, derived = model.inner_ogf(1), model.composite_ogf, model.remainder_ogf
     rows = [
@@ -112,7 +112,7 @@ def cmd_coeffs(args, species, header) -> str:
     return _table(args, header, ["n", "inner", "composite", "derived_composite"], rows)
 
 
-def cmd_sample(args, species, header) -> str:
+def cmd_sample(args, species, header) -> List[str]:
     model = GibbsModel.from_species(species, truncation=args.trunc)
     sizes = args.sizes or [8]
     header.update(method=args.method, sizes=sizes, samples=args.samples)
@@ -124,30 +124,26 @@ def cmd_sample(args, species, header) -> str:
             lines = []
             for s in islice(model.draws(n, rng, args.method), k):
                 frag = model.extract_remainder(s, rng)
-                lines.append(
-                    json.dumps(
-                        {
-                            "n": n,
-                            "canonical": object_to_string(s),
-                            "largest": frag.largest_size,
-                            "remainder_size": frag.remainder_size,
-                            "components": frag.component_count,
-                        },
-                        sort_keys=True,
-                    )
-                )
-            return lines
+                record = {
+                    "n": n,
+                    "canonical": object_to_string(s),
+                    "largest": frag.largest_size,
+                    "remainder_size": frag.remainder_size,
+                    "components": frag.component_count,
+                }
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
+            # the transcript is held until the run succeeds: one string
+            # per chunk keeps that to its bytes, with no object per line
+            return "".join(lines)
 
         return f"sample:{n}", args.samples, run
 
     # every size's chunks run in one plan, so a pool is forked once
     parts = _run_jobs(args.seed, [job(n) for n in sizes], SAMPLE_CHUNK, args.workers)
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += (line for chunks in parts for chunk in chunks for line in chunk)
-    return "\n".join(lines) + "\n"
+    return [json.dumps(header, sort_keys=True) + "\n"] + [t for chunks in parts for t in chunks]
 
 
-def cmd_limit(args, species, header) -> str:
+def cmd_limit(args, species, header) -> List[str]:
     model = GibbsModel.from_species(species, truncation=args.trunc)
     law = model.limit_remainder_distribution(args.cap)
     rows = [
@@ -160,7 +156,7 @@ def cmd_limit(args, species, header) -> str:
     return _table(args, header, ["remainder", "size", "probability"], rows)
 
 
-def cmd_asymptotics(args, species, header) -> str:
+def cmd_asymptotics(args, species, header) -> List[str]:
     model = GibbsModel.from_species(species, truncation=args.trunc)
     rep = coefficient_ratio_experiment(model)
     header.update(
@@ -173,7 +169,7 @@ def cmd_asymptotics(args, species, header) -> str:
     return _table(args, header, ["n", "ratio"], [[n, r] for n, r in rep.track])
 
 
-def cmd_tv(args, species, header) -> str:
+def cmd_tv(args, species, header) -> List[str]:
     model = GibbsModel.from_species(species, truncation=args.trunc)
     header.update(cap=args.cap, samples=args.samples)
     kw = dict(
@@ -201,11 +197,11 @@ def cmd_tv(args, species, header) -> str:
     return _table(args, header, columns, rows)
 
 
-def cmd_diagnose(args, species, header) -> str:
+def cmd_diagnose(args, species, header) -> List[str]:
     rep = diagnose_subexponential(ogf(species, args.trunc))
     if args.format == "json":
         doc = {"header": header, "report": rep.to_dict()}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
     header.update(d=rep.d, rho=rep.rho.rho, verdict_hint=rep.verdict_hint)
     return _table(args, header, ["n", "ratio"], [[n, r] for n, r in rep.ratio_track])
 
@@ -266,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Read and parse the spec, stamp the header with the seed and the
-    config digest, run the command, and only then write its whole output,
-    so a failed run leaves ``--out`` as it was."""
+    config digest, and run the command, which returns its whole output as
+    a list of strings.  Only then is ``--out`` opened and written, so a
+    failed run leaves it as it was."""
     args = build_parser().parse_args(argv)
     try:
         spec_text = _read_spec(args.spec)
         header = {"seed": args.seed, "config_digest": _config_digest(args, spec_text)}
-        text = args.fn(args, parse_spec(spec_text), header)
+        pieces = args.fn(args, parse_spec(spec_text), header)
     except SpecError as e:
         print(f"spec error: {e}", file=sys.stderr)
         return EXIT_SPEC
@@ -283,7 +280,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     with _output(args) as out:
-        out.write(text)
+        out.writelines(pieces)
     return 0
 
 
