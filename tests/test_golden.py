@@ -9,7 +9,9 @@ DERIVE, UNION, SEQ and integral and rational WEIGHT.  The
 ``tv`` digests assume TV sums taken with ``math.fsum``, which makes them
 independent of the order of the keys.  The ``csv`` digests pin the CSV
 writer of every table command, and ``tv-components-sizes`` a components
-run whose sizes share one chunk plan.
+run whose sizes share one chunk plan.  ``limit-cap12`` pins the limit law
+at the cap and truncation of the ``tv-rejection`` benchmark: 20,299 orbit
+probabilities, the tail and the radius sensitivity.
 """
 
 import hashlib
@@ -74,6 +76,10 @@ GOLDEN = {
     "limit": (
         ["limit", "--spec", FOREST, "--trunc", "60", "--cap", "7", "--seed", "14"],
         "c4a5f2eebf5547a179c157df8380f6beff8916c14462de15ab298d94728b41e2",
+    ),
+    "limit-cap12": (
+        ["limit", "--spec", FOREST, "--trunc", "200", "--cap", "12", "--seed", "14"],
+        "3fe6a0348d6693c5ac2afd3ae531445e0d81252f1fe1ebe32e9291483b65f018",
     ),
     "tv-remainder": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
