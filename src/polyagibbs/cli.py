@@ -6,8 +6,9 @@ configuration (spec text, truncation, seed, samples, sizes, cap, method —
 not the worker count or output path, so reruns and different worker counts
 produce bytewise-identical output).
 
-Exit codes: 0 success, 2 specification error, 3 precondition violation,
-4 budget exceeded.
+Exit codes: 0 success, 2 specification or input/output error (a malformed
+spec, an unreadable spec file, a negative count, an ``--out`` that cannot
+be written), 3 precondition violation, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager
 from itertools import islice
 from typing import List
 
@@ -77,15 +77,6 @@ def _config_digest(args, spec_text: str) -> str:
     keep["spec"] = spec_text
     canon = json.dumps(keep, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-@contextmanager
-def _output(args):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield sys.stdout
 
 
 def _table(args, header: dict, columns: List[str], rows: List[list]) -> List[str]:
@@ -264,7 +255,8 @@ def main(argv=None) -> int:
     """Read and parse the spec, stamp the header with the seed and the
     config digest, and run the command, which returns its whole output as
     a list of strings.  Only then is ``--out`` opened and written, so a
-    failed run leaves it as it was."""
+    failed run leaves it as it was; an ``--out`` that cannot be opened
+    exits 2 with a one-line error."""
     args = build_parser().parse_args(argv)
     try:
         spec_text = _read_spec(args.spec)
@@ -279,8 +271,15 @@ def main(argv=None) -> int:
     except PolyaGibbsError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    with _output(args) as out:
-        out.writelines(pieces)
+    if not args.out:
+        sys.stdout.writelines(pieces)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
+    except OSError as e:
+        print(f"error: cannot write {args.out!r}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_SPEC
     return 0
 
 

@@ -638,29 +638,43 @@ class GibbsModel:
         return self._law(("limit", cap), lambda: self._limit_law(cap))
 
     def _limit_law(self, cap: int) -> "LimitLaw":
-        if cap > self.enumerator().guard:
-            self._enum = Enumerator(self.engine.program, guard=cap)
-        rho = self.rho.rho
-        probs = self._limit_probs(cap, rho)
-        spread = self.rho.spread
+        """One pass over the remainder orbits collects their keys, float
+        weights and sizes; the probabilities at rho and at rho -/+ spread
+        are then arrays, and the sensitivity is the largest change of an
+        entry."""
+        import numpy as np
+
+        enum = self.enumerator()
+        # the guard rises in place, so the orbits listed so far stay memoised
+        enum.guard = max(enum.guard, cap)
+        remainder_ogf = self.remainder_ogf
+        keys, weights, sizes = [], [], []
+        for key, weight, size in self._remainder_orbits(cap):
+            keys.append(key)
+            weights.append(float(weight))
+            sizes.append(size)
+        weights = np.array(weights, dtype=float)
+        sizes = np.array(sizes, dtype=np.intp)
+
+        def probs_at(r: float):
+            """weight * r**size / D of every orbit, D the remainder series
+            at r; ``r**size`` is Python's float power, as in the scalar
+            expression, so every entry is the float that it gives."""
+            D = evaluate(remainder_ogf, r).value
+            if D <= 0:
+                raise ZeroMass("remainder series evaluates to zero")
+            scale = np.array([r**s for s in range(cap + 1)], dtype=float)
+            return weights * scale[sizes] / D
+
+        rho, spread = self.rho.rho, self.rho.spread
+        probs = probs_at(rho)
         sens = 0.0
-        for shifted in (rho - spread, rho + spread):
-            p2 = self._limit_probs(cap, shifted)
-            sens = max(
-                sens,
-                max(abs(p2[k] - probs[k]) for k in probs) if probs else 0.0,
-            )
+        if keys:
+            for shifted in (rho - spread, rho + spread):
+                sens = max(sens, float(np.max(np.abs(probs_at(shifted) - probs))))
+        probs = dict(zip(keys, probs.tolist()))
         tail = 1.0 - math.fsum(probs.values())
         return LimitLaw(probs, tail, cap, sens, rho)
-
-    def _limit_probs(self, cap: int, rho: float) -> Dict[object, float]:
-        D = evaluate(self.remainder_ogf, rho).value
-        if D <= 0:
-            raise ZeroMass("remainder series evaluates to zero")
-        probs: Dict[object, float] = {}
-        for key, weight, size in self._remainder_orbits(cap):
-            probs[key] = float(weight) * rho**size / D
-        return probs
 
     def _remainder_orbits(self, cap: int):
         """(canonical remainder, weight, size) for all remainder orbits of

@@ -245,7 +245,11 @@ class Program:
     DERIVE it descends from) and its source node ``nodes[i]``; COMPOSE
     compiles to SET or SEQ.  A name gets the id of the first non-name node
     of its chain, and a pure alias cycle such as ``X := X;`` is a FAIL node
-    raising :class:`IllFoundedRecursion`.  Equal subtrees share one id.  The
+    raising :class:`IllFoundedRecursion`.  Equal subtrees share one id, and
+    ``COMPOSE(outer, X)`` is equal to ``outer(X)``: both get the id of the
+    one compiled first, whose node ``nodes[i]`` keeps, so the COMPOSE at the
+    root of a model stays ``nodes[root]`` and the body's ``SET(X)`` of a
+    forest reuses its id, streams and memos.  The
     nodes reachable from the root are compiled on construction.  A DERIVE
     has its inner node as only child: the enumerator marks its atoms, and
     the engine counts :meth:`derivative` of it, which adds the derived nodes
@@ -270,9 +274,10 @@ class Program:
         """The id of a node of the spec; an `int` is taken to be an id."""
         if type(node) is int:
             return node
-        if node not in self._ids:
+        i = self._ids.get(_shared(node))
+        if i is None:
             raise SpecError(f"{node!r} is not a node of the spec")
-        return self._ids[node]
+        return i
 
     def sized(self, i: int, n: int):
         """The coefficient of the SIZED node i at size n (0 outside)."""
@@ -371,15 +376,16 @@ class Program:
         return len(self.kind) - 1
 
     def _compile(self, node: Node) -> int:
-        i = self._ids.get(node)
+        key = _shared(node)
+        i = self._ids.get(key)
         if i is not None:
             return i
         if isinstance(node, Ref):
-            i = self._ids[node] = self._resolve(node)
+            i = self._ids[key] = self._resolve(node)
             return i
         kind, children, payload = self._parts(node)
         # the id exists before the children, so recursion finds it
-        i = self._ids[node] = self._add(kind, (), payload, node)
+        i = self._ids[key] = self._add(kind, (), payload, node)
         self.args[i] = tuple(self._compile(c) for c in children)
         return i
 
@@ -413,6 +419,14 @@ class Program:
             raise SpecError(f"cannot compile node {type(node).__name__}")
         children = [getattr(node, f.name) for f in fields(node)]
         return KINDS.index(_OP_OF[type(node)]), children, None
+
+
+def _shared(node):
+    """The key of a node in a program's ids: ``COMPOSE(outer, X)`` is the
+    node ``outer(X)``."""
+    if isinstance(node, Compose):
+        return OPS[node.outer](node.inner)
+    return node
 
 
 # -- canonical objects ---------------------------------------------------
@@ -580,13 +594,21 @@ class Enumerator:
         return result
 
     def _product(self, i: int, n: int, power: int) -> list:
+        """Pairs of a left and a right orbit, weight wa * wb.  A left weight
+        that is an exact `Fraction` 1 multiplies nothing: the product of a
+        right `Fraction` weight is that weight itself."""
         left, right = self.program.args[i]
         out = []
         for k in range(n + 1):
             lo = self._enumerate(left, k, power)
             if lo:
                 ro = self._enumerate(right, n - k, power)
-                out += [(("prod", a, b), wa * wb) for a, wa in lo for b, wb in ro]
+                for a, wa in lo:
+                    if type(wa) is Fraction and wa == 1:
+                        out += [(("prod", a, b), wb if type(wb) is Fraction else wa * wb)
+                                for b, wb in ro]
+                    else:
+                        out += [(("prod", a, b), wa * wb) for b, wb in ro]
         return out
 
     def _collection(self, head: str, parts, i: int, n: int, power: int) -> list:
@@ -620,7 +642,8 @@ class Enumerator:
 
     def _multisets(self, inner: int, n: int, power: int):
         """(sorted tuple of children, weight) for all multisets of total
-        size n, grouped by the size profile."""
+        size n, grouped by the size profile.  The weight is a `Fraction`
+        product, which skips the factors that are an exact `Fraction` 1."""
         by_size = {
             s: self._enumerate(inner, s, power) for s in range(1, n + 1)
         }
@@ -646,7 +669,8 @@ class Enumerator:
                         w = weight
                         objs = []
                         for o, ow in combo:
-                            w *= ow
+                            if type(ow) is not Fraction or ow != 1:
+                                w *= ow
                             objs.append(o)
                         rec(
                             remaining - k * s,

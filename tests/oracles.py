@@ -1,16 +1,21 @@
 """Term-by-term cycle index sums of SET and SEQ, the oracles of the
 package's recurrences (``multiset_ogf``, ``outer_index_value``,
-``set_symmetry_law``), and the engine's and sampler's term loops with one
-``SeriesEngine.at`` call per term.  A cycle type is a sorted tuple of
-(cycle length, multiplicity) pairs; an index is a list of (cycle type,
-coefficient) terms in degree order."""
+``set_symmetry_law``), the engine's and sampler's term loops with one
+``SeriesEngine.at`` call per term, and the enumerator's PRODUCT and SET
+loops and the limit-law build with every product taken and one pass over
+the orbits per radius.  A cycle type is a sorted tuple of (cycle length,
+multiplicity) pairs; an index is a list of (cycle type, coefficient) terms
+in degree order."""
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from polyagibbs import DiscreteLaw, TruncatedSeries
+from polyagibbs import DiscreteLaw, Enumerator, LimitLaw, TruncatedSeries, ZeroMass
+from polyagibbs.series import evaluate
+from polyagibbs.species import K_PRODUCT, STAR_OBJ
 
 
 def partitions(n, max_part=None):
@@ -116,3 +121,90 @@ def euler_term(eng, inner, power, k):
             if sd:
                 qk += d * sd
     return qk
+
+
+# The enumerator's PRODUCT and SET loops with every weight multiplied, and
+# the limit-law build that walks the orbits once per radius: the reference
+# for the package's loops, which skip the factors that are an exact 1 and
+# read the orbits once, and must give the same lists and the same floats.
+
+
+class LoopEnumerator(Enumerator):
+    """An enumerator whose PRODUCT and SET orbits take every product."""
+
+    def _product(self, i, n, power):
+        left, right = self.program.args[i]
+        out = []
+        for k in range(n + 1):
+            lo = self._enumerate(left, k, power)
+            if lo:
+                ro = self._enumerate(right, n - k, power)
+                out += [(("prod", a, b), wa * wb) for a, wa in lo for b, wb in ro]
+        return out
+
+    def _multisets(self, inner, n, power):
+        by_size = {s: self._enumerate(inner, s, power) for s in range(1, n + 1)}
+        sizes = [s for s in range(1, n + 1) if by_size[s]]
+        out = []
+
+        def rec(remaining, size_idx, chosen, weight):
+            if remaining == 0:
+                out.append((tuple(sorted(chosen)), weight))
+                return
+            if size_idx >= len(sizes):
+                return
+            s = sizes[size_idx]
+            for k in range(remaining // s + 1):
+                if k == 0:
+                    rec(remaining, size_idx + 1, chosen, weight)
+                    continue
+                for combo in itertools.combinations_with_replacement(by_size[s], k):
+                    w = weight
+                    objs = []
+                    for o, ow in combo:
+                        w *= ow
+                        objs.append(o)
+                    rec(remaining - k * s, size_idx + 1, chosen + tuple(objs), w)
+
+        rec(n, 0, (), Fraction(1))
+        return out
+
+    _list = list(Enumerator._list)
+    _list[K_PRODUCT] = _product
+
+
+def remainder_orbits(outer, enum, cap):
+    """(canonical remainder, weight, size) of every remainder orbit of size
+    <= cap; a derived sequence is one sequence with a * at the junction."""
+    for n in range(cap + 1):
+        for o, w in enum.enumerate_root(n):
+            if outer == "SET":
+                yield o, w, n
+            else:
+                left = o[1]
+                for cut in range(len(left) + 1):
+                    yield ("seq", left[:cut] + (STAR_OBJ,) + left[cut:]), w, n
+
+
+def limit_probs(model, enum, cap, rho):
+    D = evaluate(model.remainder_ogf, rho).value
+    if D <= 0:
+        raise ZeroMass("remainder series evaluates to zero")
+    probs = {}
+    for key, weight, size in remainder_orbits(model.outer, enum, cap):
+        probs[key] = float(weight) * rho**size / D
+    return probs
+
+
+def limit_law(model, enum, cap):
+    """The limit remainder law of ``model`` with the orbits of ``enum``,
+    walked once at rho and once at each of rho -/+ spread."""
+    rho = model.rho.rho
+    probs = limit_probs(model, enum, cap, rho)
+    spread = model.rho.spread
+    sens = 0.0
+    for shifted in (rho - spread, rho + spread):
+        p2 = limit_probs(model, enum, cap, shifted)
+        sens = max(sens, max(abs(p2[k] - probs[k]) for k in probs) if probs else 0.0)
+    tail = 1.0 - math.fsum(probs.values())
+    return LimitLaw(probs, tail, cap, sens, rho)

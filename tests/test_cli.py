@@ -270,6 +270,19 @@ class TestErrors:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, case):
+        kept = tmp_path / "kept"
+        kept.write_bytes(b"an earlier run\n")
+        out = tmp_path / "no" / "such" / "f" if case == "missing-directory" else tmp_path
+        argv = ["coeffs", "--spec", FOREST_DSL, "--trunc", "5", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [kept]
+        assert kept.read_bytes() == b"an earlier run\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -11,7 +11,15 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from oracles import cycle_type_law, index_value, z_seq, z_set
+from oracles import (
+    LoopEnumerator,
+    cycle_type_law,
+    index_value,
+    limit_law,
+    remainder_orbits,
+    z_seq,
+    z_set,
+)
 from polyagibbs import (
     EmptySize,
     Enumerator,
@@ -439,6 +447,66 @@ class TestRemainders:
 
         tvs = [exact_tv(n) for n in (6, 9, 12)]
         assert tvs[2] < tvs[1] < tvs[0]
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+class TestLimitLawBuild:
+    """The limit law from one pass over the orbits, with the enumerator's
+    products by an exact 1 skipped, is bit for bit the law of the loops in
+    ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize(
+        "text, cap",
+        [
+            ("T := ATOM * SET(T); F := COMPOSE(SET, T);", 12),
+            ("T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);", 10),
+            ("T := ATOM * SET(T); W := WEIGHT(T, 1/3); F := COMPOSE(SET, W);", 10),
+        ],
+        ids=["forests", "weighted-atom", "weighted-tree"],
+    )
+    def test_law_is_the_loop_law(self, text, cap):
+        model = GibbsModel.from_species(parse_dsl(text), truncation=200)
+        law = model.limit_remainder_distribution(cap)
+        want = limit_law(model, LoopEnumerator(model.engine.program, guard=cap), cap)
+        assert list(law.probs) == list(want.probs)
+        assert _bits(law.probs.values()) == _bits(want.probs.values())
+        assert _bits([law.tail, law.sensitivity, law.total]) == _bits(
+            [want.tail, want.sensitivity, want.total]
+        )
+        assert type(law.sensitivity) is float
+
+    def test_seq_remainder_orbits_are_the_loop_orbits(self):
+        # no SEQ limit law gets through the tail sum, so the orbits that
+        # would build it are compared on their own
+        model = GibbsModel.from_species(
+            parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);"), truncation=60
+        )
+        model.enumerator().guard = 9
+        got = list(model._remainder_orbits(9))
+        want = list(remainder_orbits(
+            "SEQ", LoopEnumerator(model.engine.program, guard=9), 9
+        ))
+        assert [(k, w, type(w), n) for k, w, n in got] == [
+            (k, w, type(w), n) for k, w, n in want
+        ]
+        assert len(got) > 1000
+
+    def test_a_larger_cap_keeps_the_memo(self):
+        # cap 17 is past the enumerator's default guard of 16; the guard
+        # rises in place, so the orbits listed for cap 12 are reused
+        coeffs = [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 101)]
+        model = GibbsModel.from_series(coeffs, truncation=100)
+        small = model.limit_remainder_distribution(12)
+        enum = model.enumerator()
+        memo = dict(enum._memo)
+        large = model.limit_remainder_distribution(17)
+        assert model.enumerator() is enum and enum.guard == 17
+        assert all(enum._memo[key] is orbits for key, orbits in memo.items())
+        assert len(large.probs) > len(small.probs)
+        assert all(large.probs[k] == p for k, p in small.probs.items())
 
 
 class TestCycleStatistics:

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import LoopEnumerator
+from test_golden import MIXED
 from polyagibbs import (
     ATOM,
     Atom,
     Compose,
     Derive,
     Enumerator,
+    GibbsModel,
+    SeriesEngine,
     IllFoundedRecursion,
     Ref,
     SeqOf,
@@ -39,6 +43,7 @@ from polyagibbs.species import (
     AtomMultiplicative,
     Node,
     Product,
+    Program,
     Sized,
     TableWeight,
     Union,
@@ -133,6 +138,60 @@ class TestEnumeration:
                 assert got == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
+
+
+    @pytest.mark.parametrize(
+        "case",
+        ["mixed", "sized"],
+    )
+    def test_orbit_lists_are_the_loop_lists(self, case):
+        # every memoised list, in order, value and weight type, against the
+        # loops that take every product; "sized" has int weights on either
+        # side of an atom
+        if case == "mixed":
+            s, size = parse_dsl(MIXED), 8
+        else:
+            blob = Sized((F(0), F(2), F(1, 2), F(3)))
+            s, size = spec(Compose("SET", Union(Product(ATOM, blob), Product(blob, ATOM)))), 9
+        program = Program(s)
+        got, want = Enumerator(program), LoopEnumerator(program)
+        for n in range(size + 1):
+            got.enumerate_root(n)
+            want.enumerate_root(n)
+        assert sorted(got._memo) == sorted(want._memo)
+        for key, orbits in want._memo.items():
+            assert [(o, w, type(w)) for o, w in got._memo[key]] == [
+                (o, w, type(w)) for o, w in orbits
+            ]
+
+
+class TestProgram:
+    @pytest.mark.parametrize("outer, name", [("SET", "T"), ("SEQ", "L")])
+    def test_compose_shares_the_id_of_its_outer_node(self, outer, name):
+        # COMPOSE(outer, X) is the node outer(X): the body's outer(X) gets
+        # the root's id, whose node stays the COMPOSE a model checks
+        body = f"{name} := ATOM * {outer}({name});"
+        s = parse_dsl(f"{body} F := COMPOSE({outer}, {name});")
+        program = Program(s)
+        root = program.root
+        assert isinstance(program.nodes[root], Compose) and len(program.kind) == 3
+        inner = program.args[root][0]
+        assert program.args[inner][1] == root
+        assert program.id_of(OPS[outer](Ref(name))) == root
+        assert program.id_of(Compose(outer, Ref(name))) == root
+        model = GibbsModel(s, truncation=20)
+        assert model.outer == outer and model.inner_id == inner
+
+        # under an alias of the inner name the COMPOSE and the body's node
+        # stay apart; the streams are the same in value and type
+        apart = SeriesEngine(parse_dsl(f"{body} A := {name}; F := COMPOSE({outer}, A);"))
+        assert len(apart.program.kind) == 4
+        shared = SeriesEngine(s)
+        for node, power in ((None, 1), (inner, 1), (inner, 2)):
+            other = None if node is None else apart.program.id_of(Ref("A"))
+            want = list(apart.ogf(40, node=other, power=power).coeffs)
+            got = list(shared.ogf(40, node=node, power=power).coeffs)
+            assert [(c, type(c)) for c in got] == [(c, type(c)) for c in want]
 
 
 class TestDsl:
