@@ -56,6 +56,8 @@ F = Fraction
 TREE_COUNTS = [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 FOREST_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+# a SIZED class with integral and rational weights
+BLOB = Sized((F(0), F(2), F(1, 2), F(3)))
 
 
 def total(pairs):
@@ -139,20 +141,16 @@ class TestEnumeration:
         finally:
             sys.setswitchinterval(interval)
 
-
     @pytest.mark.parametrize(
-        "case",
-        ["mixed", "sized"],
+        "s, size",
+        [(parse_dsl(MIXED), 8),
+         (spec(Compose("SET", Union(Product(ATOM, BLOB), Product(BLOB, ATOM)))), 9)],
+        ids=["mixed", "sized"],
     )
-    def test_orbit_lists_are_the_loop_lists(self, case):
+    def test_orbit_lists_are_the_loop_lists(self, s, size):
         # every memoised list, in order, value and weight type, against the
         # loops that take every product; "sized" has int weights on either
         # side of an atom
-        if case == "mixed":
-            s, size = parse_dsl(MIXED), 8
-        else:
-            blob = Sized((F(0), F(2), F(1, 2), F(3)))
-            s, size = spec(Compose("SET", Union(Product(ATOM, blob), Product(blob, ATOM)))), 9
         program = Program(s)
         got, want = Enumerator(program), LoopEnumerator(program)
         for n in range(size + 1):
