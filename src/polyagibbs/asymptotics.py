@@ -177,7 +177,8 @@ def coefficient_ratio_experiment(model) -> RatioLimitReport:
     evaluated at rho with the same tail model and must agree closely.
 
     Path 1 reads the powered inner series G_i (the inner class under the
-    nu^i weighting) to degree N // i.  For SET it forms
+    nu^i weighting) to degree N // i; under unit weights G_i = G, and
+    every G_i is a slice of the engine's one inner stream.  For SET it forms
     exp(sum_i G_i(z^i)/i) with :func:`~polyagibbs.cycleindex.multiset_ogf`,
     one Euler transform of the summed weighted argument (in `int` when the
     weights are integral); for SEQ it squares the quasi-inverse of G_1.

@@ -14,7 +14,12 @@ weighting nu^p, degree by degree:
   first time the DERIVE is counted.
 
 The engine counts the spec's compiled :class:`~polyagibbs.species.Program`,
-with one handler per kind tag and one stream per (node id, power).
+with one handler per kind tag and one stream per (node id, power).  When
+every weight of the program is 1 (:attr:`Program.unit
+<polyagibbs.species.Program.unit>`), nu^p = nu, so :meth:`SeriesEngine.at`
+and :meth:`SeriesEngine.stream` read every power as power 1 and one stream
+per node serves all powers.
+
 Everything is exact.  SIZED coefficients, TABLE weights and WEIGHT
 constants are normalised with :func:`~polyagibbs.series.as_exact`, so a
 spec whose weights are all integral yields streams of Python `int`; a
@@ -22,9 +27,10 @@ rational weight p/q makes the same code produce `Fraction` values.  The
 one division, in the SET recurrence, goes through
 :func:`~polyagibbs.series.exact_div`.
 
-Cost is O(N^2) arithmetic per stream, with streams shared across all
-powers that a composite pulls in, and Python calls per coefficient
-rather than per term.  A term loop takes each stream it reads from
+Cost is O(N^2) arithmetic per stream, with each stream shared by every
+term that reads it, and Python calls per coefficient rather than per
+term.  A SET of a unit-weight program to degree N fills one inner stream,
+not one per power up to N.  A term loop takes each stream it reads from
 :meth:`SeriesEngine.stream`, filled, and indexes the list, filling it in
 the order a loop of one :meth:`SeriesEngine.at` call per term would, so
 the same coefficients are counted and the same specs refused.  PRODUCT
@@ -48,7 +54,8 @@ from .species import Enumerator, Node, Program, SpeciesSpec, by_kind, fail
 
 
 class SeriesEngine:
-    """Lazy per-(node id, power) coefficient streams for one species spec."""
+    """Lazy coefficient streams for one species spec: one per (node id,
+    power), or one per node id when the program's weights are all 1."""
 
     def __init__(self, spec: SpeciesSpec):
         self.spec = spec
@@ -70,6 +77,8 @@ class SeriesEngine:
 
     def at(self, i: int, power: int, n: int):
         """:meth:`coeff` of the node with id i."""
+        if self.program.unit:
+            power = 1
         arr = self._arr.get((i, power))
         if arr is not None and 0 <= n < len(arr):
             return arr[n]
@@ -94,6 +103,8 @@ class SeriesEngine:
         """The coefficients of node i under nu^power, filled through degree
         n, for callers to read and never write: the engine's own list, which
         only grows by appends, so an index below its length is final."""
+        if self.program.unit:
+            power = 1
         arr = self._arr.get((i, power), ())
         if len(arr) <= n:
             self.at(i, power, n)

@@ -84,7 +84,10 @@ class TruncatedSeries:
         elif not cs:
             cs = [0]
         self._coeffs = tuple(cs)
-        self._nonzero = tuple(i for i, c in enumerate(self._coeffs) if c)
+        # from a list: a tuple built from a generator grows by resizes, and
+        # the small tuples that leaves in CPython's free lists raise the peak
+        # memory of a job that builds many series
+        self._nonzero = tuple([i for i, c in enumerate(self._coeffs) if c])
 
     # -- basic accessors -------------------------------------------------
 

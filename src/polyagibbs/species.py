@@ -256,6 +256,13 @@ class Program:
     (source node None) on first use, because a name whose body derives
     itself has derivatives of every order.  So the program only grows:
     existing ids never change.
+
+    ``unit`` is true when every weight of the program is 1: it has no
+    SIZED and no TABLE node, and every WEIGHT constant is 1.  Then the
+    weighting nu^p is nu for every power p, so a node's counts under every
+    power are its counts under power 1.  It is set once, at compile time;
+    the derived nodes of a unit program keep it true, because
+    :meth:`derivative` refuses non-unit weights.
     """
 
     def __init__(self, spec: SpeciesSpec):
@@ -269,6 +276,10 @@ class Program:
         self._made: Dict[tuple, int] = {}
         self._derivatives: Dict[int, int] = {}
         self.root = self._compile(spec.root)
+        self.unit = all(
+            k != K_SIZED and k != K_TABLE and (k != K_WEIGHT or c == 1)
+            for k, c in zip(self.kind, self.data)
+        )
 
     def id_of(self, node) -> int:
         """The id of a node of the spec; an `int` is taken to be an id."""
@@ -744,7 +755,11 @@ def _rational(value, line=None, column=None) -> Fraction:
         raise SpecError(f"expected a rational, got {value!r}", line, column) from None
 
 
-class _Tokens:
+class _Parser:
+    """The tokens of a DSL text and the recursive-descent rules over them:
+    methods, not nested closures, so a parse leaves no reference cycle and
+    is freed without the cycle collector."""
+
     def __init__(self, text: str):
         self.items = []
         for m in _TOKEN_RE.finditer(text):
@@ -776,6 +791,57 @@ class _Tokens:
             raise SpecError(f"expected {value!r}, got {tok!r}", line, col)
         return tok
 
+    def expr(self) -> Node:
+        node = self.term()
+        while self.peek()[0] == "+":
+            self.next()
+            node = Union(node, self.term())
+        return node
+
+    def term(self) -> Node:
+        node = self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            node = Product(node, self.factor())
+        return node
+
+    def argument(self, field: str):
+        """A COMPOSE's outer name, a WEIGHT's constant, or a species."""
+        if field == "outer":
+            outer, line, col = self.next()
+            if outer not in ("SET", "SEQ"):
+                raise SpecError(
+                    f"outer species must be SET or SEQ, got {outer!r}", line, col
+                )
+            return outer
+        if field == "model":
+            num, line, col = self.next()
+            return AtomMultiplicative(_rational(num, line, col))
+        return self.expr()
+
+    def factor(self) -> Node:
+        tok, line, col = self.next()
+        if tok == "ATOM":
+            return ATOM
+        if tok == "EPSILON":
+            return EPSILON
+        if tok in _CALLS:
+            self.expect("(")
+            args = []
+            for f in fields(OPS[tok]):
+                if args:
+                    self.expect(",")
+                args.append(self.argument(f.name))
+            self.expect(")")
+            return OPS[tok](*args)
+        if tok == "(":
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if tok is not None and tok not in _KEYWORDS and tok[0].isalpha():
+            return Ref(tok)
+        raise SpecError(f"unexpected token {tok!r}", line, col)
+
 
 def parse_dsl(text: str) -> SpeciesSpec:
     """Parse the statement language, e.g.::
@@ -785,68 +851,16 @@ def parse_dsl(text: str) -> SpeciesSpec:
 
     The last definition is the root of the returned spec.
     """
-    toks = _Tokens(text)
+    parser = _Parser(text)
     defs: Dict[str, Node] = {}
     last_name = None
-
-    def parse_expr() -> Node:
-        node = parse_term()
-        while toks.peek()[0] == "+":
-            toks.next()
-            node = Union(node, parse_term())
-        return node
-
-    def parse_term() -> Node:
-        node = parse_factor()
-        while toks.peek()[0] == "*":
-            toks.next()
-            node = Product(node, parse_factor())
-        return node
-
-    def parse_argument(field: str):
-        """A COMPOSE's outer name, a WEIGHT's constant, or a species."""
-        if field == "outer":
-            outer, line, col = toks.next()
-            if outer not in ("SET", "SEQ"):
-                raise SpecError(
-                    f"outer species must be SET or SEQ, got {outer!r}", line, col
-                )
-            return outer
-        if field == "model":
-            num, line, col = toks.next()
-            return AtomMultiplicative(_rational(num, line, col))
-        return parse_expr()
-
-    def parse_factor() -> Node:
-        tok, line, col = toks.next()
-        if tok == "ATOM":
-            return ATOM
-        if tok == "EPSILON":
-            return EPSILON
-        if tok in _CALLS:
-            toks.expect("(")
-            args = []
-            for f in fields(OPS[tok]):
-                if args:
-                    toks.expect(",")
-                args.append(parse_argument(f.name))
-            toks.expect(")")
-            return OPS[tok](*args)
-        if tok == "(":
-            inner = parse_expr()
-            toks.expect(")")
-            return inner
-        if tok is not None and tok not in _KEYWORDS and tok[0].isalpha():
-            return Ref(tok)
-        raise SpecError(f"unexpected token {tok!r}", line, col)
-
-    while toks.peek()[0] is not None:
-        name, line, col = toks.next()
+    while parser.peek()[0] is not None:
+        name, line, col = parser.next()
         if name in _KEYWORDS or not name[0].isalpha():
             raise SpecError(f"expected a definition name, got {name!r}", line, col)
-        toks.expect(":=")
-        defs[name] = parse_expr()
-        toks.expect(";")
+        parser.expect(":=")
+        defs[name] = parser.expr()
+        parser.expect(";")
         last_name = name
     if last_name is None:
         raise SpecError("empty specification", 1, 1)

@@ -1,7 +1,8 @@
 """Term-by-term cycle index sums of SET and SEQ, the oracles of the
 package's recurrences (``multiset_ogf``, ``outer_index_value``,
 ``set_symmetry_law``), the engine's and sampler's term loops with one
-``SeriesEngine.at`` call per term, and the enumerator's PRODUCT and SET
+``SeriesEngine.at`` call per term, an engine with one stream per (node,
+power) for unit-weight programs too, and the enumerator's PRODUCT and SET
 loops and the limit-law build with every product taken and one pass over
 the orbits per radius.  A cycle type is a sorted tuple of (cycle length,
 multiplicity) pairs; an index is a list of (cycle type, coefficient) terms
@@ -13,7 +14,16 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from polyagibbs import DiscreteLaw, Enumerator, LimitLaw, TruncatedSeries, ZeroMass
+from polyagibbs import (
+    DiscreteLaw,
+    EmptySize,
+    Enumerator,
+    IllFoundedRecursion,
+    LimitLaw,
+    SeriesEngine,
+    TruncatedSeries,
+    ZeroMass,
+)
 from polyagibbs.series import evaluate
 from polyagibbs.species import K_PRODUCT, STAR_OBJ
 
@@ -121,6 +131,40 @@ def euler_term(eng, inner, power, k):
             if sd:
                 qk += d * sd
     return qk
+
+
+class PerPowerEngine(SeriesEngine):
+    """The engine that fills one stream per (node, power) whatever the
+    weights: the reference for the engine's one stream per node of a
+    unit-weight program, where nu^p = nu."""
+
+    def at(self, i, power, n):
+        arr = self._arr.get((i, power))
+        if arr is not None and 0 <= n < len(arr):
+            return arr[n]
+        if n < 0:
+            raise EmptySize(f"no objects of negative size {n}")
+        with self._lock:
+            arr = self._arr.setdefault((i, power), [])
+            compute = self._count[self.program.kind[i]]
+            while len(arr) <= n:
+                key = (i, power, len(arr))
+                if key in self._busy:
+                    raise IllFoundedRecursion()
+                self._busy.add(key)
+                try:
+                    value = compute(self, i, power, key[2])
+                finally:
+                    self._busy.discard(key)
+                arr.append(value)
+            return arr[n]
+
+    def stream(self, i, power, n):
+        arr = self._arr.get((i, power), ())
+        if len(arr) <= n:
+            self.at(i, power, n)
+            arr = self._arr[(i, power)]
+        return arr
 
 
 # The enumerator's PRODUCT and SET loops with every weight multiplied, and

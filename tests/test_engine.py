@@ -13,6 +13,7 @@ from polyagibbs import (
     Derive,
     EmptySize,
     Enumerator,
+    GibbsModel,
     IllFoundedRecursion,
     Ref,
     SeqOf,
@@ -20,7 +21,9 @@ from polyagibbs import (
     SeriesEngine,
     SpecError,
     Weighted,
+    coefficient_ratio_experiment,
     derived_spec,
+    diagnose_subexponential,
     forests,
     ogf,
     parse_dsl,
@@ -408,6 +411,97 @@ class TestTermLoopIdentity:
             with pytest.raises(error):
                 eng.ogf(6)
         assert new.log == ref.log
+
+
+# every weight 1, so nu^p = nu: one stream per node serves every power
+UNIT_SPECS = [t for t in TERM_SPECS if "WEIGHT" not in t] + [
+    "T := WEIGHT(ATOM * SET(T), 1); F := COMPOSE(SET, T);",
+]
+TABLE_SPEC = spec(
+    SetOf(
+        Weighted(
+            SeqOf(ATOM),
+            TableWeight.from_dict({canonicalize(("seq", (("atom",), ("atom",)))): F(5, 2)}),
+        )
+    )
+)
+# (spec, node that carries the weight, truncation): the enumerated TABLE
+# stays small
+NON_UNIT = [
+    pytest.param(lambda: (parse_dsl(TERM_SPECS[3]), "root", 30), id="weight-1/2"),
+    pytest.param(
+        lambda: (GibbsModel.from_series([0, 1, 2, 3], truncation=30).spec, "inner", 30),
+        id="from-series",
+    ),
+    pytest.param(lambda: (TABLE_SPEC, "root", 8), id="table"),
+]
+
+
+def _node(eng, which):
+    if which == "root":
+        return eng.program.root
+    return eng.program.args[eng.program.root][0]
+
+
+class TestUnitWeights:
+    """A unit-weight program counts one stream per node for all powers;
+    every stream equals the per-power reference's in value and type."""
+
+    @pytest.mark.parametrize("text", UNIT_SPECS)
+    def test_streams_match_the_per_power_reference(self, text):
+        s = parse_dsl(text)
+        new, ref = SeriesEngine(s), oracles.PerPowerEngine(s)
+        assert new.program.unit
+        for power in (1, 2, 3):
+            new.ogf(30, power=power)
+            ref.ogf(30, power=power)
+        assert new.program.kind == ref.program.kind
+        for i in range(len(ref.program.kind)):
+            for power in (1, 2, 3):
+                got = new.stream(i, power, 30)[:31]
+                want = ref.stream(i, power, 30)[:31]
+                assert [(c, type(c)) for c in got] == [(c, type(c)) for c in want], (i, power)
+        assert {p for _, p in new._arr} == {1}
+        assert {p for _, p in ref._arr} >= {1, 2, 3}
+
+    @pytest.mark.parametrize("build", NON_UNIT)
+    def test_other_programs_keep_a_stream_per_power(self, build):
+        s, which, n = build()
+        new, ref = SeriesEngine(s), oracles.PerPowerEngine(s)
+        assert not new.program.unit
+        i = _node(new, which)
+        streams = [new.ogf(n, node=i, power=p) for p in (1, 2)]
+        assert streams[1] != streams[0]
+        for p, got in zip((1, 2), streams):
+            want = ref.ogf(n, node=i, power=p)
+            assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in want.coeffs]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T := ATOM * SET(T); F := COMPOSE(SET, T);",
+            "L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);",
+            "T := ATOM * SET(T); D := ATOM * DERIVE(T); F := COMPOSE(SET, D);",
+        ],
+    )
+    def test_unit_flag_is_set_for_unit_weights(self, text):
+        assert Program(parse_dsl(text)).unit
+
+    @pytest.mark.parametrize("build", NON_UNIT)
+    def test_unit_flag_is_clear_for_other_weights(self, build):
+        assert not Program(build()[0]).unit
+
+    def test_forest_series_job_fills_one_stream_per_node(self):
+        # the calls of one `asymptotics` + `diagnose` run at truncation 400
+        model = GibbsModel.from_species(forests(), truncation=400)
+        model.inner_ogf(1)
+        model.composite_ogf
+        model.rho
+        coefficient_ratio_experiment(model)
+        diagnose_subexponential(model.composite_ogf)
+        streams = model.engine._arr
+        assert len(streams) == 3
+        assert sum(map(len, streams.values())) == 1203
 
 
 @pytest.mark.xfail(

@@ -262,6 +262,35 @@ class TestDsl:
         assert parse_spec(text) == s
 
 
+class TestLifetime:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T := ATOM * SET(T); F := COMPOSE(SET, T);",
+            "T := ATOM * SET(T); F := COMPOSE(SET, T * );",
+        ],
+        ids=["forests", "spec-error"],
+    )
+    def test_parse_leaves_no_garbage(self, text):
+        # the parse holds no reference cycle, so its tokens and rules are
+        # freed at once, without the cycle collector, whether it returns
+        # or raises
+        import gc
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            try:
+                parse_spec(text)
+            except SpecError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestDerivation:
     def test_atom_derivative_is_epsilon(self):
         assert list(ogf(derived_spec(spec(ATOM)), 5).coeffs) == [1, 0, 0, 0, 0, 0]
