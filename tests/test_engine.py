@@ -425,22 +425,15 @@ TABLE_SPEC = spec(
         )
     )
 )
-# (spec, node that carries the weight, truncation): the enumerated TABLE
-# stays small
+# (spec, truncation): the enumerated TABLE stays small
 NON_UNIT = [
-    pytest.param(lambda: (parse_dsl(TERM_SPECS[3]), "root", 30), id="weight-1/2"),
+    pytest.param(lambda: (parse_dsl(TERM_SPECS[3]), 30), id="weight-1/2"),
     pytest.param(
-        lambda: (GibbsModel.from_series([0, 1, 2, 3], truncation=30).spec, "inner", 30),
+        lambda: (GibbsModel.from_series([0, 1, 2, 3], truncation=30).spec, 30),
         id="from-series",
     ),
-    pytest.param(lambda: (TABLE_SPEC, "root", 8), id="table"),
+    pytest.param(lambda: (TABLE_SPEC, 8), id="table"),
 ]
-
-
-def _node(eng, which):
-    if which == "root":
-        return eng.program.root
-    return eng.program.args[eng.program.root][0]
 
 
 class TestUnitWeights:
@@ -466,30 +459,14 @@ class TestUnitWeights:
 
     @pytest.mark.parametrize("build", NON_UNIT)
     def test_other_programs_keep_a_stream_per_power(self, build):
-        s, which, n = build()
+        s, n = build()
         new, ref = SeriesEngine(s), oracles.PerPowerEngine(s)
         assert not new.program.unit
-        i = _node(new, which)
-        streams = [new.ogf(n, node=i, power=p) for p in (1, 2)]
+        streams = [new.ogf(n, power=p) for p in (1, 2)]
         assert streams[1] != streams[0]
         for p, got in zip((1, 2), streams):
-            want = ref.ogf(n, node=i, power=p)
+            want = ref.ogf(n, power=p)
             assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in want.coeffs]
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "T := ATOM * SET(T); F := COMPOSE(SET, T);",
-            "L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);",
-            "T := ATOM * SET(T); D := ATOM * DERIVE(T); F := COMPOSE(SET, D);",
-        ],
-    )
-    def test_unit_flag_is_set_for_unit_weights(self, text):
-        assert Program(parse_dsl(text)).unit
-
-    @pytest.mark.parametrize("build", NON_UNIT)
-    def test_unit_flag_is_clear_for_other_weights(self, build):
-        assert not Program(build()[0]).unit
 
     def test_forest_series_job_fills_one_stream_per_node(self):
         # the calls of one `asymptotics` + `diagnose` run at truncation 400
