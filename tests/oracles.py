@@ -2,8 +2,8 @@
 package's recurrences (``multiset_ogf``, ``outer_index_value``,
 ``set_symmetry_law``), the engine's and sampler's term loops with one
 ``SeriesEngine.at`` call per term, an engine with one stream per (node,
-power) for unit-weight programs too, and the enumerator's PRODUCT and SET
-loops and the limit-law build with every product taken and one pass over
+power) for unit-weight programs too, the enumerator's PRODUCT and SET
+loops and its SEQ recursion, and the limit-law build with every product taken and one pass over
 the orbits per radius.  A cycle type is a sorted tuple of (cycle length,
 multiplicity) pairs; an index is a list of (cycle type, coefficient) terms
 in degree order."""
@@ -167,14 +167,16 @@ class PerPowerEngine(SeriesEngine):
         return arr
 
 
-# The enumerator's PRODUCT and SET loops with every weight multiplied, and
-# the limit-law build that walks the orbits once per radius: the reference
-# for the package's loops, which skip the factors that are an exact 1 and
-# read the orbits once, and must give the same lists and the same floats.
+# The enumerator's PRODUCT and SET loops with every weight multiplied, its
+# SEQ lists by a recursion of their own, and the limit-law build that walks
+# the orbits once per radius: the reference for the package's loops, which
+# skip the factors that are an exact 1 and read the orbits once, and must
+# give the same lists and the same floats.
 
 
 class LoopEnumerator(Enumerator):
-    """An enumerator whose PRODUCT and SET orbits take every product."""
+    """An enumerator whose PRODUCT and SET orbits take every product and
+    whose SEQ lists recurse on themselves, outside the memo."""
 
     def _product(self, i, n, power):
         left, right = self.program.args[i]
@@ -211,6 +213,20 @@ class LoopEnumerator(Enumerator):
                     rec(remaining - k * s, size_idx + 1, chosen + tuple(objs), w)
 
         rec(n, 0, (), Fraction(1))
+        return out
+
+    def _sequences(self, inner, n, power):
+        if n == 0:
+            return [((), Fraction(1))]
+        out = []
+        for s in range(1, n + 1):
+            heads = self._enumerate(inner, s, power)
+            if not heads:
+                continue
+            tails = self._sequences(inner, n - s, power)
+            for o, ow in heads:
+                for t, tw in tails:
+                    out.append(((o,) + t, ow * tw))
         return out
 
     _list = list(Enumerator._list)

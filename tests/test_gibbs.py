@@ -28,7 +28,10 @@ from polyagibbs import (
     PreconditionError,
     RejectionBudgetExceeded,
     SeriesEngine,
+    SizeGuardExceeded,
     SpecError,
+    TableWeight,
+    canonicalize,
     forests,
     multinomial_radius,
     object_size,
@@ -38,6 +41,7 @@ from polyagibbs import (
     polya_trees,
     sample_set_symmetry,
     set_symmetry_law,
+    sized_species,
 )
 from polyagibbs.gibbs import PLACEHOLDER, _size_law
 from polyagibbs.sampler import DiscreteLaw
@@ -507,6 +511,23 @@ class TestLimitLawBuild:
         assert all(enum._memo[key] is orbits for key, orbits in memo.items())
         assert len(large.probs) > len(small.probs)
         assert all(large.probs[k] == p for k, p in small.probs.items())
+
+
+    def test_a_limit_law_keeps_the_table_bound(self):
+        # a limit law may list orbits past size 14, but TABLE weights are
+        # still counted only to size 14, by the same enumeration guard
+        from polyagibbs.species import ATOM, Compose, SeqOf, Union, Weighted, spec
+
+        coeffs = [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 15)]
+        pair = canonicalize(("seq", (("atom",), ("atom",))))
+        table = Weighted(SeqOf(ATOM), TableWeight.from_dict({pair: F(1, 8)}))
+        inner = Union(sized_species(coeffs).root, table)
+        model = GibbsModel(spec(Compose("SET", inner)), truncation=14)
+        law = model.limit_remainder_distribution(17)
+        assert max(object_size(k) for k in law.probs) == 17
+        assert model.engine.coeff(table, 1, 2) == F(1, 8)
+        with pytest.raises(SizeGuardExceeded, match="^size 15 exceeds enumeration guard 14$"):
+            model.engine.coeff(table, 1, 15)
 
 
 class TestCycleStatistics:

@@ -11,7 +11,8 @@ independent of the order of the keys.  The ``csv`` digests pin the CSV
 writer of every table command, and ``tv-components-sizes`` a components
 run whose sizes share one chunk plan.  ``limit-cap12`` pins the limit law
 at the cap and truncation of the ``tv-rejection`` benchmark: 20,299 orbit
-probabilities, the tail and the radius sensitivity.
+probabilities, the tail and the radius sensitivity.  ``limit-seq`` pins a
+SEQ limit law, whose remainder is a pair of sequences of linear objects.
 """
 
 import hashlib
@@ -80,6 +81,11 @@ GOLDEN = {
     "limit-cap12": (
         ["limit", "--spec", FOREST, "--trunc", "200", "--cap", "12", "--seed", "14"],
         "3fe6a0348d6693c5ac2afd3ae531445e0d81252f1fe1ebe32e9291483b65f018",
+    ),
+    "limit-seq": (
+        ["limit", "--spec", "L := ATOM * SEQ(L); F := COMPOSE(SEQ, L);", "--trunc", "60",
+         "--cap", "8", "--seed", "14"],
+        "30ba73f532f11473e924dc2ed7dea6fe6e02d895222dcb01f75b1f662d3236cd",
     ),
     "tv-remainder": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",

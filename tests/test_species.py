@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import LoopEnumerator
-from test_golden import MIXED
+from test_golden import MIXED, MIXED_INNER
 from polyagibbs import (
     ATOM,
     Atom,
@@ -142,20 +142,26 @@ class TestEnumeration:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
-        "s, size",
-        [(parse_dsl(MIXED), 8),
-         (spec(Compose("SET", Union(Product(ATOM, BLOB), Product(BLOB, ATOM)))), 9)],
-        ids=["mixed", "sized"],
+        "s, size, power",
+        [pytest.param(s, size, power, id=name if power == 1 else f"{name}-power2")
+         for name, s, size in [
+             ("mixed", parse_dsl(MIXED), 8),
+             ("sized", spec(Compose("SET", Union(Product(ATOM, BLOB), Product(BLOB, ATOM)))), 9),
+             ("seq-forest", parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);"), 9),
+             ("seq-mixed-inner", parse_dsl(MIXED_INNER + " F := COMPOSE(SEQ, B);"), 9),
+             ("set-of-seq", parse_dsl("L := ATOM * SEQ(L); F := COMPOSE(SET, L);"), 9),
+         ]
+         for power in (1, 2)],
     )
-    def test_orbit_lists_are_the_loop_lists(self, s, size):
+    def test_orbit_lists_are_the_loop_lists(self, s, size, power):
         # every memoised list, in order, value and weight type, against the
-        # loops that take every product; "sized" has int weights on either
-        # side of an atom
+        # loops that take every product and the SEQ recursion; "sized" has
+        # int weights on either side of an atom
         program = Program(s)
         got, want = Enumerator(program), LoopEnumerator(program)
         for n in range(size + 1):
-            got.enumerate_root(n)
-            want.enumerate_root(n)
+            got.enumerate_root(n, power)
+            want.enumerate_root(n, power)
         assert sorted(got._memo) == sorted(want._memo)
         for key, orbits in want._memo.items():
             assert [(o, w, type(w)) for o, w in got._memo[key]] == [
