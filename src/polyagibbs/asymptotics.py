@@ -22,16 +22,28 @@ from .series import (
     Evaluation,
     RadiusEstimate,
     TruncatedSeries,
+    _window_size,
     evaluate,
+    exact_log,
     radius_estimate,
 )
 
 
 def _window(points: List[int], end: int) -> List[int]:
-    """Last 10% (at least 10) of the lattice points not exceeding ``end``."""
+    """The radius fit's window (last 10%, at least 10) of the lattice
+    points not exceeding ``end``."""
     pts = [n for n in points if n <= end]
-    w = max(10, len(pts) // 10)
-    return pts[-w:]
+    return pts[-_window_size(len(pts)) :]
+
+
+def _deviations(track: Dict[int, float], target: float, top: int) -> Dict[int, float]:
+    """The largest relative deviation |t_n / target - 1| over the window of
+    the track's points up to top // 2 and up to top."""
+    pts = sorted(track)
+    return {
+        end: max(abs(track[n] / target - 1.0) for n in _window(pts, end))
+        for end in (top // 2, top)
+    }
 
 
 def _scaled_floats(g: TruncatedSeries, rho: float) -> Dict[int, float]:
@@ -40,8 +52,7 @@ def _scaled_floats(g: TruncatedSeries, rho: float) -> Dict[int, float]:
     out = {}
     log_rho = math.log(rho)
     for n in g.nonzero_indices:
-        num, den = g[n].numerator, g[n].denominator
-        lv = math.log(num) - math.log(den) + n * log_rho
+        lv = exact_log(g[n]) + n * log_rho
         out[n] = math.exp(lv) if -700 < lv < 700 else float("inf")
     return out
 
@@ -129,18 +140,12 @@ def diagnose_subexponential(g: TruncatedSeries) -> SubexpReport:
     except TailNotControlled as e:
         hint = f"series appears non-summable at its radius ({e}); "
 
-    ratio_dev: Dict[int, float] = {}
-    conv_dev: Dict[int, float] = {}
-    track_r = dict(ratio_track)
-    track_c = dict(conv_track)
     top = nz[-1]
-    for end in (top // 2, top):
-        wr = [n for n in _window(sorted(track_r), end)]
-        ratio_dev[end] = max(abs(track_r[n] / rho**d - 1.0) for n in wr)
-        if g_at_rho is not None:
-            target = 2.0 * g_at_rho.value
-            wc = [n for n in _window(sorted(track_c), end)]
-            conv_dev[end] = max(abs(track_c[n] / target - 1.0) for n in wc)
+    ratio_dev = _deviations(dict(ratio_track), rho**d, top)
+    conv_dev = (
+        {} if g_at_rho is None
+        else _deviations(dict(conv_track), 2.0 * g_at_rho.value, top)
+    )
     if g_at_rho is not None and not hint:
         hint = (
             "windowed deviations only; membership in the subexponential "
@@ -218,16 +223,10 @@ def coefficient_ratio_experiment(model) -> RatioLimitReport:
     hc = _scaled_floats(comp, rho)
     hi = _scaled_floats(inner, rho)
     track = sorted((n, hc[n] / hi[n]) for n in hi if n > 0 and n in hc)
-    tr = dict(track)
-    top = track[-1][0]
-    dev = {}
-    for end in (top // 2, top):
-        win = _window([n for n, _ in track], end)
-        dev[end] = max(abs(tr[n] / c_cycle - 1.0) for n in win)
     return RatioLimitReport(
         constant=c_cycle,
         constant_paths={"cycle_index": c_cycle, "species_engine": c_species},
         track=track,
-        deviation=dev,
+        deviation=_deviations(dict(track), c_cycle, track[-1][0]),
         rho=rho,
     )

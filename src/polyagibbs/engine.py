@@ -20,6 +20,11 @@ every weight of the program is 1 (:attr:`Program.unit
 and :meth:`SeriesEngine.stream` read every power as power 1 and one stream
 per node serves all powers.
 
+The engine owns the program's one :class:`~polyagibbs.species.Enumerator`.
+A TABLE coefficient is the sum of that enumerator's orbit weights, to size
+``DEFAULT_SIZE_GUARD`` (14) even after a model's limit law, which lists
+its orbits from the same memo, raises the enumerator's guard to its cap.
+
 Everything is exact.  SIZED coefficients, TABLE weights and WEIGHT
 constants are normalised with :func:`~polyagibbs.series.as_exact`, so a
 spec whose weights are all integral yields streams of Python `int`; a
@@ -48,9 +53,9 @@ import threading
 from itertools import compress
 from typing import Dict, Tuple
 
-from .errors import EmptySize, IllFoundedRecursion, SpecError
+from .errors import EmptySize, IllFoundedRecursion, SizeGuardExceeded, SpecError
 from .series import TruncatedSeries, as_exact, cauchy_terms, exact_div
-from .species import Enumerator, Node, Program, SpeciesSpec, by_kind, fail
+from .species import DEFAULT_SIZE_GUARD, Enumerator, Node, Program, SpeciesSpec, by_kind, fail
 
 
 class SeriesEngine:
@@ -63,7 +68,8 @@ class SeriesEngine:
         self._arr: Dict[Tuple[int, int], list] = {}
         self._q: Dict[Tuple[int, int], tuple] = {}
         self._busy: set = set()
-        self._enum: Enumerator | None = None
+        # the program's one enumerator, for TABLE weights and limit laws
+        self.enumerator = Enumerator(self.program)
         # arrays grow by appends; a reentrant lock keeps concurrent
         # samplers from interleaving fills of the same stream
         self._lock = threading.RLock()
@@ -172,12 +178,12 @@ class SeriesEngine:
 
     def orbits(self, i: int, n: int, power: int) -> list:
         """The enumerated orbits of node i: TABLE weights have no closed
-        recurrence, so they are counted and drawn by exhaustive enumeration
-        (guarded to small sizes)."""
-        with self._lock:
-            if self._enum is None:
-                self._enum = Enumerator(self.program)
-            return self._enum.enumerate(i, n, power)
+        recurrence, so they are counted and drawn by exhaustive enumeration,
+        to size ``DEFAULT_SIZE_GUARD`` even where a limit law has raised
+        the enumerator's own guard."""
+        if n > DEFAULT_SIZE_GUARD:
+            raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {DEFAULT_SIZE_GUARD}")
+        return self.enumerator.enumerate(i, n, power)
 
     # plain functions, not bound methods: an engine holds no reference
     # cycle, so it is freed as soon as its last user drops it

@@ -60,10 +60,9 @@ from .errors import (
     ZeroMass,
 )
 from .sampler import DiscreteLaw, ExactSampler
-from .series import RadiusEstimate, TruncatedSeries, evaluate, radius_estimate
+from .series import RadiusEstimate, TruncatedSeries, evaluate, exact_log, radius_estimate
 from .species import (
     Compose,
-    Enumerator,
     Node,
     STAR_OBJ,
     SpeciesSpec,
@@ -104,10 +103,14 @@ class FragmentRecord:
     largest_size: int
 
 
-def _log(c) -> float:
-    """log c of a positive integer or fraction of any size."""
-    c = Fraction(c)
-    return math.log(c.numerator) - math.log(c.denominator)
+def _set_index_parts(a: List[float], e0: float) -> List[float]:
+    """e_0 .. e_K, K = len(a) - 1, of e0 * exp(sum_i a_i z^i / i), by
+    k e_k = sum_{i<=k} a_i e_{k-i}; each sum is one ``math.fsum``, so a
+    zero a_i adds an exact +0.0 term and leaves it as it is."""
+    e = [e0]
+    for k in range(1, len(a)):
+        e.append(math.fsum(a[i] * e[k - i] for i in range(1, k + 1)) / k)
+    return e
 
 
 def _term(c, x: float, n: int) -> float:
@@ -117,7 +120,7 @@ def _term(c, x: float, n: int) -> float:
     except OverflowError:
         if x == 0:
             return 0.0
-        return math.exp(_log(c) + n * math.log(x))
+        return math.exp(exact_log(c) + n * math.log(x))
 
 
 def _size_law(terms: Iterable[Tuple[int, object]], y: float) -> DiscreteLaw:
@@ -266,7 +269,6 @@ class GibbsModel:
         self.inner_spec = composite.with_root(root.inner)
         self.truncation = truncation
         self._laws: Dict[tuple, object] = {}
-        self._enum: Enumerator | None = None
 
     # -- constructors
 
@@ -322,11 +324,6 @@ class GibbsModel:
 
     def inner_sampler(self) -> ExactSampler:
         return self._law(("inner sampler",), lambda: ExactSampler(self.inner_spec, self.engine))
-
-    def enumerator(self) -> Enumerator:
-        if self._enum is None:
-            self._enum = Enumerator(self.engine.program, guard=16)
-        return self._enum
 
     # -- partial evaluations (consistent with the truncated samplers)
 
@@ -458,7 +455,7 @@ class GibbsModel:
 
         comp, rho = self.composite_ogf, self.rho.rho
         ks = np.array(comp.nonzero_indices, dtype=float)
-        logs = np.array([_log(comp[k]) for k in comp.nonzero_indices]) + ks * math.log(rho)
+        logs = np.array([exact_log(comp[k]) for k in comp.nonzero_indices]) + ks * math.log(rho)
 
         def mean(t: float) -> float:
             w = logs + ks * math.log(t)
@@ -644,7 +641,7 @@ class GibbsModel:
         entry."""
         import numpy as np
 
-        enum = self.enumerator()
+        enum = self.engine.enumerator
         # the guard rises in place, so the orbits listed so far stay memoised
         enum.guard = max(enum.guard, cap)
         remainder_ogf = self.remainder_ogf
@@ -679,7 +676,7 @@ class GibbsModel:
     def _remainder_orbits(self, cap: int):
         """(canonical remainder, weight, size) for all remainder orbits of
         size <= cap."""
-        enum = self.enumerator()
+        enum = self.engine.enumerator
         if self.outer == "SET":
             for n in range(cap + 1):
                 for o, w in enum.enumerate_root(n):
@@ -718,15 +715,8 @@ class GibbsModel:
             # the i = 1 intensity converges slowly (it is the inner series
             # at its radius); the fitted tail model sharpens it
             lams[1] = evaluate(self.inner_ogf(1), rho).value
-            total = math.fsum(lams.values())
-            p = [math.exp(-total)]
-            for k in range(1, cap + 1):
-                p.append(
-                    math.fsum(
-                        i * lam * p[k - i] for i, lam in lams.items() if i <= k
-                    )
-                    / k
-                )
+            a = [0.0] + [i * lams.get(i, 0.0) for i in range(1, cap + 1)]
+            p = _set_index_parts(a, math.exp(-math.fsum(lams.values())))
         else:
             q = self.inner_value(1, rho)
             if q >= 1:
@@ -766,10 +756,9 @@ class GibbsModel:
         from e_0 = 1; this is the polynomial that ``tests/oracles.py`` sums
         term by term, without its one term per partition."""
         if self.outer == "SET":
-            a = [0.0] + [float(args(i)) for i in range(1, _INDEX_DEGREE + 1)]
-            e = [1.0]
-            for k in range(1, _INDEX_DEGREE + 1):
-                e.append(math.fsum(a[i] * e[k - i] for i in range(1, k + 1)) / k)
+            e = _set_index_parts(
+                [0.0] + [float(args(i)) for i in range(1, _INDEX_DEGREE + 1)], 1.0
+            )
         else:
             a1 = float(args(1))
             e = [1.0]

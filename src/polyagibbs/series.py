@@ -61,6 +61,11 @@ def _coefficient(x):
     return x
 
 
+def exact_log(c) -> float:
+    """Natural log of a positive int or Fraction of any size."""
+    return math.log(c.numerator) - math.log(c.denominator)
+
+
 def _log2_fraction(f) -> float:
     """log2 of a positive int or Fraction, safe for huge numerators and
     denominators."""

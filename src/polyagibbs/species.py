@@ -17,7 +17,8 @@ JSON codec read and write, both through one op table (``OPS``).
 Unlabelled objects are canonical nested tuples; two objects are isomorphic
 iff their encodings are equal.  Enumeration is the test oracle of the whole
 package: it is exhaustive, duplicate-free and weight-exact, but guarded to
-small sizes.
+small sizes.  A program's engine owns its one :class:`Enumerator`, and
+every list is built from that enumerator's memo of smaller lists.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import (
+    EmptySize,
     IllFoundedRecursion,
     SizeGuardExceeded,
     SpecError,
@@ -563,11 +565,14 @@ class Enumerator:
 
     ``enumerate(node, n, power)`` returns the duplicate-free list of
     (canonical object, nu^power weight) pairs of size n, sorted by
-    encoding, memoised per (node id, size, power).  ``spec`` may be an
-    already compiled :class:`Program`, whose ids the enumerator then
-    shares.  Calls hold a per-instance reentrant lock, so threads sharing
-    an enumerator never see a half-built memo entry or mistake a key that
-    another thread is enumerating for a cycle.
+    encoding, memoised per (node id, size, power); a negative n raises
+    :class:`EmptySize`.  Every list is built from the memoised lists of
+    smaller keys: a SEQ list of size n from its own lists of the sizes
+    n - s, by SEQ(A) = EPSILON + A * SEQ(A).  ``spec`` may be an already
+    compiled :class:`Program`, whose ids the enumerator then shares.  Calls
+    hold a per-instance reentrant lock, so threads sharing an enumerator
+    never see a half-built memo entry or mistake a key that another thread
+    is enumerating for a cycle.
     """
 
     def __init__(self, spec: SpeciesSpec | Program, guard: int = DEFAULT_SIZE_GUARD):
@@ -578,6 +583,8 @@ class Enumerator:
         self._lock = threading.RLock()
 
     def enumerate(self, node: Node | int, n: int, power: int = 1) -> list:
+        if n < 0:
+            raise EmptySize(f"no objects of negative size {n}")
         with self._lock:
             return self._enumerate(self.program.id_of(node), n, power)
 
@@ -628,7 +635,7 @@ class Enumerator:
             raise SpecError(
                 "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
             )
-        return [((head, c), w) for c, w in parts(inner, n, power)]
+        return [((head, c), w) for c, w in parts(i, inner, n, power)]
 
     def _weighted(self, i: int, n: int, power: int) -> list:
         model = self.program.nodes[i].model
@@ -651,60 +658,52 @@ class Enumerator:
                 seen[canonicalize(marked)] = w
         return list(seen.items())
 
-    def _multisets(self, inner: int, n: int, power: int):
+    def _multisets(self, i: int, inner: int, n: int, power: int):
         """(sorted tuple of children, weight) for all multisets of total
-        size n, grouped by the size profile.  The weight is a `Fraction`
-        product, which skips the factors that are an exact `Fraction` 1."""
-        by_size = {
-            s: self._enumerate(inner, s, power) for s in range(1, n + 1)
-        }
-        sizes = [s for s in range(1, n + 1) if by_size[s]]
-        out = []
+        size n, grown by k = 0, 1, ... children of one size at a time.  The
+        weight is a `Fraction` product that skips the exact `Fraction` 1s."""
+        partial = [(n, (), Fraction(1))]
+        for s in range(1, n + 1):
+            orbits = self._enumerate(inner, s, power)
+            if not orbits:
+                continue
+            # groups[k - 1]: the k-multisets of size-s orbits, each with the
+            # product of its weights that are not an exact 1, or None
+            groups = []
+            for k in range(1, n // s + 1):
+                group = []
+                for combo in itertools.combinations_with_replacement(orbits, k):
+                    w = None
+                    for _, ow in combo:
+                        if type(ow) is not Fraction or ow != 1:
+                            w = ow if w is None else w * ow
+                    group.append((tuple([o for o, _ in combo]), w))
+                groups.append(group)
+            # only larger orbits follow, so lacking 1 .. s atoms is a dead end
+            grown = []
+            for state in partial:
+                remaining, chosen, weight = state
+                if not 0 < remaining <= s:
+                    grown.append(state)
+                for k in range(1, remaining // s + 1):
+                    rest = remaining - k * s
+                    if not 0 < rest <= s:
+                        grown += [(rest, chosen + objs, weight if w is None else weight * w)
+                                  for objs, w in groups[k - 1]]
+            partial = grown
+        return [(tuple(sorted(chosen)), w) for remaining, chosen, w in partial if not remaining]
 
-        def rec(remaining: int, size_idx: int, chosen: tuple, weight: Fraction):
-            if remaining == 0:
-                out.append((tuple(sorted(chosen)), weight))
-                return
-            if size_idx >= len(sizes):
-                return
-            s = sizes[size_idx]
-            max_k = remaining // s
-            orbits = by_size[s]
-            for k in range(max_k + 1):
-                if k == 0:
-                    rec(remaining, size_idx + 1, chosen, weight)
-                else:
-                    for combo in itertools.combinations_with_replacement(
-                        orbits, k
-                    ):
-                        w = weight
-                        objs = []
-                        for o, ow in combo:
-                            if type(ow) is not Fraction or ow != 1:
-                                w *= ow
-                            objs.append(o)
-                        rec(
-                            remaining - k * s,
-                            size_idx + 1,
-                            chosen + tuple(objs),
-                            w,
-                        )
-
-        rec(n, 0, (), Fraction(1))
-        return out
-
-    def _sequences(self, inner: int, n: int, power: int):
+    def _sequences(self, i: int, inner: int, n: int, power: int):
+        """SEQ(A) = EPSILON + A * SEQ(A): a head orbit of size s before each
+        memoised SEQ orbit of node i of size n - s."""
         if n == 0:
             return [((), Fraction(1))]
         out = []
         for s in range(1, n + 1):
             heads = self._enumerate(inner, s, power)
-            if not heads:
-                continue
-            tails = self._sequences(inner, n - s, power)
-            for o, ow in heads:
-                for t, tw in tails:
-                    out.append(((o,) + t, ow * tw))
+            if heads:
+                tails = self._enumerate(i, n - s, power)
+                out += [((o,) + t, ow * tw) for o, ow in heads for (_, t), tw in tails]
         return out
 
     # plain functions, not bound methods, so an enumerator holds no

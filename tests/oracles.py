@@ -188,7 +188,7 @@ class LoopEnumerator(Enumerator):
                 out += [(("prod", a, b), wa * wb) for a, wa in lo for b, wb in ro]
         return out
 
-    def _multisets(self, inner, n, power):
+    def _multisets(self, i, inner, n, power):
         by_size = {s: self._enumerate(inner, s, power) for s in range(1, n + 1)}
         sizes = [s for s in range(1, n + 1) if by_size[s]]
         out = []
@@ -215,7 +215,7 @@ class LoopEnumerator(Enumerator):
         rec(n, 0, (), Fraction(1))
         return out
 
-    def _sequences(self, inner, n, power):
+    def _sequences(self, i, inner, n, power):
         if n == 0:
             return [((), Fraction(1))]
         out = []
@@ -223,7 +223,7 @@ class LoopEnumerator(Enumerator):
             heads = self._enumerate(inner, s, power)
             if not heads:
                 continue
-            tails = self._sequences(inner, n - s, power)
+            tails = self._sequences(i, inner, n - s, power)
             for o, ow in heads:
                 for t, tw in tails:
                     out.append(((o,) + t, ow * tw))

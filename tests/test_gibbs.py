@@ -433,7 +433,7 @@ class TestRemainders:
                 rest = key[1]
                 size = object_size(key)
                 # enumerate the giants, splitting p across them by weight
-                giants = forest_model.enumerator().enumerate(
+                giants = forest_model.engine.enumerator.enumerate(
                     forest_model.inner_node, n - size
                 )
                 gt = sum(w for _, w in giants)
@@ -488,7 +488,7 @@ class TestLimitLawBuild:
         model = GibbsModel.from_species(
             parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);"), truncation=60
         )
-        model.enumerator().guard = 9
+        model.engine.enumerator.guard = 9
         got = list(model._remainder_orbits(9))
         want = list(remainder_orbits(
             "SEQ", LoopEnumerator(model.engine.program, guard=9), 9
@@ -499,15 +499,15 @@ class TestLimitLawBuild:
         assert len(got) > 1000
 
     def test_a_larger_cap_keeps_the_memo(self):
-        # cap 17 is past the enumerator's default guard of 16; the guard
+        # cap 17 is past the enumerator's default guard of 14; the guard
         # rises in place, so the orbits listed for cap 12 are reused
         coeffs = [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 101)]
         model = GibbsModel.from_series(coeffs, truncation=100)
         small = model.limit_remainder_distribution(12)
-        enum = model.enumerator()
+        enum = model.engine.enumerator
         memo = dict(enum._memo)
         large = model.limit_remainder_distribution(17)
-        assert model.enumerator() is enum and enum.guard == 17
+        assert model.engine.enumerator is enum and enum.guard == 17
         assert all(enum._memo[key] is orbits for key, orbits in memo.items())
         assert len(large.probs) > len(small.probs)
         assert all(large.probs[k] == p for k, p in small.probs.items())
@@ -645,7 +645,7 @@ class TestLifetime:
             model.sample_S_n(6, random.Random(1), method="rejection")
             model.limit_remainder_distribution(5)
             parts = (model, model.engine, model.exact_sampler(),
-                     model.inner_sampler(), model.enumerator())
+                     model.inner_sampler(), model.engine.enumerator)
             refs = [weakref.ref(p) for p in parts]
             del model, parts
             assert all(r() is None for r in refs)

@@ -12,6 +12,7 @@ from polyagibbs import (
     Atom,
     Compose,
     Derive,
+    EmptySize,
     Enumerator,
     GibbsModel,
     SeriesEngine,
@@ -109,6 +110,13 @@ class TestEnumeration:
         en = Enumerator(polya_trees(), guard=5)
         with pytest.raises(SizeGuardExceeded):
             en.enumerate_root(6)
+
+    def test_negative_size_raises(self):
+        # as the engine and the exact sampler do, before any memo entry
+        en = Enumerator(forests())
+        with pytest.raises(EmptySize, match="^no objects of negative size -2$"):
+            en.enumerate_root(-2)
+        assert en._memo == {}
 
     def test_ill_founded_recursion(self):
         bad = spec(Ref("X"), {"X": Ref("X")})
@@ -291,6 +299,26 @@ class TestLifetime:
                 parse_spec(text)
             except SpecError:
                 pass
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_enumeration_leaves_no_garbage(self):
+        # the SET and SEQ lists are built without self-calling closures,
+        # so enumerating forests frees every temporary without the cycle
+        # collector
+        import gc
+
+        s = forests()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            en = Enumerator(s)
+            for n in range(9):
+                en.enumerate_root(n)
+            del en
             assert gc.collect() == 0
         finally:
             if enabled:
