@@ -565,14 +565,14 @@ class Enumerator:
 
     ``enumerate(node, n, power)`` returns the duplicate-free list of
     (canonical object, nu^power weight) pairs of size n, sorted by
-    encoding, memoised per (node id, size, power); a negative n raises
-    :class:`EmptySize`.  Every list is built from the memoised lists of
-    smaller keys: a SEQ list of size n from its own lists of the sizes
-    n - s, by SEQ(A) = EPSILON + A * SEQ(A).  ``spec`` may be an already
-    compiled :class:`Program`, whose ids the enumerator then shares.  Calls
-    hold a per-instance reentrant lock, so threads sharing an enumerator
-    never see a half-built memo entry or mistake a key that another thread
-    is enumerating for a cycle.
+    encoding, memoised per (node id, size, power) and built from memoised
+    lists (SEQ from its own smaller ones, as EPSILON + A * SEQ(A)).  A
+    negative n raises :class:`EmptySize` and an n above ``guard``
+    :class:`SizeGuardExceeded`; a DERIVE inside may read one size up.
+    ``spec`` may be an already compiled :class:`Program`, whose ids the
+    enumerator then shares.  Calls hold a per-instance reentrant lock, so
+    threads sharing an enumerator never see a half-built memo entry or
+    mistake a key that another thread is enumerating for a cycle.
     """
 
     def __init__(self, spec: SpeciesSpec | Program, guard: int = DEFAULT_SIZE_GUARD):
@@ -585,6 +585,8 @@ class Enumerator:
     def enumerate(self, node: Node | int, n: int, power: int = 1) -> list:
         if n < 0:
             raise EmptySize(f"no objects of negative size {n}")
+        if n > self.guard:
+            raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {self.guard}")
         with self._lock:
             return self._enumerate(self.program.id_of(node), n, power)
 
@@ -594,8 +596,6 @@ class Enumerator:
     # internal
 
     def _enumerate(self, i: int, n: int, power: int) -> list:
-        if n > self.guard:
-            raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {self.guard}")
         key = (i, n, power)
         result = self._memo.get(key)
         if result is not None:

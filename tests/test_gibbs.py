@@ -21,6 +21,7 @@ from oracles import (
     z_set,
 )
 from polyagibbs import (
+    AtomMultiplicative,
     EmptySize,
     Enumerator,
     GibbsModel,
@@ -512,6 +513,20 @@ class TestLimitLawBuild:
         assert len(large.probs) > len(small.probs)
         assert all(large.probs[k] == p for k, p in small.probs.items())
 
+
+    def test_a_derive_may_read_one_size_past_the_cap(self):
+        # the inner's DERIVE lists ATOM * ATOM one size up; the guard bounds
+        # the remainder sizes the law asks for, not that read
+        from polyagibbs.species import ATOM, Compose, Derive, Product, Union, Weighted, spec
+
+        coeffs = [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 101)]
+        marked = Weighted(Derive(Product(ATOM, ATOM)), AtomMultiplicative(F(1, 8)))
+        composite = spec(Compose("SET", Union(sized_species(coeffs).root, marked)))
+        model = GibbsModel(composite, truncation=100)
+        small = model.limit_remainder_distribution(15)
+        large = model.limit_remainder_distribution(16)
+        assert max(object_size(k) for k in large.probs) == 16
+        assert all(large.probs[k] == p for k, p in small.probs.items())
 
     def test_a_limit_law_keeps_the_table_bound(self):
         # a limit law may list orbits past size 14, but TABLE weights are
