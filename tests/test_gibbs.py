@@ -484,8 +484,8 @@ class TestLimitLawBuild:
         assert type(law.sensitivity) is float
 
     def test_seq_remainder_orbits_are_the_loop_orbits(self):
-        # no SEQ limit law gets through the tail sum, so the orbits that
-        # would build it are compared on their own
+        # the SEQ forest's limit law does not get through the tail sum, so
+        # the orbits that would build it are compared on their own
         model = GibbsModel.from_species(
             parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);"), truncation=60
         )
