@@ -2,9 +2,9 @@
 package's recurrences (``multiset_ogf``, ``outer_index_value``,
 ``set_symmetry_law``), the engine's and sampler's term loops with one
 ``SeriesEngine.at`` call per term, an engine with one stream per (node,
-power) for unit-weight programs too, the enumerator's PRODUCT and SET
-loops and its SEQ recursion, and the limit-law build with every product taken and one pass over
-the orbits per radius.  A cycle type is a sorted tuple of (cycle length,
+power) for unit-weight programs too, an enumerator of its own that sorts
+its lists by comparing the objects, and the limit-law build with one pass
+over the orbits per radius.  A cycle type is a sorted tuple of (cycle length,
 multiplicity) pairs; an index is a list of (cycle type, coefficient) terms
 in degree order."""
 
@@ -17,15 +17,25 @@ from functools import cache
 from polyagibbs import (
     DiscreteLaw,
     EmptySize,
-    Enumerator,
     IllFoundedRecursion,
     LimitLaw,
     SeriesEngine,
+    SizeGuardExceeded,
+    SpecError,
     TruncatedSeries,
     ZeroMass,
+    canonicalize,
+    mark_one_atom,
 )
 from polyagibbs.series import evaluate
-from polyagibbs.species import K_PRODUCT, STAR_OBJ
+from polyagibbs.species import (
+    ATOM_OBJ,
+    DEFAULT_SIZE_GUARD,
+    EPS_OBJ,
+    STAR_OBJ,
+    by_kind,
+    fail,
+)
 
 
 def partitions(n, max_part=None):
@@ -167,16 +177,50 @@ class PerPowerEngine(SeriesEngine):
         return arr
 
 
-# The enumerator's PRODUCT and SET loops with every weight multiplied, its
-# SEQ lists by a recursion of their own, and the limit-law build that walks
-# the orbits once per radius: the reference for the package's loops, which
-# skip the factors that are an exact 1 and read the orbits once, and must
-# give the same lists and the same floats.
+# An enumerator of its own, whose lists are sorted by comparing the objects
+# as tuples: PRODUCT and SET orbits take every product, SEQ lists recurse on
+# themselves outside the memo, and the limit-law build walks the orbits once
+# per radius.  The reference for the package's enumerator, which builds its
+# lists in the order of their byte keys, skips the factors that are an exact
+# 1 and reads the orbits once, and must give the same lists and the same
+# floats.
 
 
-class LoopEnumerator(Enumerator):
-    """An enumerator whose PRODUCT and SET orbits take every product and
-    whose SEQ lists recurse on themselves, outside the memo."""
+class LoopEnumerator:
+    """Exhaustive enumeration over the ids of a compiled program, with a
+    handler table of its own and every list sorted by its objects."""
+
+    def __init__(self, program, guard=DEFAULT_SIZE_GUARD):
+        self.program = program
+        self.guard = guard
+        self._memo = {}
+        self._busy = set()
+
+    def enumerate(self, node, n, power=1):
+        if n < 0:
+            raise EmptySize(f"no objects of negative size {n}")
+        if n > self.guard:
+            raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {self.guard}")
+        return self._enumerate(self.program.id_of(node), n, power)
+
+    def enumerate_root(self, n, power=1):
+        return self.enumerate(self.program.root, n, power)
+
+    def _enumerate(self, i, n, power):
+        key = (i, n, power)
+        result = self._memo.get(key)
+        if result is not None:
+            return result
+        if key in self._busy:
+            raise IllFoundedRecursion()
+        self._busy.add(key)
+        try:
+            result = self._list[self.program.kind[i]](self, i, n, power)
+        finally:
+            self._busy.discard(key)
+        result.sort(key=lambda p: p[0])
+        self._memo[key] = result
+        return result
 
     def _product(self, i, n, power):
         left, right = self.program.args[i]
@@ -187,6 +231,12 @@ class LoopEnumerator(Enumerator):
                 ro = self._enumerate(right, n - k, power)
                 out += [(("prod", a, b), wa * wb) for a, wa in lo for b, wb in ro]
         return out
+
+    def _collection(self, head, parts, i, n, power):
+        inner = self.program.args[i][0]
+        if self._enumerate(inner, 0, power):
+            raise SpecError("inner species of SET/SEQ/COMPOSE must have no size-0 objects")
+        return [((head, c), w) for c, w in parts(i, inner, n, power)]
 
     def _multisets(self, i, inner, n, power):
         by_size = {s: self._enumerate(inner, s, power) for s in range(1, n + 1)}
@@ -229,8 +279,43 @@ class LoopEnumerator(Enumerator):
                     out.append(((o,) + t, ow * tw))
         return out
 
-    _list = list(Enumerator._list)
-    _list[K_PRODUCT] = _product
+    def _weighted(self, i, n, power):
+        model = self.program.nodes[i].model
+        out = []
+        for o, w in self._enumerate(self.program.args[i][0], n, power):
+            f = model.factor(o, n)
+            if f:
+                out.append((o, w * f**power))
+        return out
+
+    def _derive(self, i, n, power):
+        if any((i, m, power) in self._busy for m in range(n)):
+            raise IllFoundedRecursion()
+        seen = {}
+        for o, w in self._enumerate(self.program.args[i][0], n + 1, power):
+            for marked in mark_one_atom(o):
+                seen[canonicalize(marked)] = w
+        return list(seen.items())
+
+    _list = by_kind(
+        ATOM=lambda e, i, n, p: [(ATOM_OBJ, Fraction(1))] if n == 1 else [],
+        EPSILON=lambda e, i, n, p: [(EPS_OBJ, Fraction(1))] if n == 0 else [],
+        ZERO=lambda e, i, n, p: [],
+        SIZED=lambda e, i, n, p: [(("blob", n), e.program.sized(i, n) ** p)]
+        if e.program.sized(i, n) else [],
+        UNION=lambda e, i, n, p: [
+            (("tag", side, o), w)
+            for side, c in enumerate(e.program.args[i])
+            for o, w in e._enumerate(c, n, p)
+        ],
+        PRODUCT=_product,
+        SET=lambda e, i, n, p: e._collection("set", e._multisets, i, n, p),
+        SEQ=lambda e, i, n, p: e._collection("seq", e._sequences, i, n, p),
+        WEIGHT=_weighted,
+        TABLE=_weighted,
+        DERIVE=_derive,
+        FAIL=fail,
+    )
 
 
 def remainder_orbits(outer, enum, cap):
