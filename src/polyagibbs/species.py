@@ -23,8 +23,10 @@ every list is built from that enumerator's memo of smaller lists.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import operator
 import re
 import threading
 from dataclasses import dataclass, fields
@@ -559,26 +561,109 @@ def _mark_atoms(obj, star) -> List[tuple]:
 
 # -- enumeration ---------------------------------------------------------
 
+# the head bytes of the order keys, in the string order of the head names
+_HEAD_BYTE = {h: bytes([b]) for b, h in enumerate(
+    ("atom", "blob", "eps", "prod", "seq", "set", "star", "tag"), start=1)}
+_END = b"\x00"
+
+
+def _int_key(k: int) -> bytes:
+    """A non-negative int as its byte length and its big-endian bytes."""
+    body = k.to_bytes((k.bit_length() + 7) // 8, "big")
+    return bytes((len(body),)) + body
+
+
+def order_key(obj) -> bytes:
+    """The order key of a canonical object (see :class:`Enumerator`): keys
+    compare bytewise as the objects compare as tuples."""
+    head = obj[0]
+    first = _HEAD_BYTE.get(head)
+    if first is None:
+        raise ValueError(f"unknown object head {head!r}")
+    if head == "prod":
+        return first + order_key(obj[1]) + order_key(obj[2])
+    if head == "set" or head == "seq":
+        return first + b"".join(map(order_key, obj[1])) + _END
+    if head == "tag":
+        return first + _int_key(obj[1]) + order_key(obj[2])
+    if head == "star":
+        return first + b"".join(map(_int_key, obj[1:])) + _END
+    if head == "blob":
+        return first + _int_key(obj[1])
+    return first
+
+
+def _keyed(orbits: list) -> tuple:
+    """A list of orbits in key order, and their keys."""
+    return orbits, [order_key(o) for o, _ in orbits]
+
+
+# the weight of ATOM, EPSILON and the empty SET and SEQ, which products skip
+_ONE = Fraction(1)
+
+
+def _times(a, b):
+    """a * b, skipping a factor that is an exact `Fraction` 1 when the other
+    is a `Fraction` too: the value and type of ``a * b``."""
+    if type(a) is Fraction and type(b) is Fraction:
+        if a is _ONE or a == 1:
+            return b
+        if b is _ONE or b == 1:
+            return a
+    return a * b
+
+
+_first = operator.itemgetter(0)
+
+
+def _by_key(runs: list):
+    """(key, orbit, extra) for each orbit of ``runs``, a list of (keys,
+    orbits, extra) each in key order, in key order.  No two keys are equal,
+    so more than one run merge by a sort of their keys alone."""
+    if len(runs) == 1:
+        keys, orbits, extra = runs[0]
+        return zip(keys, orbits, itertools.repeat(extra))
+    merged = [entry for keys, orbits, extra in runs
+              for entry in zip(keys, orbits, itertools.repeat(extra))]
+    merged.sort(key=_first)
+    return merged
+
 
 class Enumerator:
     """Exhaustive enumeration of unlabelled objects with exact weights.
 
     ``enumerate(node, n, power)`` returns the duplicate-free list of
     (canonical object, nu^power weight) pairs of size n, sorted by
-    encoding, memoised per (node id, size, power) and built from memoised
-    lists (SEQ from its own smaller ones, as EPSILON + A * SEQ(A)).  A
-    negative n raises :class:`EmptySize` and an n above ``guard``
-    :class:`SizeGuardExceeded`; a DERIVE inside may read one size up.
-    ``spec`` may be an already compiled :class:`Program`, whose ids the
-    enumerator then shares.  Calls hold a per-instance reentrant lock, so
-    threads sharing an enumerator never see a half-built memo entry or
-    mistake a key that another thread is enumerating for a cycle.
+    encoding, memoised per (node id, size, power).  A negative n raises
+    :class:`EmptySize` and an n above ``guard`` :class:`SizeGuardExceeded`;
+    a DERIVE inside may read one size up.  ``spec`` may be an already
+    compiled :class:`Program`, whose ids the enumerator then shares.  Calls
+    hold a per-instance reentrant lock, so threads sharing an enumerator
+    never see a half-built memo entry or mistake a key that another thread
+    is enumerating for a cycle.
+
+    The encoding of an object is its order key (:func:`order_key`), a
+    prefix-free byte string whose bytewise order is the tuple order of the
+    objects: one byte per head, in the string order of the head names
+    (atom 1, blob 2, eps 3, prod 4, seq 5, set 6, star 7, tag 8); then the
+    keys of the parts, with each int as its byte length and its big-endian
+    bytes; and a 0 byte that closes the children of each SET and SEQ and
+    each star.  Every memoised list has the parallel list of its keys, and
+    is built in key order from the keys of its parts, so no list is sorted
+    and no two objects are compared: a PRODUCT walks its left orbits and a
+    SEQ its head orbits in key order, each followed by the right or tail
+    list (SEQ(A) = EPSILON + A * SEQ(A)); a SET of size n takes each inner
+    orbit c of size s <= n in key order, followed by the SET orbits of size
+    n - s whose first child is >= c, a suffix found by bisecting the keys.
+    Only DERIVE's canonical marks are encoded from scratch and sorted.
     """
 
     def __init__(self, spec: SpeciesSpec | Program, guard: int = DEFAULT_SIZE_GUARD):
         self.guard = guard
         self.program = spec if isinstance(spec, Program) else Program(spec)
+        # (id, size, power) -> orbits, and -> their order keys
         self._memo: Dict[tuple, list] = {}
+        self._keys: Dict[tuple, list] = {}
         self._busy: set = set()
         self._lock = threading.RLock()
 
@@ -588,140 +673,147 @@ class Enumerator:
         if n > self.guard:
             raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {self.guard}")
         with self._lock:
-            return self._enumerate(self.program.id_of(node), n, power)
+            return self._listed(self.program.id_of(node), n, power)[0]
 
     def enumerate_root(self, n: int, power: int = 1) -> list:
         return self.enumerate(self.program.root, n, power)
 
     # internal
 
-    def _enumerate(self, i: int, n: int, power: int) -> list:
+    def _listed(self, i: int, n: int, power: int) -> tuple:
+        """The memoised orbits of node i at size n and their keys."""
         key = (i, n, power)
         result = self._memo.get(key)
         if result is not None:
-            return result
+            return result, self._keys[key]
         if key in self._busy:
             raise IllFoundedRecursion()
         self._busy.add(key)
         try:
-            result = self._list[self.program.kind[i]](self, i, n, power)
+            result, keys = self._list[self.program.kind[i]](self, i, n, power)
         finally:
             self._busy.discard(key)
-        result.sort(key=lambda p: p[0])
+        # the keys first: a list in the memo always has its keys
+        self._keys[key] = keys
         self._memo[key] = result
-        return result
+        return result, keys
 
-    def _product(self, i: int, n: int, power: int) -> list:
-        """Pairs of a left and a right orbit, weight wa * wb.  A left weight
-        that is an exact `Fraction` 1 multiplies nothing: the product of a
-        right `Fraction` weight is that weight itself."""
+    def _product(self, i: int, n: int, power: int) -> tuple:
+        """Each left orbit a in key order, followed by every right orbit b
+        of the rest of the size: ("prod", a, b) with key 4 + a's + b's."""
         left, right = self.program.args[i]
-        out = []
+        runs = []
         for k in range(n + 1):
-            lo = self._enumerate(left, k, power)
+            lo, lk = self._listed(left, k, power)
             if lo:
-                ro = self._enumerate(right, n - k, power)
-                for a, wa in lo:
-                    if type(wa) is Fraction and wa == 1:
-                        out += [(("prod", a, b), wb if type(wb) is Fraction else wa * wb)
-                                for b, wb in ro]
-                    else:
-                        out += [(("prod", a, b), wa * wb) for b, wb in ro]
-        return out
+                runs.append((lk, lo, self._listed(right, n - k, power)))
+        out, keys = [], []
+        for ka, (a, wa), (ro, rk) in _by_key(runs):
+            pre = _HEAD_BYTE["prod"] + ka
+            out += [(("prod", a, b), _times(wa, wb)) for b, wb in ro]
+            keys += [pre + kb for kb in rk]
+        return out, keys
 
-    def _collection(self, head: str, parts, i: int, n: int, power: int) -> list:
+    def _inner(self, i: int, power: int) -> int:
+        """The inner node of a SET or SEQ, which must have no size-0 objects."""
         inner = self.program.args[i][0]
-        if self._enumerate(inner, 0, power):
+        if self._listed(inner, 0, power)[0]:
             raise SpecError(
                 "inner species of SET/SEQ/COMPOSE must have no size-0 objects"
             )
-        return [((head, c), w) for c, w in parts(i, inner, n, power)]
+        return inner
 
-    def _weighted(self, i: int, n: int, power: int) -> list:
+    def _multisets(self, i: int, n: int, power: int) -> tuple:
+        """Each inner orbit c of size s in key order, followed by every SET
+        orbit of size n - s whose first child is >= c: c is then the least
+        child, so each multiset is listed once."""
+        inner = self._inner(i, power)
+        if n == 0:
+            return _keyed([(("set", ()), _ONE)])
+        runs = []
+        for s in range(1, n + 1):
+            orbits, ks = self._listed(inner, s, power)
+            if orbits:
+                runs.append((ks, orbits, (s,) + self._listed(i, n - s, power)))
+        head, out, keys = _HEAD_BYTE["set"], [], []
+        for kc, (c, wc), (s, rest, rk) in _by_key(runs):
+            pre = head + kc
+            if s == n:
+                # the one SET orbit of size 0 is the empty set
+                out.append((("set", (c,)), _times(wc, rest[0][1])))
+                keys.append(pre + _END)
+                continue
+            j = bisect.bisect_left(rk, pre)
+            if j < len(rk):
+                c = (c,)
+                out += [(("set", c + m[1]), _times(wc, wm)) for m, wm in rest[j:]]
+                keys += [pre + km[1:] for km in rk[j:]]
+        return out, keys
+
+    def _sequences(self, i: int, n: int, power: int) -> tuple:
+        """SEQ(A) = EPSILON + A * SEQ(A): each head orbit of size s in key
+        order, followed by every memoised SEQ orbit of size n - s."""
+        inner = self._inner(i, power)
+        if n == 0:
+            return _keyed([(("seq", ()), _ONE)])
+        runs = []
+        for s in range(1, n + 1):
+            heads, hk = self._listed(inner, s, power)
+            if heads:
+                runs.append((hk, heads, self._listed(i, n - s, power)))
+        head, out, keys = _HEAD_BYTE["seq"], [], []
+        for ko, (o, wo), (tails, tk) in _by_key(runs):
+            pre = head + ko
+            o = (o,)
+            out += [(("seq", o + t[1]), _times(wo, wt)) for t, wt in tails]
+            keys += [pre + kt[1:] for kt in tk]
+        return out, keys
+
+    def _union(self, i: int, n: int, power: int) -> tuple:
+        out, keys = [], []
+        for side, c in enumerate(self.program.args[i]):
+            orbits, ks = self._listed(c, n, power)
+            pre = _HEAD_BYTE["tag"] + _int_key(side)
+            out += [(("tag", side, o), w) for o, w in orbits]
+            keys += [pre + k for k in ks]
+        return out, keys
+
+    def _weighted(self, i: int, n: int, power: int) -> tuple:
         model = self.program.nodes[i].model
-        out = []
-        for o, w in self._enumerate(self.program.args[i][0], n, power):
+        out, keys = [], []
+        for (o, w), k in zip(*self._listed(self.program.args[i][0], n, power)):
             f = model.factor(o, n)
             if f:
                 out.append((o, w * f**power))
-        return out
+                keys.append(k)
+        return out, keys
 
-    def _derive(self, i: int, n: int, power: int) -> list:
+    def _derive(self, i: int, n: int, power: int) -> tuple:
         """Orbits of size n + 1 of the inner node with one atom marked.
         Reached again while it is busy at a smaller size, the DERIVE
         closes a cycle that gains size on every turn and never ends."""
         if any((i, m, power) in self._busy for m in range(n)):
             raise IllFoundedRecursion()
         seen = {}
-        for o, w in self._enumerate(self.program.args[i][0], n + 1, power):
+        for o, w in self._listed(self.program.args[i][0], n + 1, power)[0]:
             for marked in mark_one_atom(o):
                 seen[canonicalize(marked)] = w
-        return list(seen.items())
-
-    def _multisets(self, i: int, inner: int, n: int, power: int):
-        """(sorted tuple of children, weight) for all multisets of total
-        size n, grown by k = 0, 1, ... children of one size at a time.  The
-        weight is a `Fraction` product that skips the exact `Fraction` 1s."""
-        partial = [(n, (), Fraction(1))]
-        for s in range(1, n + 1):
-            orbits = self._enumerate(inner, s, power)
-            if not orbits:
-                continue
-            # groups[k - 1]: the k-multisets of size-s orbits, each with the
-            # product of its weights that are not an exact 1, or None
-            groups = []
-            for k in range(1, n // s + 1):
-                group = []
-                for combo in itertools.combinations_with_replacement(orbits, k):
-                    w = None
-                    for _, ow in combo:
-                        if type(ow) is not Fraction or ow != 1:
-                            w = ow if w is None else w * ow
-                    group.append((tuple([o for o, _ in combo]), w))
-                groups.append(group)
-            # only larger orbits follow, so lacking 1 .. s atoms is a dead end
-            grown = []
-            for state in partial:
-                remaining, chosen, weight = state
-                if not 0 < remaining <= s:
-                    grown.append(state)
-                for k in range(1, remaining // s + 1):
-                    rest = remaining - k * s
-                    if not 0 < rest <= s:
-                        grown += [(rest, chosen + objs, weight if w is None else weight * w)
-                                  for objs, w in groups[k - 1]]
-            partial = grown
-        return [(tuple(sorted(chosen)), w) for remaining, chosen, w in partial if not remaining]
-
-    def _sequences(self, i: int, inner: int, n: int, power: int):
-        """SEQ(A) = EPSILON + A * SEQ(A): a head orbit of size s before each
-        memoised SEQ orbit of node i of size n - s."""
-        if n == 0:
-            return [((), Fraction(1))]
-        out = []
-        for s in range(1, n + 1):
-            heads = self._enumerate(inner, s, power)
-            if heads:
-                tails = self._enumerate(i, n - s, power)
-                out += [((o,) + t, ow * tw) for o, ow in heads for (_, t), tw in tails]
-        return out
+        listed = sorted(((order_key(o), (o, w)) for o, w in seen.items()), key=_first)
+        return [orbit for _, orbit in listed], [k for k, _ in listed]
 
     # plain functions, not bound methods, so an enumerator holds no
-    # reference cycle: (enumerator, id, size, power) -> orbits
+    # reference cycle: (enumerator, id, size, power) -> (orbits, keys)
     _list = by_kind(
-        ATOM=lambda e, i, n, p: [(ATOM_OBJ, Fraction(1))] if n == 1 else [],
-        EPSILON=lambda e, i, n, p: [(EPS_OBJ, Fraction(1))] if n == 0 else [],
-        ZERO=lambda e, i, n, p: [],
-        SIZED=lambda e, i, n, p: [(("blob", n), e.program.sized(i, n) ** p)]
-        if e.program.sized(i, n) else [],
-        UNION=lambda e, i, n, p: [
-            (("tag", side, o), w)
-            for side, c in enumerate(e.program.args[i])
-            for o, w in e._enumerate(c, n, p)
-        ],
+        ATOM=lambda e, i, n, p: _keyed([(ATOM_OBJ, _ONE)] if n == 1 else []),
+        EPSILON=lambda e, i, n, p: _keyed([(EPS_OBJ, _ONE)] if n == 0 else []),
+        ZERO=lambda e, i, n, p: ([], []),
+        SIZED=lambda e, i, n, p: _keyed(
+            [(("blob", n), e.program.sized(i, n) ** p)] if e.program.sized(i, n) else []
+        ),
+        UNION=_union,
         PRODUCT=_product,
-        SET=lambda e, i, n, p: e._collection("set", e._multisets, i, n, p),
-        SEQ=lambda e, i, n, p: e._collection("seq", e._sequences, i, n, p),
+        SET=_multisets,
+        SEQ=_sequences,
         WEIGHT=_weighted,
         TABLE=_weighted,
         DERIVE=_derive,

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import LoopEnumerator
 from test_golden import MIXED, MIXED_INNER
@@ -50,6 +52,7 @@ from polyagibbs.species import (
     Union,
     Zero,
     _Fail,
+    order_key,
 )
 
 F = Fraction
@@ -63,6 +66,21 @@ BLOB = Sized((F(0), F(2), F(1, 2), F(3)))
 
 def total(pairs):
     return sum(w for _, w in pairs)
+
+
+# (spec, top size, power) of the orbit-list identity tests; "sized" has
+# int weights on either side of an atom
+ORBIT_LIST_CASES = [
+    pytest.param(s, size, power, id=name if power == 1 else f"{name}-power2")
+    for name, s, size in [
+        ("mixed", parse_dsl(MIXED), 8),
+        ("sized", spec(Compose("SET", Union(Product(ATOM, BLOB), Product(BLOB, ATOM)))), 9),
+        ("seq-forest", parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);"), 9),
+        ("seq-mixed-inner", parse_dsl(MIXED_INNER + " F := COMPOSE(SEQ, B);"), 9),
+        ("set-of-seq", parse_dsl("L := ATOM * SEQ(L); F := COMPOSE(SET, L);"), 9),
+    ]
+    for power in (1, 2)
+]
 
 
 class TestEnumeration:
@@ -149,22 +167,10 @@ class TestEnumeration:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize(
-        "s, size, power",
-        [pytest.param(s, size, power, id=name if power == 1 else f"{name}-power2")
-         for name, s, size in [
-             ("mixed", parse_dsl(MIXED), 8),
-             ("sized", spec(Compose("SET", Union(Product(ATOM, BLOB), Product(BLOB, ATOM)))), 9),
-             ("seq-forest", parse_dsl("T := ATOM * SET(T); F := COMPOSE(SEQ, T);"), 9),
-             ("seq-mixed-inner", parse_dsl(MIXED_INNER + " F := COMPOSE(SEQ, B);"), 9),
-             ("set-of-seq", parse_dsl("L := ATOM * SEQ(L); F := COMPOSE(SET, L);"), 9),
-         ]
-         for power in (1, 2)],
-    )
+    @pytest.mark.parametrize("s, size, power", ORBIT_LIST_CASES)
     def test_orbit_lists_are_the_loop_lists(self, s, size, power):
         # every memoised list, in order, value and weight type, against the
-        # loops that take every product and the SEQ recursion; "sized" has
-        # int weights on either side of an atom
+        # enumerator that sorts its lists by comparing the objects
         program = Program(s)
         got, want = Enumerator(program), LoopEnumerator(program)
         for n in range(size + 1):
@@ -175,6 +181,31 @@ class TestEnumeration:
             assert [(o, w, type(w)) for o, w in got._memo[key]] == [
                 (o, w, type(w)) for o, w in orbits
             ]
+
+    @pytest.mark.parametrize("s, size, power", ORBIT_LIST_CASES)
+    def test_lists_do_not_depend_on_the_call_order(self, s, size, power):
+        # every list of an enumerator asked for the top size first is the
+        # list of one asked for each size in turn (which may hold sizes the
+        # first never reads), and every list's keys are the order keys of
+        # its objects, strictly increasing
+        program = Program(s)
+        top, ascending = Enumerator(program), Enumerator(program)
+        top.enumerate_root(size, power)
+        for n in range(size + 1):
+            ascending.enumerate_root(n, power)
+        assert (program.root, size, power) in top._memo
+        assert sorted(top._keys) == sorted(top._memo)
+        assert sorted(ascending._keys) == sorted(ascending._memo)
+        assert set(top._memo) <= set(ascending._memo)
+        for key, orbits in top._memo.items():
+            assert [(o, w, type(w)) for o, w in orbits] == [
+                (o, w, type(w)) for o, w in ascending._memo[key]
+            ]
+            assert top._keys[key] == ascending._keys[key]
+        for key, orbits in ascending._memo.items():
+            keys = ascending._keys[key]
+            assert keys == [order_key(o) for o, _ in orbits]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestProgram:
@@ -386,6 +417,53 @@ class TestObjects:
         bad = spec(SetOf(Union(Epsilon(), Atom())))
         with pytest.raises(SpecError):
             Enumerator(bad).enumerate_root(2)
+
+
+# canonical objects with every head: tags 0 and 1, stars with and without a
+# label, and blobs whose size takes several bytes
+_leaves = st.one_of(
+    st.sampled_from([("atom",), ("eps",), ("star",)]),
+    st.builds(lambda k: ("star", k), st.integers(2, 300)),
+    st.builds(lambda k: ("blob", k), st.one_of(st.integers(1, 3), st.integers(1, 2**40))),
+)
+_objects = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(lambda a, b: ("prod", a, b), children, children),
+        st.builds(lambda cs: ("set", tuple(cs)), st.lists(children, max_size=3)),
+        st.builds(lambda cs: ("seq", tuple(cs)), st.lists(children, max_size=3)),
+        st.builds(lambda side, c: ("tag", side, c), st.integers(0, 1), children),
+    ),
+    max_leaves=8,
+).map(canonicalize)
+
+
+class TestOrderKeys:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(objs=st.lists(_objects, min_size=2, max_size=8))
+    def test_keys_order_and_identify_objects_as_tuples(self, objs):
+        # a few leaves each, so equal objects and shared prefixes are common
+        objs += [objs[0], ("seq", (objs[0], objs[-1])), ("seq", (objs[0],))]
+        keys = [order_key(o) for o in objs]
+        assert sorted(objs, key=order_key) == sorted(objs)
+        for a, ka in zip(objs, keys):
+            for b, kb in zip(objs, keys):
+                assert (ka == kb) == (a == b)
+                assert (ka < kb) == (a < b)
+                # prefix-free: no key starts another one
+                assert ka == kb or not kb.startswith(ka)
+
+    def test_encoding(self):
+        assert order_key(("atom",)) == b"\x01"
+        assert order_key(("blob", 258)) == b"\x02\x02\x01\x02"
+        assert order_key(("star",)) == b"\x07\x00"
+        assert order_key(("star", 2)) == b"\x07\x01\x02\x00"
+        assert order_key(("tag", 0, ("eps",))) == b"\x08\x00\x03"
+        assert order_key(("set", (("atom",), ("prod", ("atom",), ("seq", ()))))) == (
+            b"\x06\x01\x04\x01\x05\x00\x00"
+        )
+        with pytest.raises(ValueError, match="unknown object head"):
+            order_key(("set", (("leaf",),)))
 
 
 # -- the recursive walkers as they were before object_size took an explicit
