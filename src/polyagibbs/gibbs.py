@@ -66,6 +66,7 @@ from .species import (
     Node,
     STAR_OBJ,
     SpeciesSpec,
+    _collector_paused,
     object_size,
     sized_species,
     spec as make_spec,
@@ -390,7 +391,10 @@ class GibbsModel:
         """``size`` independent Boltzmann attempts at y, sizes only, drawn
         with the ``numpy.random.Generator`` ``gen``.  The cycle counts,
         the lengths of longer cycles and the inner sizes are each drawn for
-        the whole block by inversion on the cached laws."""
+        the whole block by inversion on the cached laws.  The inner sizes
+        of the longer cycles take one uniform each from one draw, in the
+        order of a stable sort by cycle length, so each length's law
+        inverts one slice of it."""
         import numpy as np
 
         fix, more, longer = self._attempt_laws(y)
@@ -406,13 +410,18 @@ class GibbsModel:
         sizes[:fixed] = self._inner_law(1, y).sample_array(gen, fixed)
         if more is not None:
             rest = lengths[fixed:] = longer.sample_array(gen, len(lengths) - fixed)
-            rest_sizes = sizes[fixed:]
-            for l in np.bincount(rest).nonzero()[0].tolist():
-                at = rest == l
-                rest_sizes[at] = self._inner_law(l, y**l).sample_array(
-                    gen, int(np.count_nonzero(at))
-                )
-        owner = np.repeat(np.arange(2 * size) % size, counts)
+            u = gen.random(len(rest))
+            order = np.argsort(rest, kind="stable")
+            per_length = np.bincount(rest)
+            ls = per_length.nonzero()[0]
+            rest_sizes, start = sizes[fixed:], 0
+            for l, end in zip(ls.tolist(), per_length[ls].cumsum().tolist()):
+                rest_sizes[order[start:end]] = self._inner_law(l, y**l).invert(u[start:end])
+                start = end
+        # the longer cycles of attempt a follow every fixpoint, at index
+        # size + a of counts
+        owner = np.repeat(np.arange(2 * size), counts)
+        owner[fixed:] -= size
         totals = np.bincount(owner, weights=lengths * sizes, minlength=size)
         return AttemptBlock(offsets, owner, lengths, sizes, totals)
 
@@ -475,12 +484,19 @@ class GibbsModel:
 
     def prepare_draws(self, n: int, method: str) -> None:
         """Build the tables that size-n draws by ``method`` read first:
-        for ``"rejection"``, the tuned parameter and the attempt laws at
-        it.  Called before a pool forks, so that every worker inherits them
-        instead of building its own."""
+        for ``"rejection"``, the tuned parameter, the attempt laws at it
+        and the numpy arrays and bucket index of every law that an attempt
+        block draws from.  Called before a pool forks, so that every worker
+        inherits them instead of building its own."""
         self._require_size(n)
         if method == "rejection":
-            self._attempt_laws(self.tuned_parameter(n))
+            y = self.tuned_parameter(n)
+            fix, more, longer = self._attempt_laws(y)
+            laws = [fix, self._inner_law(1, y)]
+            if more is not None:
+                laws += [more, longer] + [self._inner_law(l, y**l) for l in longer.entries]
+            for law in laws:
+                law.arrays()
 
     def _require_size(self, n: int) -> None:
         if n < 0 or self.engine.at(self.engine.program.root, 1, n) == 0:
@@ -644,34 +660,39 @@ class GibbsModel:
         enum = self.engine.enumerator
         # the guard rises in place, so the orbits listed so far stay memoised
         enum.guard = max(enum.guard, cap)
-        remainder_ogf = self.remainder_ogf
-        keys, weights, sizes = [], [], []
-        for key, weight, size in self._remainder_orbits(cap):
-            keys.append(key)
-            weights.append(float(weight))
-            sizes.append(size)
-        weights = np.array(weights, dtype=float)
-        sizes = np.array(sizes, dtype=np.intp)
+        # one collector pause for the whole build, not one per enumerated
+        # size: each resume would start collections that walk the lists
+        # just built, once per generation they pass through
+        with _collector_paused:
+            remainder_ogf = self.remainder_ogf
+            keys, weights, sizes = [], [], []
+            for key, weight, size in self._remainder_orbits(cap):
+                keys.append(key)
+                weights.append(float(weight))
+                sizes.append(size)
+            weights = np.array(weights, dtype=float)
+            sizes = np.array(sizes, dtype=np.intp)
 
-        def probs_at(r: float):
-            """weight * r**size / D of every orbit, D the remainder series
-            at r; ``r**size`` is Python's float power, as in the scalar
-            expression, so every entry is the float that it gives."""
-            D = evaluate(remainder_ogf, r).value
-            if D <= 0:
-                raise ZeroMass("remainder series evaluates to zero")
-            scale = np.array([r**s for s in range(cap + 1)], dtype=float)
-            return weights * scale[sizes] / D
+            def probs_at(r: float):
+                """weight * r**size / D of every orbit, D the remainder
+                series at r; ``r**size`` is Python's float power, as in the
+                scalar expression, so every entry is the float that it
+                gives."""
+                D = evaluate(remainder_ogf, r).value
+                if D <= 0:
+                    raise ZeroMass("remainder series evaluates to zero")
+                scale = np.array([r**s for s in range(cap + 1)], dtype=float)
+                return weights * scale[sizes] / D
 
-        rho, spread = self.rho.rho, self.rho.spread
-        probs = probs_at(rho)
-        sens = 0.0
-        if keys:
-            for shifted in (rho - spread, rho + spread):
-                sens = max(sens, float(np.max(np.abs(probs_at(shifted) - probs))))
-        probs = dict(zip(keys, probs.tolist()))
-        tail = 1.0 - math.fsum(probs.values())
-        return LimitLaw(probs, tail, cap, sens, rho)
+            rho, spread = self.rho.rho, self.rho.spread
+            probs = probs_at(rho)
+            sens = 0.0
+            if keys:
+                for shifted in (rho - spread, rho + spread):
+                    sens = max(sens, float(np.max(np.abs(probs_at(shifted) - probs))))
+            probs = dict(zip(keys, probs.tolist()))
+            tail = 1.0 - math.fsum(probs.values())
+            return LimitLaw(probs, tail, cap, sens, rho)
 
     def _remainder_orbits(self, cap: int):
         """(canonical remainder, weight, size) for all remainder orbits of

@@ -14,8 +14,7 @@ converts counting-series coefficients into branching probabilities:
 
 Every cumulative table, here and in :mod:`polyagibbs.gibbs`, is a
 :class:`DiscreteLaw`: entries with normalised cumulative probabilities,
-sampled by one uniform and a bisection, or for a whole block of draws by
-numpy's ``searchsorted`` on the same table.  The sampler dispatches on the
+sampled by one uniform and a bisection.  The sampler dispatches on the
 kind tag of a node id and caches one law per (node id, power, size), keyed
 by plain ints; sampling after the first draw of a given size is table
 lookups plus bisection.  Each node kind has one handler, a plain module
@@ -23,6 +22,17 @@ function of the sampler that reads its cached law and bisects ``cum``
 inline, so a SET or PRODUCT node costs one Python call and a sampler holds
 no reference cycle.  A law is published to the cache only once it is
 built, so threads may share a sampler.
+
+A block of 256 draws or more, as the rejection sampler of
+:mod:`polyagibbs.gibbs` takes, reads a bucket index of the table first
+(:meth:`DiscreteLaw.invert`, the guide tables of Chen and Asau 1974), and
+numpy's ``searchsorted`` only for the uniforms whose bucket holds a
+cumulative; every draw is still the entry that the bisection gives, so no
+random stream changes.  ``GibbsModel.prepare_draws`` builds the arrays and
+index of every law of a rejection block before a pool forks, so the
+workers inherit them.  The orbit lists that a limit law reads are built
+with the cyclic garbage collector paused (see
+:class:`polyagibbs.species.Enumerator`).
 """
 
 from __future__ import annotations
@@ -41,6 +51,12 @@ from .species import (
     by_kind,
     fail,
 )
+
+
+# the shortest array of uniforms that DiscreteLaw.invert passes through its
+# bucket index: below it, the index's fixed cost of a few numpy calls
+# outweighs what it saves over a binary search per uniform
+_INDEXED = 256
 
 
 class DiscreteLaw:
@@ -67,23 +83,52 @@ class DiscreteLaw:
     def sample(self, rng: random.Random):
         return self.entries[bisect_right(self.cum, rng.random())]
 
-    def sample_array(self, gen, size: int):
-        """``size`` independent draws from a ``numpy.random.Generator``, as
-        an array of entries: the rule of :meth:`sample`, inverting each
-        uniform on ``cum`` with ``side="right"`` like ``bisect_right``."""
+    def arrays(self) -> tuple:
+        """``cum`` and ``entries`` as numpy arrays, and the bucket index of
+        :meth:`invert` as 32-bit ints, built on first use and kept."""
         if self._arrays is None:
             import numpy as np
 
-            self._arrays = (np.asarray(self.cum), np.asarray(self.entries))
-        cum, entries = self._arrays
-        return entries[cum.searchsorted(gen.random(size), side="right")]
+            cum = np.asarray(self.cum)
+            k = 1 << max(4, (16 * len(self.cum) - 1).bit_length())
+            edges = np.arange(k + 1) / k
+            # the index after the entries whose cumulative is at most b / k,
+            # or -1 when a cumulative lies strictly inside the bucket
+            low = cum.searchsorted(edges[:-1], side="right")
+            high = cum.searchsorted(edges[1:], side="left")
+            index = np.where(low == high, low, -1).astype(np.int32)
+            self._arrays = (cum, np.asarray(self.entries), index)
+        return self._arrays
 
-    def prob(self, entry) -> float:
-        try:
-            i = self.entries.index(entry)
-        except ValueError:
-            return 0.0
-        return self.cum[i] - (self.cum[i - 1] if i else 0.0)
+    def sample_array(self, gen, size: int):
+        """``size`` independent draws from a ``numpy.random.Generator``, as
+        an array of entries: :meth:`invert` of ``gen.random(size)``, which
+        reads the bucket index for a block of 256 draws or more and gives
+        each uniform the entry of ``bisect_right`` on ``cum``, as
+        :meth:`sample` does."""
+        return self.invert(gen.random(size))
+
+    def invert(self, u):
+        """The entries that the uniforms of the array ``u`` select, each
+        the one that :meth:`sample` gives for it: ``bisect_right`` of the
+        uniform on ``cum``.
+
+        A long array reads a bucket index first (the guide tables of Chen
+        and Asau 1974): [0, 1) is cut into k buckets of width 1/k, k the
+        least power of two >= max(16, 16 * len(entries)), so ``u * k`` is
+        exact.  A uniform whose bucket holds no cumulative strictly inside
+        it takes the bucket's entry, which is ``bisect_right``'s for every
+        uniform of the bucket; the few others, and every uniform of a short
+        array, are inverted by numpy's ``searchsorted`` with
+        ``side="right"``."""
+        cum, entries, index = self.arrays()
+        if len(u) < _INDEXED:
+            return entries.take(cum.searchsorted(u, side="right"))
+        at = index.take((u * len(index)).astype(index.dtype))
+        miss = (at < 0).nonzero()[0]
+        if len(miss):
+            at[miss] = cum.searchsorted(u[miss], side="right")
+        return entries.take(at)
 
 
 # law terms: (engine, id, children, power, size) -> (entry, weight) pairs.

@@ -24,7 +24,6 @@ raises :class:`TailNotControlled` when the quadrature does not converge.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,12 +152,6 @@ class TruncatedSeries:
             d = gcd(d, i - nz[0])
         return max(d, 1)
 
-    def lattice_offset(self) -> int:
-        nz = self._nonzero
-        if not nz:
-            return 0
-        return nz[0] % self.lattice_span()
-
     # -- arithmetic ------------------------------------------------------
 
     def truncate(self, n: int) -> "TruncatedSeries":
@@ -234,25 +227,6 @@ class TruncatedSeries:
             base = base * base
             k >>= 1
         return result
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "truncation": self.truncation,
-                "span": self.lattice_span(),
-                "coeffs": [
-                    f"{c.numerator}/{c.denominator}" for c in self._coeffs
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries":
-        data = json.loads(text)
-        coeffs = [Fraction(s) for s in data["coeffs"]]
-        return cls(coeffs, truncation=data["truncation"])
 
 
 def cauchy_terms(a: Sequence, nonzero: Sequence, b: Sequence, m: int):

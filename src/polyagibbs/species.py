@@ -24,6 +24,7 @@ every list is built from that enumerator's memo of smaller lists.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import json
 import operator
@@ -629,6 +630,39 @@ def _by_key(runs: list):
     return merged
 
 
+class _CollectorPause:
+    """Context manager that keeps the cyclic garbage collector off while an
+    enumeration, or a limit law that reads one, builds its lists.  They
+    make no reference cycle, but they allocate many tuples that outlive
+    their generation, and each collection of the oldest generation
+    re-walks the whole growing memo.
+
+    A depth count under a lock lets nested and concurrent builds share one
+    pause: the collector goes back on once, when the last build ends, also
+    when a build raises, and only if it was on when the first began."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._resume:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
 class Enumerator:
     """Exhaustive enumeration of unlabelled objects with exact weights.
 
@@ -640,7 +674,8 @@ class Enumerator:
     compiled :class:`Program`, whose ids the enumerator then shares.  Calls
     hold a per-instance reentrant lock, so threads sharing an enumerator
     never see a half-built memo entry or mistake a key that another thread
-    is enumerating for a cycle.
+    is enumerating for a cycle.  Lists are built with the cyclic garbage
+    collector paused (:class:`_CollectorPause`).
 
     The encoding of an object is its order key (:func:`order_key`), a
     prefix-free byte string whose bytewise order is the tuple order of the
@@ -672,7 +707,7 @@ class Enumerator:
             raise EmptySize(f"no objects of negative size {n}")
         if n > self.guard:
             raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {self.guard}")
-        with self._lock:
+        with _collector_paused, self._lock:
             return self._listed(self.program.id_of(node), n, power)[0]
 
     def enumerate_root(self, n: int, power: int = 1) -> list:

@@ -76,6 +76,10 @@ def tv_distance(p, q, delta: float = 0.01) -> Tuple[float, float]:
 
     ``p`` is an EmpiricalLaw or an exact dict-with-tail; ``q`` is an exact
     law: a LimitLaw, or a (dict, tail) pair, or a plain dict summing to 1.
+    For an empirical ``p`` the radius is McDiarmid's deviation radius only
+    (:func:`deviation_radius`): it bounds how far the empirical TV strays
+    from its mean, and leaves out the (1/2) sqrt(K/N) bound on that mean
+    which :func:`multinomial_radius` adds.  For an exact ``p`` it is 0.
     """
     q_probs, q_tail = _exact_parts(q)
     if isinstance(p, EmpiricalLaw):

@@ -1,5 +1,6 @@
 """Suite-wide guards."""
 
+import gc
 import multiprocessing
 
 import pytest
@@ -12,3 +13,11 @@ def no_child_process_left():
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes left running: {left}"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test after which the cyclic garbage collector is off (a
+    collector pause that leaks would leave it off for every later test)."""
+    yield
+    assert gc.isenabled(), "the cyclic garbage collector was left off"

@@ -9,6 +9,7 @@ multiplicity) pairs; an index is a list of (cycle type, coefficient) terms
 in degree order."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -353,3 +354,87 @@ def limit_law(model, enum, cap):
         sens = max(sens, max(abs(p2[k] - probs[k]) for k in probs) if probs else 0.0)
     tail = 1.0 - math.fsum(probs.values())
     return LimitLaw(probs, tail, cap, sens, rho)
+
+
+# The attempt block of the rejection sampler as one inversion per law: a
+# draw per cycle length for the sizes of longer cycles, every uniform
+# inverted by numpy's ``searchsorted`` on the law's ``cum``, and ``owner``
+# built from ``arange(2 * size) % size``.  The reference for the package's
+# block, which must give the same arrays and leave the generator in the
+# same state.
+
+
+def searchsorted_draws(law, gen, size):
+    """``size`` draws of ``law`` with ``gen``, each uniform inverted on
+    ``cum`` with ``side="right"`` like ``bisect_right``."""
+    import numpy as np
+
+    cum, entries = np.asarray(law.cum), np.asarray(law.entries)
+    return entries[cum.searchsorted(gen.random(size), side="right")]
+
+
+def attempt_block(model, y, gen, size):
+    """``size`` Boltzmann attempts of ``model`` at y, sizes only, as the
+    arrays (offsets, owner, lengths, sizes, totals) of an AttemptBlock."""
+    import numpy as np
+
+    fix, more, longer = model._attempt_laws(y)
+    counts = np.zeros(2 * size, dtype=np.int64)
+    counts[:size] = searchsorted_draws(fix, gen, size)
+    if more is not None:
+        counts[size:] = searchsorted_draws(more, gen, size)
+    offsets = np.zeros(2 * size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    fixed = int(offsets[size])
+    lengths = np.ones(int(offsets[-1]), dtype=np.int64)
+    sizes = np.empty_like(lengths)
+    sizes[:fixed] = searchsorted_draws(model._inner_law(1, y), gen, fixed)
+    if more is not None:
+        rest = lengths[fixed:] = searchsorted_draws(longer, gen, len(lengths) - fixed)
+        rest_sizes = sizes[fixed:]
+        for l in np.bincount(rest).nonzero()[0].tolist():
+            at = rest == l
+            rest_sizes[at] = searchsorted_draws(
+                model._inner_law(l, y**l), gen, int(np.count_nonzero(at))
+            )
+    owner = np.repeat(np.arange(2 * size) % size, counts)
+    totals = np.bincount(owner, weights=lengths * sizes, minlength=size)
+    return offsets, owner, lengths, sizes, totals
+
+
+# Names that only tests read: a law's probability of one entry, the exact
+# JSON form of a series and the residue class of its index lattice.
+
+
+def law_prob(law, entry):
+    """The probability of ``entry`` under ``law``, read off ``cum``; 0.0
+    for an entry the law does not list."""
+    try:
+        i = law.entries.index(entry)
+    except ValueError:
+        return 0.0
+    return law.cum[i] - (law.cum[i - 1] if i else 0.0)
+
+
+def series_to_json(s):
+    """The truncation, lattice span and exact rational coefficients of a
+    series, as JSON."""
+    return json.dumps(
+        {
+            "truncation": s.truncation,
+            "span": s.lattice_span(),
+            "coeffs": [f"{c.numerator}/{c.denominator}" for c in s.coeffs],
+        }
+    )
+
+
+def series_from_json(text):
+    data = json.loads(text)
+    return TruncatedSeries([Fraction(c) for c in data["coeffs"]], data["truncation"])
+
+
+def lattice_offset(s):
+    """The residue of the first nonzero index modulo the lattice span, or 0
+    for the zero series."""
+    nz = s.nonzero_indices
+    return nz[0] % s.lattice_span() if nz else 0

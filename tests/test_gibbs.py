@@ -1,5 +1,6 @@
 """Composite Boltzmann model: size laws, symmetry draws, remainder limit."""
 
+import functools
 import hashlib
 import math
 import random
@@ -13,8 +14,10 @@ import pytest
 
 from oracles import (
     LoopEnumerator,
+    attempt_block,
     cycle_type_law,
     index_value,
+    law_prob,
     limit_law,
     remainder_orbits,
     z_seq,
@@ -48,6 +51,14 @@ from polyagibbs.gibbs import PLACEHOLDER, _size_law
 from polyagibbs.sampler import DiscreteLaw
 
 F = Fraction
+
+
+FOREST_TEXT = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
+
+
+@functools.cache
+def _block_model(text):
+    return GibbsModel.from_species(parse_dsl(text), truncation=200)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +98,7 @@ class TestSizeLaw:
         rng = random.Random(23)
         n = 20000
         hits = sum(1 for _ in range(n) if law.sample(rng) == 1)
-        p = law.prob(1)
+        p = law_prob(law, 1)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 4 * se
 
@@ -234,6 +245,44 @@ class TestDraws:
                 if block.totals[a] == n
             ]
             assert want and list(block.hits(n)) == want
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("size", [1, 128, 2048])
+    @pytest.mark.parametrize("text, n", [
+        (FOREST_TEXT, 8),
+        (FOREST_TEXT, 12),
+        ("L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);", 8),
+    ])
+    def test_block_is_the_loop_block(self, text, n, size, seed):
+        # the grouped draw, the bucket index and the owner built without a
+        # modulus give the arrays of one searchsorted draw per cycle length
+        model = _block_model(text)
+        y = model.tuned_parameter(n)
+        if n == 12 and text == FOREST_TEXT:
+            assert y == model.rho.rho
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = model._attempt_block(y, gen, size)
+        want = attempt_block(model, y, ref, size)
+        for name, a, b in zip(got._fields, got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_uniform_draws_split_and_join(self):
+        # the grouped draw takes as one array the uniforms that per-length
+        # draws took one after another
+        for a, b in [(0, 5), (7, 0), (3, 11), (1000, 24)]:
+            one, two = np.random.default_rng(9), np.random.default_rng(9)
+            split = np.concatenate([one.random(a), one.random(b)])
+            assert np.array_equal(split, two.random(a + b))
+            assert one.bit_generator.state == two.bit_generator.state
+
+    def test_prepared_laws_have_their_arrays(self, forest_model):
+        forest_model.prepare_draws(8, "rejection")
+        y = forest_model.tuned_parameter(8)
+        fix, more, longer = forest_model._attempt_laws(y)
+        laws = [fix, more, longer, forest_model._inner_law(1, y)]
+        laws += [forest_model._inner_law(l, y**l) for l in longer.entries]
+        assert all(law._arrays is not None for law in laws)
 
     def test_exact_stream_repeats_sample_S_n(self, forest_model):
         a, b = random.Random(31), random.Random(31)

@@ -5,7 +5,9 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import law_prob
 from polyagibbs import (
     ATOM,
     DiscreteLaw,
@@ -21,7 +23,7 @@ from polyagibbs import (
     spec,
 )
 from polyagibbs.errors import EmptySize, ZeroMass
-from polyagibbs.sampler import _product_terms, _set_terms, _table_terms
+from polyagibbs.sampler import _INDEXED, _product_terms, _set_terms, _table_terms
 from polyagibbs.species import ATOM_OBJ, EPS_OBJ, TableWeight, by_kind, fail
 
 F = Fraction
@@ -98,8 +100,8 @@ class TestDiscreteLaw:
         law = DiscreteLaw("abc", [F(1, 3), F(1, 3), F(1, 3)])
         assert law.total == 1
         assert law.cum == [float(F(1, 3)), float(F(2, 3)), 1.0]
-        assert law.prob("b") == pytest.approx(1 / 3, abs=1e-15)
-        assert law.prob("z") == 0.0
+        assert law_prob(law, "b") == pytest.approx(1 / 3, abs=1e-15)
+        assert law_prob(law, "z") == 0.0
 
     def test_zero_weight_entry_is_never_drawn(self):
         law = DiscreteLaw([1, 2, 3], [0.5, 0.0, 0.5])
@@ -126,6 +128,50 @@ class TestDiscreteLaw:
 
         want = [law.entries[bisect_right(law.cum, u)] for u in Fixed().random(5)]
         assert law.sample_array(Fixed(), 5).tolist() == want == [3, 5, 5, 8, 8]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 50),
+                st.fractions(min_value=0, max_value=50, max_denominator=1000),
+                st.floats(0, 50, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=300,
+        ).filter(lambda ws: sum(ws) > 0),
+        st.lists(st.floats(0, 1, exclude_max=True), max_size=20),
+    )
+    def test_indexed_draws_invert_like_bisect(self, weights, extra):
+        # the bucket index and its searchsorted fallback give the entry of
+        # bisect_right for every uniform: each cumulative, each bucket edge
+        # b / k, their float neighbours, 0 and the largest uniform below 1
+        import math
+        from bisect import bisect_right
+
+        import numpy as np
+
+        law = DiscreteLaw(list(range(len(weights))), weights)
+        k = len(law.arrays()[2])
+        assert k >= max(16, 16 * len(weights)) and k & (k - 1) == 0
+        points = set(law.cum) | {b / k for b in range(k)}
+        us = {0.0, 1.0 - 2.0**-53, *extra}
+        for x in points:
+            us |= {x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)}
+        us = sorted(u for u in us if 0.0 <= u < 1.0)
+        # repeated up to the length that reads the index
+        us *= -(-_INDEXED // len(us))
+
+        class Fixed:
+            def random(self, size):
+                assert size == len(us)
+                return np.array(us)
+
+        got = law.sample_array(Fixed(), len(us)).tolist()
+        assert got == [law.entries[bisect_right(law.cum, u)] for u in us]
+        # a short array, which skips the index, inverts alike
+        assert law.invert(np.array(us[:8])).tolist() == got[:8]
 
 
 # -- the recursive handlers as they were before they read their tables

@@ -52,6 +52,7 @@ from polyagibbs.species import (
     Union,
     Zero,
     _Fail,
+    _collector_paused,
     order_key,
 )
 
@@ -337,23 +338,124 @@ class TestLifetime:
 
     def test_enumeration_leaves_no_garbage(self):
         # the SET and SEQ lists are built without self-calling closures,
-        # so enumerating forests frees every temporary without the cycle
-        # collector
+        # so enumerating forests, building a whole limit law and listing a
+        # DERIVE free every temporary without the cycle collector, which
+        # they pause while they build
         import gc
 
-        s = forests()
+        def forest_lists():
+            en = Enumerator(forests())
+            for n in range(9):
+                en.enumerate_root(n)
+
+        def limit_law():
+            GibbsModel.from_species(forests(), truncation=100).limit_remainder_distribution(12)
+
+        def derive_lists():
+            en = Enumerator(parse_dsl("T := ATOM * SET(T); F := DERIVE(T);"))
+            for n in range(8):
+                en.enumerate_root(n)
+
         enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            en = Enumerator(s)
-            for n in range(9):
-                en.enumerate_root(n)
-            del en
-            assert gc.collect() == 0
+            for build in (forest_lists, limit_law, derive_lists):
+                build()
+                assert gc.collect() == 0, build.__name__
         finally:
             if enabled:
                 gc.enable()
+
+
+TWO = canonicalize(("seq", (("atom",), ("atom",))))
+TABLE = Weighted(SeqOf(ATOM), TableWeight.from_dict({TWO: F(5, 2)}))
+
+
+class TestCollectorPause:
+    """Enumeration pauses the cyclic collector and leaves it as it found
+    it: on or off, after a raise, nested and from two threads at once."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        import gc
+
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+    def test_pause_nests(self, collector):
+        import gc
+
+        with _collector_paused:
+            assert not gc.isenabled()
+            with _collector_paused:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == collector
+
+    def test_enumerate_restores_the_collector(self, collector):
+        import gc
+
+        Enumerator(forests()).enumerate_root(8)
+        assert gc.isenabled() == collector
+
+    def test_a_raise_restores_the_collector(self, collector):
+        import gc
+
+        with pytest.raises(IllFoundedRecursion):
+            Enumerator(parse_dsl("B := ATOM + B * B;")).enumerate_root(3)
+        assert gc.isenabled() == collector
+
+    def test_nested_table_count_restores_the_collector(self, collector):
+        # the engine counts a TABLE by enumeration, here inside a TABLE
+        import gc
+
+        inner = canonicalize(("set", (TWO,)))
+        nested = spec(Weighted(SetOf(TABLE), TableWeight.from_dict({inner: F(3)})))
+        assert SeriesEngine(nested).ogf(6).coeffs == (0, 0, F(15, 2), 0, 0, 0, 0)
+        assert gc.isenabled() == collector
+
+    def test_a_raise_inside_a_nested_pause_restores_the_collector(self, collector):
+        # the limit-law build pauses, and its TABLE count pauses again and
+        # raises past the enumeration guard
+        import gc
+
+        s = spec(Compose("SET", Union(Ref("T"), TABLE)), {"T": Product(ATOM, SetOf(Ref("T")))})
+        model = GibbsModel.from_species(s, truncation=40)
+        with pytest.raises(SizeGuardExceeded):
+            model.limit_remainder_distribution(6)
+        assert gc.isenabled() == collector
+
+    def test_two_threads_restore_the_collector(self, collector):
+        # two models enumerated at once, by two threads each, more threads
+        # than cores: the depth count must not lose an entry or an exit
+        import gc
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        specs = [forests(), parse_dsl("L := ATOM * SEQ(L); F := COMPOSE(SET, L);")] * 2
+        expected = [Enumerator(s).enumerate_root(9) for s in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                start = threading.Barrier(len(specs), timeout=60)
+
+                def run(s):
+                    start.wait()
+                    return Enumerator(s).enumerate_root(9)
+
+                with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+                    got = list(pool.map(run, specs, timeout=120))
+                assert got == expected
+                assert gc.isenabled() == collector
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDerivation:
