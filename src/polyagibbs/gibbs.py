@@ -418,8 +418,8 @@ class GibbsModel:
             for l, end in zip(ls.tolist(), per_length[ls].cumsum().tolist()):
                 rest_sizes[order[start:end]] = self._inner_law(l, y**l).invert(u[start:end])
                 start = end
-        # the longer cycles of attempt a follow every fixpoint, at index
-        # size + a of counts
+        # counts[size + a] counts attempt a's longer cycles, whose pairs
+        # follow the fixpoint pairs of every attempt
         owner = np.repeat(np.arange(2 * size), counts)
         owner[fixed:] -= size
         totals = np.bincount(owner, weights=lengths * sizes, minlength=size)

@@ -123,12 +123,12 @@ class DiscreteLaw:
         ``side="right"``."""
         cum, entries, index = self.arrays()
         if len(u) < _INDEXED:
-            return entries.take(cum.searchsorted(u, side="right"))
+            return entries.take(cum.searchsorted(u, side="right"), axis=0)
         at = index.take((u * len(index)).astype(index.dtype))
         miss = (at < 0).nonzero()[0]
         if len(miss):
             at[miss] = cum.searchsorted(u[miss], side="right")
-        return entries.take(at)
+        return entries.take(at, axis=0)
 
 
 # law terms: (engine, id, children, power, size) -> (entry, weight) pairs.
