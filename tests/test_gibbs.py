@@ -27,6 +27,7 @@ from polyagibbs import (
     AtomMultiplicative,
     EmptySize,
     Enumerator,
+    ExactSampler,
     GibbsModel,
     LimitLaw,
     PreconditionError,
@@ -34,6 +35,7 @@ from polyagibbs import (
     SeriesEngine,
     SizeGuardExceeded,
     SpecError,
+    SpeciesSpec,
     TableWeight,
     canonicalize,
     forests,
@@ -284,11 +286,18 @@ class TestDraws:
         laws += [forest_model._inner_law(l, y**l) for l in longer.entries]
         assert all(law._arrays is not None for law in laws)
 
-    def test_exact_stream_repeats_sample_S_n(self, forest_model):
+    @pytest.mark.parametrize("method", ["exact_recursive", "rejection"])
+    def test_exact_stream_repeats_sample_S_n(self, forest_model, method):
+        # a sample_S_n draw is the first item of a draws stream, and an
+        # exact stream is a run of sample_S_n draws
         a, b = random.Random(31), random.Random(31)
-        stream = list(islice(forest_model.draws(11, a, "exact_recursive"), 40))
-        assert stream == [forest_model.sample_S_n(11, b) for _ in range(40)]
+        first = [next(forest_model.draws(11, a, method)) for _ in range(40)]
+        assert first == [forest_model.sample_S_n(11, b, method) for _ in range(40)]
         assert a.getstate() == b.getstate()
+        if method == "exact_recursive":
+            c = random.Random(31)
+            assert list(islice(forest_model.draws(11, c, method), 40)) == first
+            assert c.getstate() == a.getstate()
 
     def test_rejection_draws_have_the_size(self, forest_model):
         rng = random.Random(4)
@@ -315,6 +324,27 @@ class TestDraws:
             forest_model.sample_S_n(30, random.Random(3), method="rejection")
         with pytest.raises(RejectionBudgetExceeded):
             list(islice(forest_model.draws(30, random.Random(3), "rejection"), 10))
+
+
+class TestInnerDraws:
+    """Inner orbits are drawn by the model's sampler at the inner node: the
+    orbit, and the rng state after it, of a sampler rooted at the inner
+    node on the model's engine."""
+
+    @pytest.mark.parametrize("text", [
+        FOREST_TEXT,
+        "T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);",
+        "L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);",
+    ], ids=["forests", "weighted-forests", "lists"])
+    def test_inner_draws_are_the_inner_root_draws(self, text):
+        model = GibbsModel.from_species(parse_dsl(text), truncation=40)
+        ref = ExactSampler(SpeciesSpec(model.inner_node, model.spec.defs), model.engine)
+        for s, l in [(1, 1), (3, 1), (7, 1), (12, 1), (5, 2), (4, 3), (6, 4), (2, 9)]:
+            for seed in range(3):
+                a, b = random.Random(seed), random.Random(seed)
+                got = model.inner_sampler().sample(s, a, power=l)
+                assert got == ref.sample(s, b, power=l)
+                assert a.getstate() == b.getstate()
 
 
 class TestTuning:
