@@ -63,7 +63,6 @@ class SeriesEngine:
     power), or one per node id when the program's weights are all 1."""
 
     def __init__(self, spec: SpeciesSpec):
-        self.spec = spec
         self.program = Program(spec)
         self._arr: Dict[Tuple[int, int], list] = {}
         self._q: Dict[Tuple[int, int], tuple] = {}

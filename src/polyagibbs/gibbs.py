@@ -252,10 +252,11 @@ class AttemptBlock(NamedTuple):
 
 
 class GibbsModel:
-    """Composite model F over G with cached series and samplers."""
+    """Composite model F over G with cached series and one exact sampler,
+    which draws composites at the root and inner objects at the inner id."""
 
     def __init__(self, composite: SpeciesSpec, truncation: int = 200):
-        # one compiled program, shared by the engine and both samplers
+        # one compiled program, shared by the engine and the sampler
         self.engine = SeriesEngine(composite)
         program = self.engine.program
         root = program.nodes[program.root]
@@ -267,7 +268,7 @@ class GibbsModel:
         self.outer = root.outer
         self.inner_node: Node = root.inner
         self.inner_id: int = program.args[program.root][0]
-        self.inner_spec = composite.with_root(root.inner)
+        self.sampler = ExactSampler(composite, self.engine)
         self.truncation = truncation
         self._laws: Dict[tuple, object] = {}
 
@@ -320,12 +321,6 @@ class GibbsModel:
     def span(self) -> int:
         return self.inner_ogf(1).lattice_span()
 
-    def exact_sampler(self) -> ExactSampler:
-        return self._law(("sampler",), lambda: ExactSampler(self.spec, self.engine))
-
-    def inner_sampler(self) -> ExactSampler:
-        return self._law(("inner sampler",), lambda: ExactSampler(self.inner_spec, self.engine))
-
     # -- partial evaluations (consistent with the truncated samplers)
 
     def inner_value(self, power: int, x: float) -> float:
@@ -359,7 +354,7 @@ class GibbsModel:
                 yield n, c
 
     def _law(self, key: tuple, build: Callable[[], object]):
-        """The law, series or sampler cached under (stage, parameters),
+        """The law, series or value cached under (stage, parameters),
         built on first use and published only once complete."""
         law = self._laws.get(key)
         if law is None:
@@ -429,10 +424,10 @@ class GibbsModel:
         """The composite orbit of (cycle_length, inner_size) pairs: one
         weight-proportional inner object per cycle, drawn in pair order
         under the powered weighting, in ``cycle_length`` identical copies."""
-        sampler = self.inner_sampler()
+        sample, inner = self.sampler.sample, self.inner_id
         copies = []
         for l, s in pairs:
-            copies.extend([sampler.sample(s, rng, power=l)] * l)
+            copies.extend([sample(s, rng, l, inner)] * l)
         if self.outer == "SET":
             return ("set", tuple(sorted(copies)))
         return ("seq", tuple(copies))
@@ -503,18 +498,17 @@ class GibbsModel:
             raise EmptySize(f"no composite objects of size {n}")
 
     def sample_S_n(self, n: int, rng: random.Random, method: str = "exact_recursive"):
-        """Size-n composite orbit, weight-proportional."""
-        if method != "exact_recursive":
-            return next(self.draws(n, rng, method))
-        self._require_size(n)
-        return self.exact_sampler().sample(n, rng)
+        """Size-n composite orbit, weight-proportional: the first item of
+        :meth:`draws`."""
+        return next(self.draws(n, rng, method))
 
     def draws(
         self, n: int, rng: random.Random, method: str = "exact_recursive"
     ) -> Iterator:
         """Independent weight-proportional size-n composite orbits.
 
-        ``"exact_recursive"`` makes one :meth:`sample_S_n` draw per item.
+        ``"exact_recursive"`` draws each item with the model's exact
+        sampler at the root.
         ``"rejection"`` turns each attempt of total n that
         :meth:`_accepted` keeps, at :meth:`tuned_parameter`, into its
         orbit: every copy of every cycle, with the inner objects drawn with
@@ -523,8 +517,8 @@ class GibbsModel:
         draw less."""
         self._require_size(n)
         if method == "exact_recursive":
-            sampler = self.exact_sampler()
-            return (sampler.sample(n, rng) for _ in repeat(None))
+            sample = self.sampler.sample
+            return (sample(n, rng) for _ in repeat(None))
         if method != "rejection":
             raise PreconditionError(f"unknown sampling method {method!r}")
         return (self._orbit(pairs, rng) for pairs in self._accepted(n, rng))
@@ -597,7 +591,7 @@ class GibbsModel:
             raise PreconditionError("composite object has no components")
         biggest = max(s for _, s in pairs)
         hole = rng.randrange(sum(l for l, s in pairs if s == biggest))
-        sampler = self.inner_sampler()
+        sample, inner = self.sampler.sample, self.inner_id
         kept, total, count = [], 0, 0
         for l, s in pairs:
             total += l * s
@@ -610,7 +604,7 @@ class GibbsModel:
                         kept.append(STAR_OBJ)
                 hole -= l
             if keep:
-                kept.extend([sampler.sample(s, rng, power=l)] * keep)
+                kept.extend([sample(s, rng, l, inner)] * keep)
         remainder = ("set", tuple(sorted(kept))) if self.outer == "SET" else ("seq", tuple(kept))
         return FragmentRecord(
             remainder=remainder,
@@ -760,7 +754,7 @@ class GibbsModel:
         size = object_size(key)
         if size >= n:
             return PLACEHOLDER
-        giant = self.inner_sampler().sample(n - size, rng)
+        giant = self.sampler.sample(n - size, rng, 1, self.inner_id)
         if self.outer == "SET":
             return ("set", tuple(sorted(key[1] + (giant,))))
         i = key[1].index(STAR_OBJ)

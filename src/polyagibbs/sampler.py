@@ -21,7 +21,10 @@ lookups plus bisection.  Each node kind has one handler, a plain module
 function of the sampler that reads its cached law and bisects ``cum``
 inline, so a SET or PRODUCT node costs one Python call and a sampler holds
 no reference cycle.  A law is published to the cache only once it is
-built, so threads may share a sampler.
+built, so threads may share a sampler.  A draw starts at the root or at
+any node id, so a :class:`~polyagibbs.gibbs.GibbsModel` keeps one sampler:
+composites are drawn at its root and the inner objects of the rejection
+path at the inner node's id, from one cache of laws.
 
 A block of 256 draws or more, as the rejection sampler of
 :mod:`polyagibbs.gibbs` takes, reads a bucket index of the table first
@@ -255,8 +258,9 @@ def _cannot_sample(*_):
 
 class ExactSampler:
     """Draws size-n orbits of a species with probability proportional to
-    their weight.  The sampler reads the program and the streams of its
-    engine, so samplers sharing an engine share one program."""
+    their weight: of the spec's root, or of any node of its program by id.
+    The sampler reads the program and the streams of its engine, so
+    samplers sharing an engine share one program."""
 
     def __init__(self, spec: SpeciesSpec, engine: SeriesEngine | None = None):
         self.engine = engine or SeriesEngine(spec)
@@ -270,10 +274,13 @@ class ExactSampler:
         # DERIVE nodes, which are counted and never drawn
         self._draw = [self._kinds[k] for k in self.program.kind]
 
-    def sample(self, n: int, rng: random.Random, power: int = 1):
+    def sample(self, n: int, rng: random.Random, power: int = 1, node: int | None = None):
+        """A size-n orbit of the node with id ``node``, or of the root when
+        ``node`` is None, under the nu^power weighting."""
         if n < 0:
             raise EmptySize(f"no objects of negative size {n}")
-        return self._draw[self.root](self, self.root, power, n, rng)
+        i = self.root if node is None else node
+        return self._draw[i](self, i, power, n, rng)
 
     def _law(self, terms, i: int, power: int, n: int) -> DiscreteLaw:
         """Builds the law of node i at (power, n) from the nonzero (entry,

@@ -188,9 +188,6 @@ class SpeciesSpec:
     root: Node
     defs: Tuple[Tuple[str, Node], ...] = ()
 
-    def with_root(self, root: Node) -> "SpeciesSpec":
-        return SpeciesSpec(root, self.defs)
-
 
 def spec(root: Node, defs: Dict[str, Node] | None = None) -> SpeciesSpec:
     return SpeciesSpec(root, tuple(sorted((defs or {}).items())))

@@ -342,9 +342,30 @@ class TestInnerDraws:
         for s, l in [(1, 1), (3, 1), (7, 1), (12, 1), (5, 2), (4, 3), (6, 4), (2, 9)]:
             for seed in range(3):
                 a, b = random.Random(seed), random.Random(seed)
-                got = model.inner_sampler().sample(s, a, power=l)
+                got = model.sampler.sample(s, a, l, model.inner_id)
                 assert got == ref.sample(s, b, power=l)
                 assert a.getstate() == b.getstate()
+
+    def test_rejection_remainders_reuse_the_exact_tables(self, monkeypatch):
+        # the inner laws that exact draws built are the ones that rejection
+        # remainders read: no (id, power, size) law is built twice
+        built = []
+        law = ExactSampler._law
+
+        def spy(self, terms, i, power, n):
+            built.append((i, power, n))
+            return law(self, terms, i, power, n)
+
+        monkeypatch.setattr(ExactSampler, "_law", spy)
+        model = GibbsModel.from_species(forests(), truncation=200)
+        rng = random.Random(7)
+        list(islice(model.draws(40, rng, "exact_recursive"), 200))
+        exact = set(built)
+        built.clear()
+        list(islice(model.remainders(12, rng, "rejection"), 2000))
+        assert any(i == model.inner_id for i, _, _ in exact)
+        assert built and not exact & set(built)
+        assert len(built) == len(set(built))
 
 
 class TestTuning:
@@ -738,8 +759,7 @@ class TestLifetime:
             model.sample_S_n(10, random.Random(1))
             model.sample_S_n(6, random.Random(1), method="rejection")
             model.limit_remainder_distribution(5)
-            parts = (model, model.engine, model.exact_sampler(),
-                     model.inner_sampler(), model.engine.enumerator)
+            parts = (model, model.engine, model.sampler, model.engine.enumerator)
             refs = [weakref.ref(p) for p in parts]
             del model, parts
             assert all(r() is None for r in refs)
