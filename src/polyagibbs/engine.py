@@ -24,6 +24,8 @@ The engine owns the program's one :class:`~polyagibbs.species.Enumerator`.
 A TABLE coefficient is the sum of that enumerator's orbit weights, to size
 ``DEFAULT_SIZE_GUARD`` (14) even after a model's limit law, which lists
 its orbits from the same memo, raises the enumerator's guard to its cap.
+Past the largest size of a tabled orbit every TABLE coefficient is 0, so a
+table whose keys all fit under the guard is counted to any truncation.
 
 Everything is exact.  SIZED coefficients, TABLE weights and WEIGHT
 constants are normalised with :func:`~polyagibbs.series.as_exact`, so a
@@ -176,10 +178,13 @@ class SeriesEngine:
             self._busy.discard(key)
 
     def orbits(self, i: int, n: int, power: int) -> list:
-        """The enumerated orbits of node i: TABLE weights have no closed
-        recurrence, so they are counted and drawn by exhaustive enumeration,
-        to size ``DEFAULT_SIZE_GUARD`` even where a limit law has raised
-        the enumerator's own guard."""
+        """The enumerated orbits of TABLE node i: TABLE weights have no
+        closed recurrence, so they are counted and drawn by exhaustive
+        enumeration, to size ``DEFAULT_SIZE_GUARD`` even where a limit law
+        has raised the enumerator's own guard.  Past the table's support
+        there is no orbit to enumerate, at any size."""
+        if n > self.program.data[i].support:
+            return []
         if n > DEFAULT_SIZE_GUARD:
             raise SizeGuardExceeded(f"size {n} exceeds enumeration guard {DEFAULT_SIZE_GUARD}")
         return self.enumerator.enumerate(i, n, power)

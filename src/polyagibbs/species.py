@@ -32,6 +32,7 @@ import re
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .errors import (
@@ -71,17 +72,31 @@ class AtomMultiplicative:
 @dataclass(frozen=True)
 class TableWeight:
     """Explicit per-orbit weights keyed by canonical form; zero outside the
-    (finite) support."""
+    (finite) support.  A negative weight, or a key that is not a canonical
+    object, raises :class:`SpecError`: enumerated orbits are canonical, so
+    such a key would never be matched."""
 
     table: Tuple[Tuple[object, Fraction], ...]
 
-    @classmethod
-    def from_dict(cls, d) -> "TableWeight":
-        items = tuple(sorted((k, Fraction(v)) for k, v in d.items()))
-        for _, v in items:
+    def __post_init__(self):
+        for k, v in self.table:
             if v < 0:
                 raise SpecError("table weights must be >= 0")
-        return cls(items)
+            try:
+                canonical = canonicalize(k) == k
+            except (ValueError, TypeError, IndexError):
+                canonical = False
+            if not canonical:
+                raise SpecError(f"table key {k!r} is not a canonical object")
+
+    @classmethod
+    def from_dict(cls, d) -> "TableWeight":
+        return cls(tuple(sorted((k, Fraction(v)) for k, v in d.items())))
+
+    @cached_property
+    def support(self) -> int:
+        """The largest size of a tabled orbit: every larger size weighs 0."""
+        return max((object_size(k) for k, _ in self.table), default=-1)
 
     def factor(self, obj, size: int) -> Fraction:
         for k, v in self.table:
@@ -516,8 +531,9 @@ def object_to_string(obj) -> str:
 
 
 def mark_one_atom(obj) -> List[tuple]:
-    """All ways of replacing a single atom by a star (before
-    canonicalization).  The star is ``("star",)`` in an object without
+    """All ways of replacing a single atom by a star, each canonical when
+    ``obj`` is: only the path from the star to the root is rebuilt, and the
+    children of each SET on it are sorted again.  The star is ``("star",)`` in an object without
     stars and ``("star", k + 1)`` in one whose highest star label is k
     (``("star",)`` has label 1), so the marks of nested derivatives stay
     apart."""
@@ -545,9 +561,13 @@ def _mark_atoms(obj, star) -> List[tuple]:
         return [star]
     if head == "blob":
         raise SpecError("cannot derive a SIZED species (no atom structure)")
-    if head in ("set", "seq"):
+    if head == "seq":
         children = obj[1]
         return [(head, children[:i] + (m,) + children[i + 1 :])
+                for i, c in enumerate(children) for m in _mark_atoms(c, star)]
+    if head == "set":
+        children = obj[1]
+        return [(head, tuple(sorted(children[:i] + (m,) + children[i + 1 :])))
                 for i, c in enumerate(children) for m in _mark_atoms(c, star)]
     if head == "prod":
         return ([("prod", m, obj[2]) for m in _mark_atoms(obj[1], star)]
@@ -829,7 +849,7 @@ class Enumerator:
         seen = {}
         for o, w in self._listed(self.program.args[i][0], n + 1, power)[0]:
             for marked in mark_one_atom(o):
-                seen[canonicalize(marked)] = w
+                seen[marked] = w
         listed = sorted(((order_key(o), (o, w)) for o, w in seen.items()), key=_first)
         return [orbit for _, orbit in listed], [k for k, _ in listed]
 

@@ -630,12 +630,14 @@ class TestLimitLawBuild:
 
     def test_a_limit_law_keeps_the_table_bound(self):
         # a limit law may list orbits past size 14, but TABLE weights are
-        # still counted only to size 14, by the same enumeration guard
+        # still counted only to size 14, by the same enumeration guard,
+        # inside the table's support (here to size 15)
         from polyagibbs.species import ATOM, Compose, SeqOf, Union, Weighted, spec
 
         coeffs = [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 15)]
         pair = canonicalize(("seq", (("atom",), ("atom",))))
-        table = Weighted(SeqOf(ATOM), TableWeight.from_dict({pair: F(1, 8)}))
+        long = ("seq", (("atom",),) * 15)
+        table = Weighted(SeqOf(ATOM), TableWeight.from_dict({pair: F(1, 8), long: F(1, 8)}))
         inner = Union(sized_species(coeffs).root, table)
         model = GibbsModel(spec(Compose("SET", inner)), truncation=14)
         law = model.limit_remainder_distribution(17)
@@ -643,6 +645,26 @@ class TestLimitLawBuild:
         assert model.engine.coeff(table, 1, 2) == F(1, 8)
         with pytest.raises(SizeGuardExceeded, match="^size 15 exceeds enumeration guard 14$"):
             model.engine.coeff(table, 1, 15)
+
+    def test_a_table_is_counted_to_any_truncation_past_its_support(self):
+        # a TABLE weighs nothing past its largest key, so its counts need no
+        # enumeration there, and a model holding one builds at truncation 40
+        from polyagibbs.species import ATOM, Compose, Product, Ref, SeqOf, SetOf, Union, Weighted, spec
+
+        pair = canonicalize(("seq", (("atom",), ("atom",))))
+        table = Weighted(SeqOf(ATOM), TableWeight.from_dict({pair: F(5, 2)}))
+        s = spec(Compose("SET", Union(Ref("T"), table)), {"T": Product(ATOM, SetOf(Ref("T")))})
+        model = GibbsModel(s, truncation=40)
+        enum = Enumerator(s)
+        for power in (1, 2, 3):
+            counts = model.engine.ogf(40, node=table, power=power).coeffs
+            want = [sum(w for _, w in enum.enumerate(table, n, power)) for n in range(15)]
+            assert list(counts[:15]) == want and want[2] == F(5, 2) ** power
+            assert not any(counts[15:])
+        want = [sum(w for _, w in enum.enumerate_root(n)) for n in range(11)]
+        assert list(model.composite_ogf.coeffs[:11]) == want
+        law = model.limit_remainder_distribution(6)
+        assert len(law.probs) == 107 and abs(law.total - 1) < 1e-12
 
 
 class TestCycleStatistics:

@@ -125,6 +125,27 @@ class TestEnumeration:
         assert total(en.enumerate_root(2)) == 3
         assert total(en.enumerate_root(3)) == 0
 
+    def test_table_keys_are_checked(self):
+        # an orbit key that is not canonical would never match an
+        # enumerated orbit, so it is refused, as is a negative weight, on
+        # direct construction too
+        pair = ("set", (("tag", 0, ("atom",)), ("tag", 1, ("prod", ("atom",), ("atom",)))))
+        reversed_pair = ("set", pair[1][::-1])
+        assert canonicalize(pair) == pair
+        counted = TableWeight.from_dict({pair: F(3)})
+        s = spec(Weighted(SetOf(Union(ATOM, Product(ATOM, ATOM))), counted))
+        assert SeriesEngine(s).ogf(4).coeffs == (0, 0, 0, 3, 0)
+        bad = [
+            ({reversed_pair: F(3)}, "is not a canonical object"),
+            ({("leaf",): F(1)}, "is not a canonical object"),
+            ({pair: F(-1)}, "must be >= 0"),
+        ]
+        for table, message in bad:
+            with pytest.raises(SpecError, match=message):
+                TableWeight.from_dict(table)
+            with pytest.raises(SpecError, match=message):
+                TableWeight(tuple(table.items()))
+
     def test_size_guard(self):
         en = Enumerator(polya_trees(), guard=5)
         with pytest.raises(SizeGuardExceeded):
@@ -421,10 +442,12 @@ class TestCollectorPause:
 
     def test_a_raise_inside_a_nested_pause_restores_the_collector(self, collector):
         # the limit-law build pauses, and its TABLE count pauses again and
-        # raises past the enumeration guard
+        # raises past the enumeration guard, inside the table's support
         import gc
 
-        s = spec(Compose("SET", Union(Ref("T"), TABLE)), {"T": Product(ATOM, SetOf(Ref("T")))})
+        long = ("seq", (("atom",),) * 15)
+        table = Weighted(SeqOf(ATOM), TableWeight.from_dict({TWO: F(5, 2), long: F(1)}))
+        s = spec(Compose("SET", Union(Ref("T"), table)), {"T": Product(ATOM, SetOf(Ref("T")))})
         model = GibbsModel.from_species(s, truncation=40)
         with pytest.raises(SizeGuardExceeded):
             model.limit_remainder_distribution(6)
@@ -458,6 +481,19 @@ class TestCollectorPause:
             sys.setswitchinterval(interval)
 
 
+# canonical objects without blobs, whose atoms can all be marked
+_markable = st.recursive(
+    st.sampled_from([("atom",), ("eps",), ("star",), ("star", 2)]),
+    lambda children: st.one_of(
+        st.builds(lambda a, b: ("prod", a, b), children, children),
+        st.builds(lambda cs: ("set", tuple(cs)), st.lists(children, max_size=4)),
+        st.builds(lambda cs: ("seq", tuple(cs)), st.lists(children, max_size=3)),
+        st.builds(lambda side, c: ("tag", side, c), st.integers(0, 1), children),
+    ),
+    max_leaves=10,
+).map(canonicalize)
+
+
 class TestDerivation:
     def test_atom_derivative_is_epsilon(self):
         assert list(ogf(derived_spec(spec(ATOM)), 5).coeffs) == [1, 0, 0, 0, 0, 0]
@@ -487,6 +523,23 @@ class TestDerivation:
         derived = derived_spec(sized_species([F(0), F(1), F(1)]))
         with pytest.raises(SpecError, match="cannot derive a SIZED species"):
             ogf(derived, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(obj=_markable)
+    def test_every_mark_of_a_canonical_object_is_canonical(self, obj):
+        marks = mark_one_atom(obj)
+        assert all(canonicalize(m) == m for m in marks)
+        assert len(marks) == object_size(obj)
+
+    def test_derived_orbits_are_the_canonical_marks(self):
+        # DERIVE lists the marks as they are, once each
+        s = parse_dsl(MIXED)
+        en = Enumerator(s)
+        derive = s.defs[0][1].left.right
+        for n in range(8):
+            marks = {canonicalize(m) for o, _ in en.enumerate(derive.inner, n + 1)
+                     for m in mark_one_atom(o)}
+            assert sorted(o for o, _ in en.enumerate(derive, n)) == sorted(marks)
 
     def test_nested_derive_stars_are_labelled_apart(self):
         # the second mark of a derivative of a derivative is a new star
