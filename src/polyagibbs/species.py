@@ -533,10 +533,10 @@ def object_to_string(obj) -> str:
 def mark_one_atom(obj) -> List[tuple]:
     """All ways of replacing a single atom by a star, each canonical when
     ``obj`` is: only the path from the star to the root is rebuilt, and the
-    children of each SET on it are sorted again.  The star is ``("star",)`` in an object without
-    stars and ``("star", k + 1)`` in one whose highest star label is k
-    (``("star",)`` has label 1), so the marks of nested derivatives stay
-    apart."""
+    children of each SET on it are sorted again.  The star is
+    ``("star",)`` in an object without stars and ``("star", k + 1)`` in
+    one whose highest star label is k (``("star",)`` has label 1), so the
+    marks of nested derivatives stay apart."""
     k = _star_label(obj)
     return _mark_atoms(obj, STAR_OBJ if k == 0 else ("star", k + 1))
 
@@ -561,14 +561,11 @@ def _mark_atoms(obj, star) -> List[tuple]:
         return [star]
     if head == "blob":
         raise SpecError("cannot derive a SIZED species (no atom structure)")
-    if head == "seq":
+    if head in ("set", "seq"):
         children = obj[1]
-        return [(head, children[:i] + (m,) + children[i + 1 :])
-                for i, c in enumerate(children) for m in _mark_atoms(c, star)]
-    if head == "set":
-        children = obj[1]
-        return [(head, tuple(sorted(children[:i] + (m,) + children[i + 1 :])))
-                for i, c in enumerate(children) for m in _mark_atoms(c, star)]
+        marks = [children[:i] + (m,) + children[i + 1 :]
+                 for i, c in enumerate(children) for m in _mark_atoms(c, star)]
+        return [(head, tuple(sorted(t)) if head == "set" else t) for t in marks]
     if head == "prod":
         return ([("prod", m, obj[2]) for m in _mark_atoms(obj[1], star)]
                 + [("prod", obj[1], m) for m in _mark_atoms(obj[2], star)])

@@ -138,6 +138,8 @@ class TestEnumeration:
         bad = [
             ({reversed_pair: F(3)}, "is not a canonical object"),
             ({("leaf",): F(1)}, "is not a canonical object"),
+            ({(): F(1)}, "is not a canonical object"),
+            ({5: F(1)}, "is not a canonical object"),
             ({pair: F(-1)}, "must be >= 0"),
         ]
         for table, message in bad:
