@@ -13,6 +13,8 @@ run whose sizes share one chunk plan.  ``limit-cap12`` pins the limit law
 at the cap and truncation of the ``tv-rejection`` benchmark: 20,299 orbit
 probabilities, the tail and the radius sensitivity.  ``limit-seq`` pins a
 SEQ limit law, whose remainder is a pair of sequences of linear objects.
+``limit-weighted`` pins a limit law whose orbit weights are not 1: rooted
+trees weighted 1/3 per atom.
 """
 
 import hashlib
@@ -86,6 +88,11 @@ GOLDEN = {
         ["limit", "--spec", "L := ATOM * SEQ(L); F := COMPOSE(SEQ, L);", "--trunc", "60",
          "--cap", "8", "--seed", "14"],
         "30ba73f532f11473e924dc2ed7dea6fe6e02d895222dcb01f75b1f662d3236cd",
+    ),
+    "limit-weighted": (
+        ["limit", "--spec", "T := ATOM * SET(T); W := WEIGHT(T, 1/3); F := COMPOSE(SET, W);",
+         "--trunc", "100", "--cap", "8", "--seed", "14"],
+        "668ef601bfe160003d37258490db3bbef72b1df10051f95ae29611c7c0fb3871",
     ),
     "tv-remainder": (
         ["tv", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "10",
