@@ -47,7 +47,6 @@ from .species import (
     SpeciesSpec,
     TableWeight,
     Union,
-    UnitWeight,
     Weighted,
     Zero,
     canonicalize,

@@ -27,9 +27,10 @@ its orbits from the same memo, raises the enumerator's guard to its cap.
 Past the largest size of a tabled orbit every TABLE coefficient is 0, so a
 table whose keys all fit under the guard is counted to any truncation.
 
-Everything is exact.  SIZED coefficients, TABLE weights and WEIGHT
-constants are normalised with :func:`~polyagibbs.series.as_exact`, so a
-spec whose weights are all integral yields streams of Python `int`; a
+Everything is exact.  SIZED coefficients, WEIGHT constants and TABLE
+sums are normalised with :func:`~polyagibbs.series.as_exact`, so a spec
+whose weights are all integral yields streams of Python `int` (and the
+enumerator, which multiplies by the same constants, `int` weights); a
 rational weight p/q makes the same code produce `Fraction` values.  The
 one division, in the SET recurrence, goes through
 :func:`~polyagibbs.series.exact_div`.

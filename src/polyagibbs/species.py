@@ -50,12 +50,6 @@ DEFAULT_SIZE_GUARD = 14
 
 
 @dataclass(frozen=True)
-class UnitWeight:
-    def factor(self, obj, size: int) -> Fraction:
-        return Fraction(1)
-
-
-@dataclass(frozen=True)
 class AtomMultiplicative:
     """Weight c^{size}; the powered weighting nu^i is c^{i*size}."""
 
@@ -64,9 +58,6 @@ class AtomMultiplicative:
     def __post_init__(self):
         if self.c <= 0:
             raise SpecError("atom-multiplicative weight must be positive")
-
-    def factor(self, obj, size: int) -> Fraction:
-        return self.c**size
 
 
 @dataclass(frozen=True)
@@ -438,9 +429,9 @@ class Program:
             model = node.model
             if isinstance(model, TableWeight):
                 return K_TABLE, (node.inner,), model
-            if not isinstance(model, (UnitWeight, AtomMultiplicative)):
+            if not isinstance(model, AtomMultiplicative):
                 raise SpecError(f"unknown weight model {type(model).__name__}")
-            return K_WEIGHT, (node.inner,), as_exact(getattr(model, "c", 1))
+            return K_WEIGHT, (node.inner,), as_exact(model.c)
         if isinstance(node, _Fail):
             return K_FAIL, (), node.error
         if type(node) not in _OP_OF:
@@ -613,21 +604,6 @@ def _keyed(orbits: list) -> tuple:
     return orbits, [order_key(o) for o, _ in orbits]
 
 
-# the weight of ATOM, EPSILON and the empty SET and SEQ, which products skip
-_ONE = Fraction(1)
-
-
-def _times(a, b):
-    """a * b, skipping a factor that is an exact `Fraction` 1 when the other
-    is a `Fraction` too: the value and type of ``a * b``."""
-    if type(a) is Fraction and type(b) is Fraction:
-        if a is _ONE or a == 1:
-            return b
-        if b is _ONE or b == 1:
-            return a
-    return a * b
-
-
 _first = operator.itemgetter(0)
 
 
@@ -682,7 +658,10 @@ class Enumerator:
 
     ``enumerate(node, n, power)`` returns the duplicate-free list of
     (canonical object, nu^power weight) pairs of size n, sorted by
-    encoding, memoised per (node id, size, power).  A negative n raises
+    encoding, memoised per (node id, size, power).  Weights are the
+    engine's numbers: leaves weigh the `int` 1 and a WEIGHT multiplies by
+    the engine's constant c^(power * n), so a weight is an `int` unless a
+    factor is a `Fraction`.  A negative n raises
     :class:`EmptySize` and an n above ``guard`` :class:`SizeGuardExceeded`;
     a DERIVE inside may read one size up.  ``spec`` may be an already
     compiled :class:`Program`, whose ids the enumerator then shares.  Calls
@@ -759,7 +738,7 @@ class Enumerator:
         out, keys = [], []
         for ka, (a, wa), (ro, rk) in _by_key(runs):
             pre = _HEAD_BYTE["prod"] + ka
-            out += [(("prod", a, b), _times(wa, wb)) for b, wb in ro]
+            out += [(("prod", a, b), wa * wb) for b, wb in ro]
             keys += [pre + kb for kb in rk]
         return out, keys
 
@@ -778,7 +757,7 @@ class Enumerator:
         child, so each multiset is listed once."""
         inner = self._inner(i, power)
         if n == 0:
-            return _keyed([(("set", ()), _ONE)])
+            return _keyed([(("set", ()), 1)])
         runs = []
         for s in range(1, n + 1):
             orbits, ks = self._listed(inner, s, power)
@@ -789,13 +768,13 @@ class Enumerator:
             pre = head + kc
             if s == n:
                 # the one SET orbit of size 0 is the empty set
-                out.append((("set", (c,)), _times(wc, rest[0][1])))
+                out.append((("set", (c,)), wc * rest[0][1]))
                 keys.append(pre + _END)
                 continue
             j = bisect.bisect_left(rk, pre)
             if j < len(rk):
                 c = (c,)
-                out += [(("set", c + m[1]), _times(wc, wm)) for m, wm in rest[j:]]
+                out += [(("set", c + m[1]), wc * wm) for m, wm in rest[j:]]
                 keys += [pre + km[1:] for km in rk[j:]]
         return out, keys
 
@@ -804,7 +783,7 @@ class Enumerator:
         order, followed by every memoised SEQ orbit of size n - s."""
         inner = self._inner(i, power)
         if n == 0:
-            return _keyed([(("seq", ()), _ONE)])
+            return _keyed([(("seq", ()), 1)])
         runs = []
         for s in range(1, n + 1):
             heads, hk = self._listed(inner, s, power)
@@ -814,7 +793,7 @@ class Enumerator:
         for ko, (o, wo), (tails, tk) in _by_key(runs):
             pre = head + ko
             o = (o,)
-            out += [(("seq", o + t[1]), _times(wo, wt)) for t, wt in tails]
+            out += [(("seq", o + t[1]), wo * wt) for t, wt in tails]
             keys += [pre + kt[1:] for kt in tk]
         return out, keys
 
@@ -828,7 +807,14 @@ class Enumerator:
         return out, keys
 
     def _weighted(self, i: int, n: int, power: int) -> tuple:
-        model = self.program.nodes[i].model
+        """The inner orbits and keys, each weight times c^(power * n)."""
+        f = self.program.data[i] ** (power * n)
+        orbits, keys = self._listed(self.program.args[i][0], n, power)
+        return [(o, w * f) for o, w in orbits], keys
+
+    def _tabled(self, i: int, n: int, power: int) -> tuple:
+        """The inner orbits of nonzero table weight, times it to the power."""
+        model = self.program.data[i]
         out, keys = [], []
         for (o, w), k in zip(*self._listed(self.program.args[i][0], n, power)):
             f = model.factor(o, n)
@@ -853,8 +839,8 @@ class Enumerator:
     # plain functions, not bound methods, so an enumerator holds no
     # reference cycle: (enumerator, id, size, power) -> (orbits, keys)
     _list = by_kind(
-        ATOM=lambda e, i, n, p: _keyed([(ATOM_OBJ, _ONE)] if n == 1 else []),
-        EPSILON=lambda e, i, n, p: _keyed([(EPS_OBJ, _ONE)] if n == 0 else []),
+        ATOM=lambda e, i, n, p: _keyed([(ATOM_OBJ, 1)] if n == 1 else []),
+        EPSILON=lambda e, i, n, p: _keyed([(EPS_OBJ, 1)] if n == 0 else []),
         ZERO=lambda e, i, n, p: ([], []),
         SIZED=lambda e, i, n, p: _keyed(
             [(("blob", n), e.program.sized(i, n) ** p)] if e.program.sized(i, n) else []
@@ -864,7 +850,7 @@ class Enumerator:
         SET=_multisets,
         SEQ=_sequences,
         WEIGHT=_weighted,
-        TABLE=_weighted,
+        TABLE=_tabled,
         DERIVE=_derive,
         FAIL=fail,
     )

@@ -181,10 +181,11 @@ class PerPowerEngine(SeriesEngine):
 # An enumerator of its own, whose lists are sorted by comparing the objects
 # as tuples: PRODUCT and SET orbits take every product, SEQ lists recurse on
 # themselves outside the memo, and the limit-law build walks the orbits once
-# per radius.  The reference for the package's enumerator, which builds its
-# lists in the order of their byte keys, skips the factors that are an exact
-# 1 and reads the orbits once, and must give the same lists and the same
-# floats.
+# per radius.  Weights follow the engine's number rule: leaves weigh the
+# `int` 1 and a WEIGHT multiplies by the compiled constant c^(power * n).
+# The reference for the package's enumerator, which builds its lists in the
+# order of their byte keys and reads the orbits once, and must give the same
+# lists, with the same weight types, and the same floats.
 
 
 class LoopEnumerator:
@@ -263,12 +264,12 @@ class LoopEnumerator:
                         objs.append(o)
                     rec(remaining - k * s, size_idx + 1, chosen + tuple(objs), w)
 
-        rec(n, 0, (), Fraction(1))
+        rec(n, 0, (), 1)
         return out
 
     def _sequences(self, i, inner, n, power):
         if n == 0:
-            return [((), Fraction(1))]
+            return [((), 1)]
         out = []
         for s in range(1, n + 1):
             heads = self._enumerate(inner, s, power)
@@ -281,7 +282,11 @@ class LoopEnumerator:
         return out
 
     def _weighted(self, i, n, power):
-        model = self.program.nodes[i].model
+        f = self.program.data[i] ** (power * n)
+        return [(o, w * f) for o, w in self._enumerate(self.program.args[i][0], n, power)]
+
+    def _tabled(self, i, n, power):
+        model = self.program.data[i]
         out = []
         for o, w in self._enumerate(self.program.args[i][0], n, power):
             f = model.factor(o, n)
@@ -299,8 +304,8 @@ class LoopEnumerator:
         return list(seen.items())
 
     _list = by_kind(
-        ATOM=lambda e, i, n, p: [(ATOM_OBJ, Fraction(1))] if n == 1 else [],
-        EPSILON=lambda e, i, n, p: [(EPS_OBJ, Fraction(1))] if n == 0 else [],
+        ATOM=lambda e, i, n, p: [(ATOM_OBJ, 1)] if n == 1 else [],
+        EPSILON=lambda e, i, n, p: [(EPS_OBJ, 1)] if n == 0 else [],
         ZERO=lambda e, i, n, p: [],
         SIZED=lambda e, i, n, p: [(("blob", n), e.program.sized(i, n) ** p)]
         if e.program.sized(i, n) else [],
@@ -313,7 +318,7 @@ class LoopEnumerator:
         SET=lambda e, i, n, p: e._collection("set", e._multisets, i, n, p),
         SEQ=lambda e, i, n, p: e._collection("seq", e._sequences, i, n, p),
         WEIGHT=_weighted,
-        TABLE=_weighted,
+        TABLE=_tabled,
         DERIVE=_derive,
         FAIL=fail,
     )

@@ -117,6 +117,27 @@ class TestEnumeration:
         for n in range(1, 8):
             assert total(en.enumerate_root(n)) == F(1, 2**n)
 
+    @pytest.mark.parametrize(
+        "text, counts, weight, kind",
+        [
+            ("T := ATOM * SET(T); F := COMPOSE(SET, T);", FOREST_COUNTS, 1, int),
+            ("T := ATOM * SET(T); F := SET(WEIGHT(T, 2));", FOREST_COUNTS, 2, int),
+            ("T := ATOM * SET(T); F := SET(WEIGHT(T, 1/3));", FOREST_COUNTS, F(1, 3), F),
+            ("F := SEQ(WEIGHT(ATOM, 2));", [1] * 8, 2, int),
+            ("F := SEQ(WEIGHT(ATOM, 1/3));", [1] * 8, F(1, 3), F),
+        ],
+        ids=["forests", "forests-2", "forests-1/3", "atoms-2", "atoms-1/3"],
+    )
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_weights_are_the_engine_numbers(self, text, counts, weight, kind, power):
+        # a weight is an int unless a factor is a Fraction: every orbit of
+        # size n weighs weight^(power * n), an int for an integral WEIGHT
+        en = Enumerator(parse_dsl(text))
+        for n in range(1, 8):
+            orbits = en.enumerate_root(n, power)
+            assert len(orbits) == counts[n]
+            assert {(w, type(w)) for _, w in orbits} == {(weight ** (power * n), kind)}
+
     def test_table_weight(self):
         model = TableWeight.from_dict(
             {canonicalize(("seq", (("atom",), ("atom",)))): F(3)}
