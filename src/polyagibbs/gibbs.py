@@ -651,6 +651,8 @@ class GibbsModel:
         entry."""
         import numpy as np
 
+        if self.outer == "SEQ":
+            self._seq_remainder_ratio()
         enum = self.engine.enumerator
         # the guard rises in place, so the orbits listed so far stay memoised
         enum.guard = max(enum.guard, cap)
@@ -705,6 +707,14 @@ class GibbsModel:
                     for cut in range(len(left) + 1):
                         yield ("seq", left[:cut] + (STAR_OBJ,) + left[cut:]), w, n
 
+    def _seq_remainder_ratio(self) -> float:
+        """G(rho) of a SEQ model, the ratio of its remainder's geometric
+        block counts; :class:`ZeroMass` when it is not below 1."""
+        q = self.inner_value(1, self.rho.rho)
+        if q >= 1:
+            raise ZeroMass("sequence model has no finite limit remainder")
+        return q
+
     def limit_component_count_law(self, cap: int) -> Tuple[Dict[int, float], float]:
         """Exact law of the component count of the limit remainder.
 
@@ -733,9 +743,7 @@ class GibbsModel:
             a = [0.0] + [i * lams.get(i, 0.0) for i in range(1, cap + 1)]
             p = _set_index_parts(a, math.exp(-math.fsum(lams.values())))
         else:
-            q = self.inner_value(1, rho)
-            if q >= 1:
-                raise ZeroMass("sequence model has no finite limit remainder")
+            q = self._seq_remainder_ratio()
             p = [(k + 1) * (1.0 - q) ** 2 * q**k for k in range(cap + 1)]
         probs = {k: pk for k, pk in enumerate(p)}
         return probs, max(0.0, 1.0 - math.fsum(p))

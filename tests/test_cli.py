@@ -12,6 +12,7 @@ import pytest
 import polyagibbs
 from polyagibbs.cli import main
 from polyagibbs.stats import _usable_cpus
+from test_gibbs import SEQ_WITHOUT_REMAINDER
 
 FOREST_DSL = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
 
@@ -341,6 +342,13 @@ class TestErrors:
         monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, 1e-6, {}))
         code, _ = run(capsys, "limit", "--spec", FOREST_DSL, "--trunc", "60", "--cap", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("text", SEQ_WITHOUT_REMAINDER)
+    def test_seq_model_without_a_finite_remainder_exits_3(self, capsys, text):
+        assert main(["limit", "--spec", text, "--trunc", "60", "--cap", "6"]) == 3
+        err = capsys.readouterr().err
+        assert "sequence model has no finite limit remainder" in err
+        assert "Traceback" not in err
 
     def test_rejection_budget_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr("polyagibbs.gibbs._REJECTION_BUDGET", 5)

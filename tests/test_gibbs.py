@@ -23,6 +23,7 @@ from oracles import (
     z_seq,
     z_set,
 )
+from test_golden import MIXED_INNER
 from polyagibbs import (
     AtomMultiplicative,
     EmptySize,
@@ -37,6 +38,7 @@ from polyagibbs import (
     SpecError,
     SpeciesSpec,
     TableWeight,
+    ZeroMass,
     canonicalize,
     forests,
     multinomial_radius,
@@ -56,6 +58,12 @@ F = Fraction
 
 
 FOREST_TEXT = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
+# SEQ models whose inner series is not below 1 at its radius: sequences of
+# lists (G(rho) = 1) and of MIXED_INNER blocks (G(rho) > 1)
+SEQ_WITHOUT_REMAINDER = [
+    pytest.param("L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);", id="lists"),
+    pytest.param(MIXED_INNER + " F := COMPOSE(SEQ, B);", id="mixed-inner"),
+]
 
 
 @functools.cache
@@ -485,6 +493,19 @@ class TestRemainders:
         assert forest_model.limit_component_count_law(7) is law
         assert forest_model._count_law(7) == law
 
+    @pytest.mark.parametrize("text", SEQ_WITHOUT_REMAINDER)
+    def test_a_seq_model_without_a_finite_remainder_says_so(self, text):
+        # both laws raise the one check, the limit law before it squares
+        # the composite series or lists an orbit
+        model = GibbsModel.from_species(parse_dsl(text), truncation=60)
+        message = "sequence model has no finite limit remainder"
+        with pytest.raises(ZeroMass, match=message):
+            model.limit_remainder_distribution(6)
+        assert "composite_ogf" not in model.__dict__
+        assert model.engine.enumerator._memo == {}
+        with pytest.raises(ZeroMass, match=message):
+            model.limit_component_count_law(6)
+
     def test_limit_law_tail_shrinks_with_cap(self, forest_model):
         t1 = forest_model.limit_remainder_distribution(4).tail
         t2 = forest_model.limit_remainder_distribution(9).tail
@@ -558,8 +579,8 @@ def _bits(xs):
 
 
 class TestLimitLawBuild:
-    """The limit law from one pass over the orbits, with the enumerator's
-    products by an exact 1 skipped, is bit for bit the law of the loops in
+    """The limit law from one pass over the orbits, whose weights are `int`
+    unless a factor is a `Fraction`, is bit for bit the law of the loops in
     ``tests/oracles.py``."""
 
     @pytest.mark.parametrize(
