@@ -58,8 +58,9 @@ F = Fraction
 
 
 FOREST_TEXT = "T := ATOM * SET(T); F := COMPOSE(SET, T);"
-# SEQ models whose inner series is not below 1 at its radius: sequences of
-# lists (G(rho) = 1) and of MIXED_INNER blocks (G(rho) > 1)
+# SEQ models whose inner series G is not below 1 at its radius rho, where
+# its partial sum to truncation 60 reads 60 (lists, rho = 1) and 54.5
+# (MIXED_INNER blocks, rho = 0.618)
 SEQ_WITHOUT_REMAINDER = [
     pytest.param("L := ATOM + ATOM * L; F := COMPOSE(SEQ, L);", id="lists"),
     pytest.param(MIXED_INNER + " F := COMPOSE(SEQ, B);", id="mixed-inner"),
