@@ -14,7 +14,11 @@ at the cap and truncation of the ``tv-rejection`` benchmark: 20,299 orbit
 probabilities, the tail and the radius sensitivity.  ``limit-seq`` pins a
 SEQ limit law, whose remainder is a pair of sequences of linear objects.
 ``limit-weighted`` pins a limit law whose orbit weights are not 1: rooted
-trees weighted 1/3 per atom.
+trees weighted 1/3 per atom.  ``sample-exact-bench`` pins the exact draws
+and transcript lines of the ``sample-forest`` benchmark's sizes, 20 to 160
+under truncation 200, with their many repeated SET children.
+``sample-exact-seq-leaves`` pins draws of trees whose leaves are empty
+SEQs, ``(o|[])``, each drawn at size 0.
 """
 
 import hashlib
@@ -55,6 +59,16 @@ GOLDEN = {
         ["sample", "--spec", FOREST, "--trunc", "60", "--sizes", "8", "15",
          "--samples", "1200", "--seed", "11", "--workers", "2"],
         "9cd1aa0206579b912ace7325b73894839666d3a0cedb3db07ec1bf5f1292092c",
+    ),
+    "sample-exact-bench": (
+        ["sample", "--spec", FOREST, "--trunc", "200", "--sizes", "20", "40", "80", "160",
+         "--samples", "100", "--seed", "24"],
+        "18c7866955637fdc386d45fef8e7aaefbe6dff25a832214fabcd0cb12baa3454",
+    ),
+    "sample-exact-seq-leaves": (
+        ["sample", "--spec", "L := ATOM * SEQ(L); F := COMPOSE(SET, L);", "--trunc", "80",
+         "--sizes", "30", "60", "--samples", "200", "--seed", "25"],
+        "0a12c23f3c37c8dde1b8c75f9141bb43eabed7520bdbb5eb1510da7762fe442a",
     ),
     "sample-exact-mixed": (
         ["sample", "--spec", MIXED_INNER + " F := COMPOSE(SET, B);", "--trunc", "60",
