@@ -3,7 +3,9 @@
 The recursive method walks the compiled species program and at each node
 converts counting-series coefficients into branching probabilities:
 
-* UNION picks a side proportionally to the two size-n weights,
+* UNION picks a side proportionally to the two size-n weights, by one
+  uniform u and the float test u * (a + b) >= a, or the same test in
+  exact arithmetic when the counts overflow a float,
 * PRODUCT picks the split k proportionally to a_k * b_{n-k},
 * SEQ picks the first block size s proportionally to s_k * c_{n-s},
 * SET picks a pair (d, j) with probability d * g_d^{(p*j)} * b_{n-dj} /
@@ -11,6 +13,12 @@ converts counting-series coefficients into branching probabilities:
   nu^{p*j} weighting, and recurses on the remaining size.  Summing over the
   distinct orbits of a multiset telescopes to weight / b_n, so the output
   law is exactly weight-proportional over orbits.
+
+Every empty SET or SEQ drawn is one shared object, ``("set", ())`` or
+``("seq", ())``, and a SET sorts its parts only when it holds two or more.
+The j copies of a SET's orbit are one object j times, which
+:func:`~polyagibbs.species.object_to_string` renders once, as it writes
+an atom-left product ``(o|...)`` without a further call.
 
 Every cumulative table, here and in :mod:`polyagibbs.gibbs`, is a
 :class:`DiscreteLaw`: entries with normalised cumulative probabilities,
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
 from typing import Dict
 
@@ -171,6 +180,11 @@ def _table_terms(eng, i, inner, power, n):
     return eng.orbits(i, n, power)
 
 
+# the one object of every empty SET and SEQ draw, shared by all of them
+_EMPTY_SET = ("set", ())
+_EMPTY_SEQ = ("seq", ())
+
+
 # node handlers: (sampler, id, power, size, rng) -> object.  They are plain
 # functions of the sampler, not bound methods or closures, so a sampler
 # holds no reference cycle and is freed as soon as its last user drops it.
@@ -186,7 +200,14 @@ def _union(s, i: int, power: int, n: int, rng):
         raise EmptySize(f"no objects of size {n}")
     # one uniform per visit, also when a side is empty
     u = rng.random()
-    side = int(u * float(a + b) >= float(a)) if a and b else int(not a)
+    if a and b:
+        try:
+            side = int(u * float(a + b) >= float(a))
+        except OverflowError:
+            # counts past the float range: the same test, exactly
+            side = int(Fraction(u) * (a + b) >= a)
+    else:
+        side = int(not a)
     branch = right if side else left
     return ("tag", side, s._draw[branch](s, branch, power, n, rng))
 
@@ -206,6 +227,8 @@ def _product(s, i: int, power: int, n: int, rng):
 def _set(s, i: int, power: int, n: int, rng):
     """A SET object of node i: each step draws (size d, copies j) and one
     orbit of size d under nu^(power * j), inserted j times."""
+    if not n:
+        return _EMPTY_SET
     inner = s._args[i][0]
     draw, tables = s._draw[inner], s._tables
     parts = []
@@ -218,13 +241,16 @@ def _set(s, i: int, power: int, n: int, rng):
         else:
             parts.extend([orbit] * j)
         n -= d * j
-    parts.sort()
+    if len(parts) > 1:
+        parts.sort()
     return ("set", tuple(parts))
 
 
 def _seq(s, i: int, power: int, n: int, rng):
     """A SEQ object of node i: each step draws the size of the next block
     and one orbit of that size."""
+    if not n:
+        return _EMPTY_SEQ
     inner = s._args[i][0]
     draw, tables = s._draw[inner], s._tables
     parts = []

@@ -474,7 +474,8 @@ def canonicalize(obj):
 
 def object_size(obj) -> int:
     """Number of (non-star) atoms.  An explicit stack walks the object, so
-    its depth meets no recursion limit."""
+    its depth meets no recursion limit; the atom left factor of a product,
+    as in every tree node ``(o|...)``, is counted without a push."""
     size = 0
     stack = [obj]
     pop, push, extend = stack.pop, stack.append, stack.extend
@@ -482,7 +483,11 @@ def object_size(obj) -> int:
         obj = pop()
         head = obj[0]
         if head == "prod":
-            push(obj[1])
+            left = obj[1]
+            if left[0] == "atom":
+                size += 1
+            else:
+                push(left)
             push(obj[2])
         elif head == "set" or head == "seq":
             extend(obj[1])
@@ -500,16 +505,24 @@ def object_size(obj) -> int:
 def object_to_string(obj) -> str:
     """Compact nested-bracket serialization (stable, for transcripts and
     golden tests).  Heads are tested in the order they are most common in
-    drawn objects."""
+    drawn objects.  A product with an atom left factor and an empty SET or
+    SEQ are written without a further call, and a run of one child object
+    repeated in a SET or SEQ, as the j copies of one orbit in a drawn SET,
+    is rendered once (:func:`_joined`)."""
     head = obj[0]
     if head == "prod":
-        return f"({object_to_string(obj[1])}|{object_to_string(obj[2])})"
+        left = obj[1]
+        if left[0] == "atom":
+            return f"(o|{object_to_string(obj[2])})"
+        return f"({object_to_string(left)}|{object_to_string(obj[2])})"
     if head == "set":
-        return "{" + ",".join(map(object_to_string, obj[1])) + "}"
+        children = obj[1]
+        return "{" + _joined(children) + "}" if children else "{}"
     if head == "atom":
         return "o"
     if head == "seq":
-        return "[" + ",".join(map(object_to_string, obj[1])) + "]"
+        children = obj[1]
+        return "[" + _joined(children) + "]" if children else "[]"
     if head == "tag":
         return f"<{obj[1]}:{object_to_string(obj[2])}>"
     if head == "eps":
@@ -519,6 +532,20 @@ def object_to_string(obj) -> str:
     if head == "blob":
         return f"#{obj[1]}"
     raise ValueError(f"unknown object head {head!r}")
+
+
+def _joined(children) -> str:
+    """The strings of ``children`` joined by commas.  A child that is its
+    left neighbour, the same object and not only an equal one, reuses the
+    neighbour's string."""
+    strings = []
+    last = text = None
+    for c in children:
+        if c is not last:
+            text = object_to_string(c)
+            last = c
+        strings.append(text)
+    return ",".join(strings)
 
 
 def mark_one_atom(obj) -> List[tuple]:

@@ -3,14 +3,16 @@ package's recurrences (``multiset_ogf``, ``outer_index_value``,
 ``set_symmetry_law``), the engine's and sampler's term loops with one
 ``SeriesEngine.at`` call per term, an engine with one stream per (node,
 power) for unit-weight programs too, an enumerator of its own that sorts
-its lists by comparing the objects, and the limit-law build with one pass
-over the orbits per radius.  A cycle type is a sorted tuple of (cycle length,
-multiplicity) pairs; an index is a list of (cycle type, coefficient) terms
-in degree order."""
+its lists by comparing the objects, the limit-law build with one pass
+over the orbits per radius, and the SET and SEQ draw handlers that build
+every part list and sort every SET.  A cycle type is a sorted tuple of
+(cycle length, multiplicity) pairs; an index is a list of (cycle type,
+coefficient) terms in degree order."""
 
 import itertools
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -28,11 +30,14 @@ from polyagibbs import (
     canonicalize,
     mark_one_atom,
 )
+from polyagibbs.sampler import _seq_terms, _set_terms
 from polyagibbs.series import evaluate
 from polyagibbs.species import (
     ATOM_OBJ,
     DEFAULT_SIZE_GUARD,
     EPS_OBJ,
+    K_SEQ,
+    K_SET,
     STAR_OBJ,
     by_kind,
     fail,
@@ -443,3 +448,47 @@ def lattice_offset(s):
     for the zero series."""
     nz = s.nonzero_indices
     return nz[0] % s.lattice_span() if nz else 0
+
+
+# -- the SET and SEQ draw handlers of polyagibbs.sampler as they were before
+# an empty SET or SEQ became one shared object and a one-part SET skipped
+# its sort.  A sampler whose SET and SEQ ids draw through them is the
+# draw-for-draw oracle of the current handlers.
+
+
+def oracle_set(s, i, power, n, rng):
+    inner = s._args[i][0]
+    draw, tables = s._draw[inner], s._tables
+    parts = []
+    while n > 0:
+        law = tables.get((i, power, n)) or s._law(_set_terms, i, power, n)
+        d, j = law.entries[bisect_right(law.cum, rng.random())]
+        orbit = draw(s, inner, power * j, d, rng)
+        if j == 1:
+            parts.append(orbit)
+        else:
+            parts.extend([orbit] * j)
+        n -= d * j
+    parts.sort()
+    return ("set", tuple(parts))
+
+
+def oracle_seq(s, i, power, n, rng):
+    inner = s._args[i][0]
+    draw, tables = s._draw[inner], s._tables
+    parts = []
+    while n > 0:
+        law = tables.get((i, power, n)) or s._law(_seq_terms, i, power, n)
+        d = law.entries[bisect_right(law.cum, rng.random())]
+        parts.append(draw(s, inner, power, d, rng))
+        n -= d
+    return ("seq", tuple(parts))
+
+
+def with_oracle_blocks(sampler):
+    """``sampler``, its SET and SEQ ids now drawing through
+    :func:`oracle_set` and :func:`oracle_seq`; every other handler is the
+    sampler's own, and reaches its children through the same list."""
+    handlers = {K_SET: oracle_set, K_SEQ: oracle_seq}
+    sampler._draw = [handlers.get(k, d) for k, d in zip(sampler.program.kind, sampler._draw)]
+    return sampler

@@ -86,6 +86,19 @@ class TestSample:
             assert r["largest"] + r["remainder_size"] == 6
             assert r["components"] >= 1
 
+    def test_union_counts_past_the_float_range(self, capsys):
+        # the size-500 counts of T overflow a float
+        code, out = run(
+            capsys,
+            "sample", "--spec", "T := ATOM * SET(T) + ATOM * SEQ(T); F := COMPOSE(SET, T);",
+            "--trunc", "500", "--sizes", "500", "--samples", "2", "--seed", "1",
+        )
+        assert code == 0
+        records = [json.loads(l) for l in out.strip().splitlines()[1:]]
+        assert len(records) == 2
+        for r in records:
+            assert r["largest"] + r["remainder_size"] == 500
+
     def test_bytewise_determinism_across_workers(self, capsys):
         argv = [
             "sample", "--spec", FOREST_DSL, "--trunc", "60",

@@ -7,7 +7,8 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import law_prob
+from oracles import law_prob, with_oracle_blocks
+from test_golden import MIXED, MIXED_INNER
 from polyagibbs import (
     ATOM,
     DiscreteLaw,
@@ -17,12 +18,14 @@ from polyagibbs import (
     SetOf,
     Weighted,
     forests,
+    object_size,
     parse_dsl,
+    parse_spec,
     polya_trees,
     sized_species,
     spec,
 )
-from polyagibbs.errors import EmptySize, ZeroMass
+from polyagibbs.errors import EmptySize, SpecError, ZeroMass
 from polyagibbs.sampler import _INDEXED, _product_terms, _set_terms, _table_terms
 from polyagibbs.species import ATOM_OBJ, EPS_OBJ, TableWeight, by_kind, fail
 
@@ -93,6 +96,60 @@ class TestBehaviour:
         s = parse_dsl("E := ATOM * ATOM;")
         with pytest.raises(EmptySize):
             ExactSampler(s).sample(3, random.Random(1))
+
+    @pytest.mark.parametrize("text, head", [
+        ("T := ATOM * SET(T); F := COMPOSE(SET, T);", "set"),
+        ("L := ATOM * SEQ(L); F := COMPOSE(SEQ, L);", "seq"),
+    ])
+    def test_an_empty_set_or_seq_takes_no_uniform(self, text, head):
+        sampler = ExactSampler(parse_dsl(text))
+        rng = random.Random(9)
+        state = rng.getstate()
+        first, second = sampler.sample(0, rng), sampler.sample(0, rng)
+        assert first == (head, ()) and first is second
+        assert rng.getstate() == state
+
+
+class _FirstUniform(random.Random):
+    """A seeded stream whose first uniform is ``u``."""
+
+    def __init__(self, u, seed):
+        super().__init__(seed)
+        self.first = u
+
+    def random(self):
+        u, self.first = self.first, None
+        return super().random() if u is None else u
+
+
+class TestUnionPastTheFloatRange:
+    """Counts beyond the float range, where ``float(a + b)`` overflows: the
+    UNION side is the exact test u * (a + b) >= a."""
+
+    SPEC = "T := ATOM * SET(T) + ATOM * SEQ(T);"
+
+    @pytest.mark.parametrize("n", [500, 700])
+    def test_draws_have_the_requested_size(self, n):
+        sampler = ExactSampler(parse_spec(self.SPEC))
+        left, right = sampler.program.args[sampler.root]
+        with pytest.raises(OverflowError):
+            float(sampler.engine.at(left, 1, n) + sampler.engine.at(right, 1, n))
+        assert object_size(sampler.sample(n, random.Random(n))) == n
+
+    def test_the_side_is_the_exact_test(self):
+        import math
+
+        n = 500
+        sampler = ExactSampler(parse_spec(self.SPEC))
+        left, right = sampler.program.args[sampler.root]
+        a, b = sampler.engine.at(left, 1, n), sampler.engine.at(right, 1, n)
+        u = float(Fraction(a, a + b))
+        sides = []
+        for v in (math.nextafter(u, 0), u, math.nextafter(u, 1)):
+            o = sampler.sample(n, _FirstUniform(v, 3))
+            assert o[1] == int(Fraction(v) * (a + b) >= a)
+            sides.append(o[1])
+        assert sides[0] == 0 and sides[2] == 1
 
 
 class TestDiscreteLaw:
@@ -249,8 +306,6 @@ class OracleSampler(ExactSampler):
     )
 
 
-MIXED_INNER = "B := ATOM + WEIGHT(ATOM, 2) * SEQ(ATOM + ATOM * ATOM);"
-
 
 def _table_spec():
     # every SEQ(ATOM + ATOM * ATOM) orbit of size at most 4 gets its own
@@ -297,3 +352,47 @@ class TestHandlersMatchTheRecursiveOracle:
                         OracleSampler(parse_dsl("E := ATOM * ATOM;"))):
             with pytest.raises(EmptySize):
                 sampler.sample(3, random.Random(1))
+
+
+# (spec, least number of objects drawn).  MIXED has a DERIVE node, which
+# the sampler does not draw: most of its draws end with one SpecError on
+# both sides once they reach it
+BLOCK_SPECS = {
+    "forests": ("T := ATOM * SET(T); F := COMPOSE(SET, T);", 100),
+    "mixed": (MIXED, 1),
+    "mixed-inner-set": (MIXED_INNER + " F := COMPOSE(SET, B);", 100),
+    "mixed-inner-seq": (MIXED_INNER + " F := COMPOSE(SEQ, B);", 100),
+    "seq-trees": ("L := ATOM * SEQ(L);", 100),
+}
+
+
+def _outcome(sampler, n, rng, power):
+    try:
+        return sampler.sample(n, rng, power=power)
+    except SpecError as e:
+        return str(e)
+
+
+class TestBlockHandlersMatchTheirOracle:
+    """Draw for draw, the SET and SEQ handlers give the objects of the
+    handlers that built every part list and sorted every SET
+    (``oracles.with_oracle_blocks``), and take the same uniforms."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_same_objects_and_rng_state(self, name, power, seed):
+        text, least = BLOCK_SPECS[name]
+        new = ExactSampler(parse_dsl(text))
+        old = with_oracle_blocks(ExactSampler(parse_dsl(text)))
+        rng_new, rng_old = random.Random(seed), random.Random(seed)
+        drawn = 0
+        for n in range(61):
+            if not new.engine.at(new.root, power, n):
+                continue
+            for _ in range(3):
+                got = _outcome(new, n, rng_new, power)
+                assert got == _outcome(old, n, rng_old, power)
+                assert rng_new.getstate() == rng_old.getstate()
+                drawn += not isinstance(got, str)
+        assert drawn >= least

@@ -686,7 +686,36 @@ def _oracle_string(obj) -> str:
     raise ValueError(f"unknown object head {head!r}")
 
 
+def _copies(c, j: int, same: bool) -> list:
+    """j copies of ``c``: the one object j times, or equal but distinct
+    tuples."""
+    return [c] * j if same else [tuple(list(c)) for _ in range(j)]
+
+
+def _runs(children):
+    """Child lists with runs: each drawn child repeated 1 to 3 times, as
+    one object or as equal but distinct ones."""
+    return st.lists(
+        st.builds(_copies, children, st.integers(1, 3), st.booleans()), max_size=3
+    ).map(lambda runs: [c for run in runs for c in run])
+
+
+# canonical objects of every head, with runs of one child object in SETs
+# and SEQs, equal but distinct children, and atom-left products at depth
+_walker_objects = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(lambda a, b: ("prod", a, b), children, children),
+        st.builds(lambda b: ("prod", ("atom",), b), children),
+        st.builds(lambda cs: ("set", tuple(sorted(cs))), _runs(children)),
+        st.builds(lambda cs: ("seq", tuple(cs)), _runs(children)),
+        st.builds(lambda side, c: ("tag", side, c), st.integers(0, 1), children),
+    ),
+    max_leaves=10,
+)
+
 _A, _E, _S = ("atom",), ("eps",), ("star",)
+_BAD = ("leaf",)
 HAND_BUILT = [
     _A,
     _E,
@@ -725,8 +754,25 @@ class TestObjectWalkers:
                     assert object_size(o) == _oracle_size(o) == n
                     assert object_to_string(o) == _oracle_string(o)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(obj=_walker_objects)
+    def test_objects_with_repeated_children_match_the_recursive_oracles(self, obj):
+        assert canonicalize(obj) == obj
+        assert object_size(obj) == _oracle_size(obj)
+        assert object_to_string(obj) == _oracle_string(obj)
+
     @pytest.mark.parametrize(
-        "obj", [("leaf",), ("set", (_A, ("leaf", 1))), ("prod", _A, ("tag", 0, ("?",)))]
+        "obj",
+        [
+            ("leaf",),
+            ("set", (_A, ("leaf", 1))),
+            ("prod", _A, ("tag", 0, ("?",))),
+            ("prod", ("?",), _A),
+            ("set", (_BAD, _BAD)),
+            ("seq", (_A, _BAD, _BAD, _E)),
+            ("seq", (("prod", _A, _E), ("leaf",))),
+            ("prod", _A, ("leaf",)),
+        ],
     )
     def test_unknown_head_raises(self, obj):
         with pytest.raises(ValueError, match="unknown object head"):
