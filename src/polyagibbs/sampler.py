@@ -16,9 +16,9 @@ converts counting-series coefficients into branching probabilities:
 
 Every empty SET or SEQ drawn is one shared object, ``("set", ())`` or
 ``("seq", ())``, and a SET sorts its parts only when it holds two or more.
-The j copies of a SET's orbit are one object j times, which
-:func:`~polyagibbs.species.object_to_string` renders once, as it writes
-an atom-left product ``(o|...)`` without a further call.
+The j copies of an orbit in a SET are one object, so
+:func:`~polyagibbs.species.object_to_string`, which renders a run of one
+child object once, writes them at the cost of one.
 
 Every cumulative table, here and in :mod:`polyagibbs.gibbs`, is a
 :class:`DiscreteLaw`: entries with normalised cumulative probabilities,

@@ -505,10 +505,10 @@ def object_size(obj) -> int:
 def object_to_string(obj) -> str:
     """Compact nested-bracket serialization (stable, for transcripts and
     golden tests).  Heads are tested in the order they are most common in
-    drawn objects.  A product with an atom left factor and an empty SET or
-    SEQ are written without a further call, and a run of one child object
-    repeated in a SET or SEQ, as the j copies of one orbit in a drawn SET,
-    is rendered once (:func:`_joined`)."""
+    drawn objects.  The atom left factor of a product and an empty SET or
+    SEQ are written without a call, and a run of one child object in a SET
+    or SEQ, as the j copies of one orbit in a drawn SET, is rendered once
+    (:func:`_joined`)."""
     head = obj[0]
     if head == "prod":
         left = obj[1]

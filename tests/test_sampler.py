@@ -1,5 +1,6 @@
 """Exact-size sampling: law agreement with enumeration, determinism."""
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -137,8 +138,6 @@ class TestUnionPastTheFloatRange:
         assert object_size(sampler.sample(n, random.Random(n))) == n
 
     def test_the_side_is_the_exact_test(self):
-        import math
-
         n = 500
         sampler = ExactSampler(parse_spec(self.SPEC))
         left, right = sampler.program.args[sampler.root]
