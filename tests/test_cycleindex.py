@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import index_value, partitions, plethysm, z_seq, z_set
 from polyagibbs import (
+    GibbsModel,
     SeriesEngine,
     TruncatedSeries,
+    coefficient_ratio_experiment,
+    evaluate,
     geometric,
     multiset_ogf,
     multiset_ogf_product,
     ogf,
+    parse_dsl,
     polya_trees,
     seq_ogf,
 )
@@ -121,6 +125,52 @@ class TestOgfPaths:
         from polyagibbs import forests
 
         assert multiset_ogf(fam, n) == ogf(forests(), n)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # powered streams differ, and the coefficients are Fractions
+            pytest.param(
+                lambda: GibbsModel.from_species(
+                    parse_dsl("T := WEIGHT(ATOM, 1/2) * SET(T); F := COMPOSE(SET, T);"),
+                    truncation=60,
+                ),
+                id="weighted-trees-set",
+            ),
+            pytest.param(
+                lambda: GibbsModel.from_series(
+                    [0] + [F(1, k**2) * F(2, 3) ** k for k in range(1, 61)], truncation=60
+                ),
+                id="sized-set",
+            ),
+            # test_asymptotics' SEQ model; below truncation 165 the tail
+            # model cannot evaluate its remainder series
+            pytest.param(
+                lambda: GibbsModel.from_series(
+                    [F(0)] + [F(1, 2 * k**3 * 2**k) for k in range(1, 171)],
+                    outer="SEQ",
+                    truncation=170,
+                ),
+                id="sized-seq",
+            ),
+        ],
+    )
+    def test_remainder_series_is_the_cycle_index_route(self, make):
+        # (F')(G): the Euler transform of the powered inner streams for SET
+        # (SET' = SET), the square of the quasi-inverse for SEQ; the ratio
+        # experiment's constant is this series at rho
+        model = make()
+        n, engine, inner = model.truncation, model.engine, model.inner_id
+        if model.outer == "SET":
+            want = multiset_ogf(lambda i: engine.ogf(n // i, node=inner, power=i), n)
+        else:
+            q = seq_ogf(model.inner_ogf(1), n)
+            want = q * q
+        got = model.remainder_ogf
+        assert [(type(c), c) for c in got.coeffs] == [(type(c), c) for c in want.coeffs]
+        assert any(type(c) is F for c in got.coeffs)
+        constant = coefficient_ratio_experiment(model).constant
+        assert constant.hex() == evaluate(want, model.rho.rho).value.hex()
 
     def test_seq_ogf_is_quasi_inverse(self):
         n = 20

@@ -504,8 +504,13 @@ class TestRemainders:
             model.limit_remainder_distribution(6)
         assert "composite_ogf" not in model.__dict__
         assert model.engine.enumerator._memo == {}
-        with pytest.raises(ZeroMass, match=message):
+        with pytest.raises(ZeroMass, match=message) as info:
             model.limit_component_count_law(6)
+        # the message names the partial sum G(rho) it measured, and rho
+        rho = model.rho.rho
+        q = model.inner_value(1, rho)
+        assert q >= 1
+        assert str(info.value).endswith(f": G(rho) = {q:.6g} >= 1 at rho = {rho:.6g}")
 
     def test_limit_law_tail_shrinks_with_cap(self, forest_model):
         t1 = forest_model.limit_remainder_distribution(4).tail
